@@ -5,9 +5,25 @@ disk). A cooperative group of k simultaneous senders closes a link when
 the non-coherent power sum of k equal transmitters meets the single-link
 threshold: sum_i (base_range / d_i)^alpha >= 1, with alpha picked per
 the farthest sender against the amplifier crossover distance.
+
+Node positions never change, so who can hear whom is computed once:
+``NeighbourIndex`` buckets positions into square cells of side
+``base_range`` (a cell list) and answers closed-disk radius queries by
+testing only the nodes in the cells a disk overlaps.
+
+A group of k senders cannot reach a receiver farther than
+``ct_prune_radius(base_range, k) = base_range * sqrt(k) * (1 + 1e-9)``
+from every sender, so resolving a cooperative transmission only needs
+the nodes within that radius of some sender. The pruning is exact: with
+every d_i > R*sqrt(k) and alpha in {2, 4},
+sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no sender lies within
+R, so ``ct_reach`` is False. The relative margin of 1e-9 dwarfs the
+float rounding of the distances and of the k-term sum, which keeps the
+bound on the safe side.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -35,6 +51,63 @@ def ct_reach(sender_positions, receiver_pos, base_range: float, d0: float) -> bo
         return True
     alpha = 4 if max(dists) >= d0 else 2
     return sum((base_range / d) ** alpha for d in dists) >= 1.0
+
+
+def ct_prune_radius(base_range: float, k: int) -> float:
+    """Distance beyond which k cooperating senders reach no receiver."""
+    return base_range * math.sqrt(k) * (1 + 1e-9)
+
+
+class NeighbourIndex:
+    """Cell list over fixed node positions.
+
+    ``neighbours[i]`` is the ascending tuple of the other ids within
+    ``base_range`` of node i, by exactly ``in_reach``'s predicate, which
+    is symmetric. ``within`` answers closed-disk queries of any radius.
+    """
+
+    def __init__(self, positions, base_range: float):
+        self.positions = positions
+        self.side = base_range
+        cells = self._cells = defaultdict(list)
+        for nid, (x, y) in positions.items():
+            cells[math.floor(x / base_range), math.floor(y / base_range)].append(nid)
+        near = {nid: [] for nid in positions}
+        for i, pos in positions.items():
+            ys = self._span(pos[1], base_range)
+            for cx in self._span(pos[0], base_range):
+                for cy in ys:
+                    for j in cells.get((cx, cy), ()):
+                        # each pair is tested once, from its smaller id
+                        if j > i and distance(pos, positions[j]) <= base_range:
+                            near[i].append(j)
+                            near[j].append(i)
+        self.neighbours = {nid: tuple(sorted(ids)) for nid, ids in near.items()}
+
+    def _span(self, v, radius):
+        """Cell indices along one axis that a disk of ``radius`` at v overlaps.
+
+        The margin covers the rounding of v - radius, so no node whose
+        computed distance is within ``radius`` falls outside the span.
+        """
+        margin = radius + 1e-9 * (radius + abs(v))
+        side = self.side
+        return range(math.floor((v - margin) / side), math.floor((v + margin) / side) + 1)
+
+    def within(self, points, radius: float):
+        """Ascending ids within ``radius`` (closed) of any of ``points``."""
+        cells = {(cx, cy) for x, y in points
+                 for cx in self._span(x, radius) for cy in self._span(y, radius)}
+        found = []
+        for cell in cells:
+            for nid in self._cells.get(cell, ()):
+                pos = self.positions[nid]
+                for p in points:
+                    if distance(p, pos) <= radius:
+                        found.append(nid)
+                        break
+        found.sort()
+        return found
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ a random topology generator are mutually exclusive.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict
 
 from .energy import RadioEnergyParams
@@ -122,6 +123,15 @@ def _reject_unknown(given: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}")
 
 
+def _require_finite(value, path: str):
+    try:
+        finite = math.isfinite(float(value))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+
+
 def _require_positive(value, path: str, strict: bool = True):
     if not isinstance(value, (int, float)) or (value <= 0 if strict else value < 0):
         kind = "strictly positive" if strict else "non-negative"
@@ -162,6 +172,8 @@ def parse_config(document: str) -> ScenarioConfig:
             _reject_unknown(n, _NODE_KEYS, f"topology.nodes[{i}]")
             if "id" not in n or "x" not in n or "y" not in n:
                 raise ConfigError(f"topology.nodes[{i}] requires id, x, y")
+            for axis in ("x", "y"):
+                _require_finite(n[axis], f"topology.nodes[{i}].{axis}")
             if n["id"] in seen:
                 raise ConfigError(f"topology.nodes[{i}].id duplicates id {n['id']}")
             seen.add(n["id"])

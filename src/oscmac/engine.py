@@ -11,14 +11,17 @@ import heapq
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import mac as macmod
-from .channel import AirTransmission, distance, in_reach, ct_reach, resolve_slot
+from .channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
+                      in_reach, resolve_slot)
 from .config import ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
-from .mac import DutySchedule, MacState, Packet, Phase, build_schedules, compose_superframe
-from .selection import CtRequest, WiLemStation
+from .mac import (DutySchedule, MacState, Packet, Phase, Superframe, build_schedules,
+                  compose_superframe)
+from .selection import CtRequest, ElectedList, WiLemStation
 
 US = 1_000_000  # microseconds per second
 TURNAROUND_US = 1000  # rx-to-tx turnaround before replies
@@ -95,8 +98,8 @@ class _Transfer:
     batch: list = field(default_factory=list)
     mode: str = None              # type: ignore[assignment]
     request: CtRequest = None     # type: ignore[assignment]
-    elected = None
-    sf = None
+    elected: ElectedList = None   # type: ignore[assignment]
+    sf: Superframe = None         # type: ignore[assignment]
     got_broadcast: dict = field(default_factory=dict)  # slot index -> set of helper ids
     noct_index: int = 0
     attempts: int = 0
@@ -137,7 +140,6 @@ class Simulator:
         self.now = 0
         self._txn_counter = 0
         self._rdv_counter = 0
-        self.txns = {}
         self.unresolved = []
 
         self._build_topology()
@@ -169,6 +171,10 @@ class Simulator:
             initial = {i: cfg.sim.battery_j for i in positions}
             specs = None
 
+        # positions never change, so radio neighbourhoods are computed once
+        self.index = NeighbourIndex(positions, self.base_range)
+        self.neighbours = self.index.neighbours
+
         # routes and hop depths toward the final receiver
         ids = sorted(positions)
         if cfg.topology.routes is not None:
@@ -186,7 +192,7 @@ class Simulator:
                 for hop_up, member in enumerate(reversed(chain), start=1):
                     depths[member] = hop_up
         else:
-            routes, depths = self._bfs_routes(positions, ids)
+            routes, depths = self._bfs_routes()
 
         max_depth = max(depths.values()) if depths else 0
         for nid in ids:
@@ -207,20 +213,14 @@ class Simulator:
         self.positions = positions
         self.metrics.initial_by_node = {nid: nodes[nid].battery.initial for nid in ids}
 
-    def _bfs_routes(self, positions, ids):
-        adj = {i: [] for i in ids}
-        for i in ids:
-            for j in ids:
-                if i < j and distance(positions[i], positions[j]) <= self.base_range:
-                    adj[i].append(j)
-                    adj[j].append(i)
+    def _bfs_routes(self):
         depths = {self.fr: 0}
         routes = {}
         frontier = [self.fr]
         while frontier:
             nxt = []
             for cur in sorted(frontier):
-                for nb in sorted(adj[cur]):
+                for nb in self.neighbours[cur]:
                     if nb not in depths:
                         depths[nb] = depths[cur] + 1
                         routes[nb] = cur
@@ -428,13 +428,12 @@ class Simulator:
             start_us=self.now, end_us=self.now + dur)
         self._txn_counter += 1
         txn = _Txn(self._txn_counter, air, packet, tag, meta)
-        self.txns[txn.txn_id] = txn
         self.unresolved.append(txn)
-        self._schedule(self.now + dur, "tx_end", {"txn": txn.txn_id})
+        self._schedule(self.now + dur, "tx_end", {"txn": txn})
         return txn
 
     def _on_tx_end(self, data):
-        txn = self.txns[data["txn"]]
+        txn = data["txn"]
         if txn.resolved:
             return
         cluster = [txn]
@@ -455,17 +454,24 @@ class Simulator:
         self.unresolved = [t for t in self.unresolved if not t.resolved]
         self._resolve_cluster(cluster)
 
+    def _reach_candidates(self, air):
+        """Ids that may hear ``air``; every other node is out of its reach."""
+        if air.cooperative:
+            k = len(air.sender_positions)
+            return self.index.within(air.sender_positions, ct_prune_radius(self.base_range, k))
+        return self.neighbours[air.sender_ids[0]]
+
     def _resolve_cluster(self, cluster):
-        for rid in sorted(self.nodes):
+        heard = defaultdict(list)  # candidate receiver -> members it may hear
+        for t in cluster:
+            for rid in self._reach_candidates(t.air):
+                heard[rid].append(t)
+        for rid in sorted(heard):
             receiver = self.nodes[rid]
-            audible = []
-            for t in cluster:
-                if rid in t.air.sender_ids:
-                    continue
-                if not self._is_awake(receiver, t.air.start_us):
-                    continue
-                if self._audible(t.air, receiver.pos):
-                    audible.append(t)
+            audible = [t for t in heard[rid]
+                       if rid not in t.air.sender_ids
+                       and self._is_awake(receiver, t.air.start_us)
+                       and self._audible(t.air, receiver.pos)]
             if not audible:
                 continue
             rdvs = {t.air.rdv_id for t in audible}
@@ -517,9 +523,8 @@ class Simulator:
         nxt = self.nodes[node.next_hop]
         if not in_reach(node.pos, nxt.pos, self.base_range):
             return "ct"
-        neigh = [self.nodes[n].battery.residual for n in sorted(self.nodes)
-                 if n != node.id and self.nodes[n].battery.alive
-                 and distance(self.positions[n], node.pos) <= self.base_range]
+        neigh = [self.nodes[n].battery.residual for n in self.neighbours[node.id]
+                 if self.nodes[n].battery.alive]
         if neigh and node.battery.residual < self.cfg.mac.ct_energy_fraction * (sum(neigh) / len(neigh)):
             return "ct"
         return "noct"
@@ -578,10 +583,9 @@ class Simulator:
     def _ct_query(self, node):
         xfer = self._transfers[node.id]
         nxt = self.nodes[node.next_hop]
-        neighbors = tuple(n for n in sorted(self.nodes)
-                          if n not in (node.id, node.next_hop, self.fr)
-                          and self.nodes[n].battery.alive
-                          and distance(self.positions[n], node.pos) <= self.base_range)
+        neighbors = tuple(n for n in self.neighbours[node.id]
+                          if n not in (node.next_hop, self.fr)
+                          and self.nodes[n].battery.alive)
         xfer.request = CtRequest(
             requester=node.id,
             packet_size_bytes=self.cfg.traffic.packet_size_bytes,
@@ -610,8 +614,9 @@ class Simulator:
         self._account(node)
         if not node.battery.alive:
             return
-        # the station meters every battery losslessly and instantly
-        for nid in sorted(self.nodes):
+        # the station meters every battery losslessly and instantly; the
+        # election reads only the requester's neighbours
+        for nid in xfer.request.neighbor_ids:
             self.station.update_energy(nid, self.nodes[nid].battery.residual)
         elected, skipped = self.station.handle_ct_request(xfer.request, self.params)
         xfer.elected = elected

@@ -9,7 +9,7 @@ range). Time is integer microseconds throughout.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .channel import distance
+from .channel import NeighbourIndex
 
 
 class ConfigurationError(ValueError):
@@ -72,18 +72,12 @@ class DutySchedule:
 
 def two_hop_sets(positions, base_range):
     """Node id -> set of ids within two unit-disk hops (excluding self)."""
-    ids = sorted(positions)
-    adj = {i: set() for i in ids}
-    for i in ids:
-        for j in ids:
-            if i < j and distance(positions[i], positions[j]) <= base_range:
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = NeighbourIndex(positions, base_range).neighbours
     two = {}
-    for i in ids:
+    for i in sorted(positions):
         reach = set(adj[i])
         for j in adj[i]:
-            reach |= adj[j]
+            reach.update(adj[j])
         reach.discard(i)
         two[i] = reach
     return two

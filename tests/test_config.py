@@ -75,6 +75,14 @@ def test_duplicate_node_id_rejected():
         make_config(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "east"])
+def test_node_coordinates_must_be_finite(value):
+    doc = range_extension_doc()
+    doc["topology"]["nodes"][2]["y"] = value
+    with pytest.raises(ConfigError, match=r"topology\.nodes\[2\]\.y"):
+        make_config(doc)
+
+
 def test_route_to_unknown_node_rejected():
     doc = range_extension_doc()
     doc["topology"]["routes"] = {"1": 99}
