@@ -26,6 +26,9 @@ from .selection import CtRequest, ElectedList, WiLemStation
 US = 1_000_000  # microseconds per second
 TURNAROUND_US = 1000  # rx-to-tx turnaround before replies
 _CONTENTION_FRAMES = 8  # frames a reservation attempt may be deferred over
+# the bytes of json.dumps(detail, sort_keys=True), without building an
+# encoder per trace row
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _mix(a: int, b: int) -> int:
@@ -265,8 +268,8 @@ class Simulator:
 
     def _init_housekeeping(self):
         period = self.cfg.sim.housekeeping_frames * self.frame_us
-        for nid in sorted(self.nodes):
-            self._schedule(min(period, self.horizon_us), "housekeeping", {"node": nid})
+        self._schedule(min(period, self.horizon_us), "housekeeping",
+                       {"nodes": sorted(self.nodes)})
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -276,10 +279,8 @@ class Simulator:
         heapq.heappush(self.heap, (t_us, self._seq, kind, data))
 
     def _emit(self, node, event, detail):
-        residual = self.nodes[node].battery.residual if node in self.nodes else ""
-        self.rows.append((self.now, len(self.rows), node, event,
-                          json.dumps(detail, sort_keys=True), repr(residual) if residual != "" else ""))
-        self.metrics.events_processed += 1
+        self.rows.append((self.now, len(self.rows), node, event, _encode(detail),
+                          repr(self.nodes[node].battery.residual)))
 
     def _new_rdv(self):
         self._rdv_counter += 1
@@ -291,6 +292,8 @@ class Simulator:
     def _sched_extra_awake(self, node, t0, t1):
         """(scheduled awake, reservation-only awake) microseconds in [t0, t1)."""
         sched = node.schedule.awake_time(t0, t1)
+        if not node.mac.reservations:
+            return sched, 0
         ivs = sorted((max(s, t0), min(e, t1)) for s, e, _ in node.mac.reservations
                      if s < t1 and e > t0)
         merged = []
@@ -342,7 +345,8 @@ class Simulator:
         node.last_accounted_us = now
         if idle or slept:
             self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
-        node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
+        if node.mac.reservations:
+            node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
 
     def _register_death(self, node, death_us):
         self._emit(node.id, "node_died", {"death_time_us": death_us})
@@ -569,7 +573,7 @@ class Simulator:
         else:
             self._ct_query(node)
 
-    def _finish_batch(self, node, delivered_here):
+    def _finish_batch(self, node):
         xfer = self._transfers[node.id]
         for p in xfer.batch:
             if p in node.mac.pending_packets:
@@ -789,7 +793,7 @@ class Simulator:
 
     def _on_ct_batch_done(self, data):
         node = self.nodes[data["node"]]
-        self._finish_batch(node, delivered_here=False)
+        self._finish_batch(node)
 
     # --- no-CT path -------------------------------------------------------
 
@@ -804,7 +808,7 @@ class Simulator:
     def _noct_next(self, node):
         xfer = self._transfers[node.id]
         if xfer.noct_index >= len(xfer.batch):
-            self._finish_batch(node, delivered_here=False)
+            self._finish_batch(node)
             return
         xfer.attempts = 0
         self._noct_request(node)
@@ -899,7 +903,7 @@ class Simulator:
     def _noct_next_packet_after_failure(self, node):
         xfer = self._transfers[node.id]
         if xfer.noct_index >= len(xfer.batch):
-            self._finish_batch(node, delivered_here=False)
+            self._finish_batch(node)
         else:
             xfer.attempts = 0
             self._schedule(self.now, "noct_request", {"node": node.id})
@@ -926,8 +930,6 @@ class Simulator:
             return
         origin = self.nodes[txn.meta["origin"]]
         self._accept_packet(receiver, txn.packet, origin)
-        ack = Packet(seq=-5, size_bits=self.cfg.mac.ctrl_bits, source=receiver.id,
-                     destination=origin.id, kind="data_ack")
         self._schedule(self.now + TURNAROUND_US, "send_data_ack",
                        {"node": receiver.id, "to": origin.id, "packet": txn.packet.seq})
 
@@ -994,13 +996,22 @@ class Simulator:
     # housekeeping and run loop
 
     def _on_housekeeping(self, data):
-        node = self.nodes[data["node"]]
-        self._account(node)
-        self.metrics.energy_timeline.append(
-            (self.now / US, node.id, node.battery.residual))
+        """Sample the residual of every listed node, in id order, then
+        schedule the next sweep over those still alive.
+
+        Accounting schedules no event, so the samples of one sweep are
+        exactly those of one back-to-back event per node.
+        """
+        t_s = self.now / US
+        timeline = self.metrics.energy_timeline
+        for nid in data["nodes"]:
+            node = self.nodes[nid]
+            self._account(node)
+            timeline.append((t_s, nid, node.battery.residual))
         nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
-        if nxt <= self.horizon_us and node.battery.alive:
-            self._schedule(nxt, "housekeeping", {"node": node.id})
+        alive = [nid for nid in data["nodes"] if self.nodes[nid].battery.alive]
+        if nxt <= self.horizon_us and alive:
+            self._schedule(nxt, "housekeeping", {"nodes": alive})
 
     _HANDLERS = {
         "traffic": "_on_traffic",

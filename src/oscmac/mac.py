@@ -8,6 +8,7 @@ range). Time is integer microseconds throughout.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .channel import NeighbourIndex
 
@@ -32,27 +33,26 @@ class DutySchedule:
         if not 0 <= self.wake_offset_us < self.frame_us:
             raise ValueError("wake offset must lie in [0, frame)")
 
+    @cached_property
     def _windows(self):
-        """Wake window(s) inside one frame, split if it wraps the frame edge."""
+        """Wake window(s) inside one frame in ascending order, split if the
+        window wraps the frame edge."""
         start, width = self.wake_offset_us, self.active_us
         if start + width <= self.frame_us:
             return ((start, start + width),)
-        return ((start, self.frame_us), (0, start + width - self.frame_us))
+        return ((0, start + width - self.frame_us), (start, self.frame_us))
 
     def is_awake(self, t_us: int) -> bool:
         r = t_us % self.frame_us
-        return any(a <= r < b for a, b in self._windows())
+        return any(a <= r < b for a, b in self._windows)
 
     def next_wake(self, t_us: int) -> int:
         """Earliest time >= t_us inside a wake window."""
-        if self.is_awake(t_us):
-            return t_us
         r = t_us % self.frame_us
-        starts = sorted(a for a, _ in self._windows())
-        for a in starts:
-            if r < a:
-                return t_us - r + a
-        return t_us - r + self.frame_us + starts[0]
+        for a, b in self._windows:
+            if r < b:
+                return t_us if a <= r else t_us - r + a
+        return t_us - r + self.frame_us + self._windows[0][0]
 
     def awake_time(self, t0_us: int, t1_us: int) -> int:
         """Total scheduled-awake microseconds within [t0, t1)."""
@@ -62,7 +62,7 @@ class DutySchedule:
 
     def _awake_before(self, t_us: int) -> int:
         total = 0
-        for a, b in self._windows():
+        for a, b in self._windows:
             q, r = divmod(t_us - a, self.frame_us)
             if t_us < a:
                 continue
@@ -200,7 +200,6 @@ class Phase(Enum):
     AWAITING_NOCT_REPLY = "AwaitingNoCtReply"
     CT_BROADCAST = "CtBroadcast"
     CT_COOPERATIVE = "CtCooperative"
-    RECEIVING = "Receiving"
     TRANSMITTING = "Transmitting"
 
 
@@ -210,7 +209,6 @@ class MacState:
     phase: Phase = Phase.SLEEPING
     pending_packets: list = field(default_factory=list)
     reservations: list = field(default_factory=list)  # (start_us, end_us, rdv_id)
-    retries: int = 0
     timer_token: int = 0
     last_event_us: int = 0
 

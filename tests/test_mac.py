@@ -74,6 +74,15 @@ def test_awake_time_matches_pointwise_scan(offset, t0, span):
     assert s.awake_time(t0, t1) == scanned
 
 
+@given(offset=st.integers(0, FRAME // 1000 - 1).map(lambda k: k * 1000),
+       t=st.integers(0, 10 * FRAME).map(lambda t: t // 1000 * 1000))
+def test_next_wake_matches_pointwise_scan(offset, t):
+    """next_wake is the first awake instant at or after t, wrapping windows included."""
+    s = DutySchedule(FRAME, ACTIVE, offset)
+    expected = next(u for u in range(t, t + 2 * FRAME, 1000) if s.is_awake(u))
+    assert s.next_wake(t) == expected
+
+
 def test_two_hop_sets_chain():
     pos = {0: (0, 0), 1: (80, 0), 2: (160, 0), 3: (240, 0)}
     two = two_hop_sets(pos, 90.0)
