@@ -5,10 +5,10 @@ term: e_fs*d^2 below the crossover distance d0, e_mp*d^4 at or beyond
 it. Receiving costs L*e_rx regardless of distance.
 """
 
-from oscmac import RadioEnergyParams, crossover_distance, rx_energy, tx_energy
+from oscmac import RadioEnergyParams, rx_energy, tx_energy
 
 params = RadioEnergyParams()
-d0 = crossover_distance(params)
+d0 = params.d0
 print(f"crossover distance d0 = {d0:.4f} m")
 print(f"(free-space d^2 amplifier below, multipath d^4 at or beyond)\n")
 

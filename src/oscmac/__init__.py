@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .energy import (Battery, RadioEnergyParams, crossover_distance, drain,
-                     idle_energy, rx_energy, sleep_energy, tx_energy)
+from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 from .selection import (CandidateRecord, CtRequest, ElectedList, WiLemStation,
                         elect_helpers, filter_candidates, leader_helper)
 from .channel import AirTransmission, ct_reach, in_reach, resolve_slot
@@ -14,8 +13,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import Metrics, Simulator, run
 
 __all__ = [
-    "Battery", "RadioEnergyParams", "crossover_distance", "drain",
-    "idle_energy", "rx_energy", "sleep_energy", "tx_energy",
+    "Battery", "RadioEnergyParams", "rx_energy", "tx_energy",
     "CandidateRecord", "CtRequest", "ElectedList", "WiLemStation",
     "elect_helpers", "filter_candidates", "leader_helper",
     "AirTransmission", "ct_reach", "in_reach", "resolve_slot",

@@ -20,11 +20,16 @@ sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no sender lies within
 R, so ``ct_reach`` is False. The relative margin of 1e-9 dwarfs the
 float rounding of the distances and of the k-term sum, which keeps the
 bound on the safe side.
+
+The split with the MAC: the engine asks ``NeighbourIndex.may_hear`` which
+nodes a transmission may reach and keeps those awake for it (the MAC
+picks who listens); ``resolve_slot`` then decides what each listener
+hears: reach, and collision between rendezvous.
 """
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def distance(a, b) -> float:
@@ -109,14 +114,26 @@ class NeighbourIndex:
         found.sort()
         return found
 
+    def may_hear(self, air):
+        """Ascending ids, other than its senders, that ``air`` may reach.
 
-@dataclass(frozen=True)
+        A lone sender reaches only its neighbours; a cooperative group
+        reaches nothing beyond ``ct_prune_radius`` of all its senders.
+        """
+        if air.cooperative:
+            radius = ct_prune_radius(self.side, len(air.sender_positions))
+            return [nid for nid in self.within(air.sender_positions, radius)
+                    if nid not in air.sender_ids]
+        return self.neighbours[air.sender_ids[0]]
+
+
+@dataclass(eq=False)
 class AirTransmission:
     """One on-air transmission as seen by the channel.
 
     All senders of one rendezvous transmit the identical packet in
     ``sync`` and count as a single signal; ``cooperative`` selects the
-    power-sum reach rule.
+    power-sum reach rule. Transmissions compare by identity.
     """
 
     rdv_id: int
@@ -130,15 +147,16 @@ class AirTransmission:
 
 @dataclass
 class SlotOutcome:
-    """Per-receiver result of resolving overlapping transmissions."""
+    """What one receiver hears of overlapping transmissions."""
 
-    decoded: AirTransmission = None  # type: ignore[assignment]
-    collision: bool = False
-    audible: list = field(default_factory=list)
+    receiver: int
+    audible: list   # the transmissions that reach it, in input order
+    collision: bool
 
     @property
-    def overheard(self) -> bool:
-        return self.decoded is not None and not self.collision
+    def decoded(self):
+        """The one transmission decoded, or None after a collision."""
+        return None if self.collision else self.audible[0]
 
 
 def audible_to(txn: AirTransmission, receiver_pos, base_range: float, d0: float) -> bool:
@@ -147,24 +165,22 @@ def audible_to(txn: AirTransmission, receiver_pos, base_range: float, d0: float)
     return in_reach(txn.sender_positions[0], receiver_pos, base_range)
 
 
-def resolve_slot(transmissions, receivers, base_range: float, d0: float):
-    """Resolve concurrent transmissions at each receiver.
+def resolve_slot(listening, positions, base_range: float, d0: float):
+    """Resolve overlapping transmissions at each listening receiver.
 
-    ``receivers`` maps node id -> (x, y); a node that is itself a sender
-    never counts as a receiver. A receiver decodes iff exactly one
-    rendezvous is audible; two or more audible rendezvous corrupt
-    everything at that receiver (one collision event per receiver).
-    Returns node id -> SlotOutcome for receivers with audible traffic.
+    ``listening`` maps a receiver id to the transmissions it listens to;
+    ``positions`` maps node id -> (x, y). A receiver never hears its own
+    transmission. It decodes iff exactly one rendezvous reaches it; two
+    or more corrupt everything it hears (one collision per receiver).
+    Returns a SlotOutcome for each receiver that something reaches, in
+    ascending receiver id.
     """
-    outcomes = {}
-    for rid, pos in receivers.items():
-        audible = [t for t in transmissions
+    outcomes = []
+    for rid in sorted(listening):
+        pos = positions[rid]
+        audible = [t for t in listening[rid]
                    if rid not in t.sender_ids and audible_to(t, pos, base_range, d0)]
-        if not audible:
-            continue
-        rdvs = {t.rdv_id for t in audible}
-        if len(rdvs) == 1:
-            outcomes[rid] = SlotOutcome(decoded=audible[0], collision=False, audible=audible)
-        else:
-            outcomes[rid] = SlotOutcome(decoded=None, collision=True, audible=audible)
+        if audible:
+            rdv = audible[0].rdv_id
+            outcomes.append(SlotOutcome(rid, audible, any(t.rdv_id != rdv for t in audible)))
     return outcomes

@@ -47,11 +47,6 @@ class RadioEnergyParams:
         return math.sqrt(self.e_fs / self.e_mp)
 
 
-def crossover_distance(params: RadioEnergyParams) -> float:
-    """Distance at which the free-space and multipath branches meet."""
-    return params.d0
-
-
 def tx_energy(bits: int, distance: float, params: RadioEnergyParams) -> float:
     """Energy to transmit ``bits`` over ``distance`` metres.
 
@@ -72,20 +67,6 @@ def rx_energy(bits: int, params: RadioEnergyParams) -> float:
     if bits < 0:
         raise ValueError("bits must be non-negative")
     return bits * params.e_rx
-
-
-def idle_energy(duration_s: float, params: RadioEnergyParams) -> float:
-    """Energy spent idle listening for ``duration_s`` seconds (same power as receive)."""
-    if duration_s < 0:
-        raise ValueError("duration must be non-negative")
-    return duration_s * params.p_rx
-
-
-def sleep_energy(duration_s: float, params: RadioEnergyParams) -> float:
-    """Energy spent asleep for ``duration_s`` seconds."""
-    if duration_s < 0:
-        raise ValueError("duration must be non-negative")
-    return duration_s * params.p_sleep
 
 
 @dataclass
@@ -127,9 +108,3 @@ class Battery:
             self.residual = 0.0
             self.alive = False
         return drawn
-
-
-def drain(battery: Battery, amount: float, category: str) -> Battery:
-    """Functional wrapper over :meth:`Battery.drain`; returns the battery."""
-    battery.drain(amount, category)
-    return battery

@@ -15,8 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import mac as macmod
-from .channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
-                      in_reach, resolve_slot)
+from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
+                      resolve_slot)
 from .config import ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 from .mac import (DutySchedule, MacState, Packet, Phase, Superframe, build_schedules,
@@ -111,10 +111,9 @@ class _Transfer:
     hop_scheduled: bool = False
 
 
-@dataclass
-class _Txn:
-    txn_id: int
-    air: AirTransmission
+@dataclass(eq=False, kw_only=True)
+class _Txn(AirTransmission):
+    """A transmission on the air and the packet it carries."""
     packet: Packet
     tag: str            # superframe | sf_relay | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
     meta: dict
@@ -141,7 +140,6 @@ class Simulator:
         self.rows = []          # trace rows
         self.metrics = Metrics()
         self.now = 0
-        self._txn_counter = 0
         self._rdv_counter = 0
         self.unresolved = []
 
@@ -306,10 +304,11 @@ class Simulator:
         return sched, extra
 
     def _interval_cost(self, node, t0, t1):
+        """(idle, sleep) joules the node draws over [t0, t1)."""
         sched, extra = self._sched_extra_awake(node, t0, t1)
         awake = sched + extra
         asleep = (t1 - t0) - awake
-        return (awake / US) * self.params.p_rx + (asleep / US) * self.params.p_sleep, awake, asleep
+        return (awake / US) * self.params.p_rx, (asleep / US) * self.params.p_sleep
 
     def _account(self, node, now=None):
         """Charge idle/sleep power since the node was last accounted."""
@@ -318,35 +317,34 @@ class Simulator:
         if now <= t0 or not node.battery.alive:
             node.last_accounted_us = max(t0, now)
             return
-        cost, awake, asleep = self._interval_cost(node, t0, now)
-        if cost >= node.battery.residual:
+        idle, sleep = self._interval_cost(node, t0, now)
+        death = None
+        if idle + sleep >= node.battery.residual:
             lo, hi = t0 + 1, now
             while lo < hi:
                 mid = (lo + hi) // 2
-                c, _, _ = self._interval_cost(node, t0, mid)
-                if c >= node.battery.residual:
+                idle, sleep = self._interval_cost(node, t0, mid)
+                if idle + sleep >= node.battery.residual:
                     hi = mid
                 else:
                     lo = mid + 1
             death = lo
-            _, awake, asleep = self._interval_cost(node, t0, death)
-            idle = node.battery.drain((awake / US) * self.params.p_rx, "idle_listen")
-            slept = node.battery.drain((asleep / US) * self.params.p_sleep, "sleep")
-            # any residue from float rounding is absorbed as idle draw
-            if node.battery.alive:
-                idle += node.battery.drain(node.battery.residual, "idle_listen")
-            node.death_us = death
-            node.last_accounted_us = now
-            self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
-            self._register_death(node, death)
-            return
-        idle = node.battery.drain((awake / US) * self.params.p_rx, "idle_listen")
-        slept = node.battery.drain((asleep / US) * self.params.p_sleep, "sleep")
+            idle, sleep = self._interval_cost(node, t0, death)
+        idle = node.battery.drain(idle, "idle_listen")
+        slept = node.battery.drain(sleep, "sleep")
         node.last_accounted_us = now
-        if idle or slept:
-            self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
-        if node.mac.reservations:
-            node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
+        if death is None:
+            if idle or slept:
+                self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
+            if node.mac.reservations:
+                node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
+            return
+        # any residue from float rounding is absorbed as idle draw
+        if node.battery.alive:
+            idle += node.battery.drain(node.battery.residual, "idle_listen")
+        node.death_us = death
+        self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
+        self._register_death(node, death)
 
     def _register_death(self, node, death_us):
         self._emit(node.id, "node_died", {"death_time_us": death_us})
@@ -423,15 +421,13 @@ class Simulator:
                 live.append(nid)
         if not live:
             return None
-        air = AirTransmission(
-            rdv_id=rdv,
-            sender_positions=tuple(self.nodes[n].pos for n in live),
-            sender_ids=tuple(live),
-            addressed_to=tuple(addressed),
-            cooperative=coop,
-            start_us=self.now, end_us=self.now + dur)
-        self._txn_counter += 1
-        txn = _Txn(self._txn_counter, air, packet, tag, meta)
+        txn = _Txn(rdv_id=rdv,
+                   sender_positions=tuple(self.nodes[n].pos for n in live),
+                   sender_ids=tuple(live),
+                   addressed_to=tuple(addressed),
+                   cooperative=coop,
+                   start_us=self.now, end_us=self.now + dur,
+                   packet=packet, tag=tag, meta=meta)
         self.unresolved.append(txn)
         self._schedule(self.now + dur, "tx_end", {"txn": txn})
         return txn
@@ -447,69 +443,55 @@ class Simulator:
             for other in self.unresolved:
                 if other in cluster or other.resolved:
                     continue
-                if any(other.air.start_us < t.air.end_us and t.air.start_us < other.air.end_us
+                if any(other.start_us < t.end_us and t.start_us < other.end_us
                        for t in cluster):
                     cluster.append(other)
                     changed = True
-        if any(t.air.end_us > self.now for t in cluster):
+        if any(t.end_us > self.now for t in cluster):
             return  # a later-ending member of the cluster resolves it
         for t in cluster:
             t.resolved = True
         self.unresolved = [t for t in self.unresolved if not t.resolved]
         self._resolve_cluster(cluster)
 
-    def _reach_candidates(self, air):
-        """Ids that may hear ``air``; every other node is out of its reach."""
-        if air.cooperative:
-            k = len(air.sender_positions)
-            return self.index.within(air.sender_positions, ct_prune_radius(self.base_range, k))
-        return self.neighbours[air.sender_ids[0]]
-
     def _resolve_cluster(self, cluster):
-        heard = defaultdict(list)  # candidate receiver -> members it may hear
+        """Charge and dispatch what each receiver hears of overlapping
+        transmissions; the channel decides what that is."""
+        listening = defaultdict(list)  # receiver -> members it is awake for
         for t in cluster:
-            for rid in self._reach_candidates(t.air):
-                heard[rid].append(t)
-        for rid in sorted(heard):
+            for rid in self.index.may_hear(t):
+                if self._is_awake(self.nodes[rid], t.start_us):
+                    listening[rid].append(t)
+        for out in resolve_slot(listening, self.positions, self.base_range, self.d0):
+            rid = out.receiver
             receiver = self.nodes[rid]
-            audible = [t for t in heard[rid]
-                       if rid not in t.air.sender_ids
-                       and self._is_awake(receiver, t.air.start_us)
-                       and self._audible(t.air, receiver.pos)]
-            if not audible:
-                continue
-            rdvs = {t.air.rdv_id for t in audible}
-            if len(rdvs) > 1:
+            if out.collision:
                 self.metrics.collisions += 1
-                lost = [t.packet.seq for t in audible if rid in t.air.addressed_to]
+                lost = [t.packet.seq for t in out.audible if rid in t.addressed_to]
                 self.metrics.collision_losses += len(lost)
                 self._emit(rid, "collision",
-                           {"rdvs": sorted(rdvs), "lost_packets": lost})
-                for t in audible:
-                    cat = "receive" if rid in t.air.addressed_to else "overhear"
+                           {"rdvs": sorted({t.rdv_id for t in out.audible}),
+                            "lost_packets": lost})
+                for t in out.audible:
+                    cat = "receive" if rid in t.addressed_to else "overhear"
                     self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                                  cat, "rx_corrupt",
-                                 {"rdv": t.air.rdv_id, "bits": t.packet.size_bits,
+                                 {"rdv": t.rdv_id, "bits": t.packet.size_bits,
                                   "packet": t.packet.seq})
                 continue
-            t = audible[0]
-            if rid in t.air.addressed_to:
+            t = out.decoded
+            if rid in t.addressed_to:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "receive", "rx",
-                             {"rdv": t.air.rdv_id, "tag": t.tag, "bits": t.packet.size_bits,
+                             {"rdv": t.rdv_id, "tag": t.tag, "bits": t.packet.size_bits,
                               "packet": t.packet.seq, "pkind": t.packet.kind})
                 if receiver.battery.alive:
-                    self._dispatch(receiver, t)
+                    getattr(self, self._RX_HANDLERS[t.packet.kind])(receiver, t)
             else:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "overhear", "overhear",
-                             {"rdv": t.air.rdv_id, "tag": t.tag,
+                             {"rdv": t.rdv_id, "tag": t.tag,
                               "bits": t.packet.size_bits, "packet": t.packet.seq})
-
-    def _audible(self, air, pos):
-        if air.cooperative:
-            return ct_reach(air.sender_positions, pos, self.base_range, self.d0)
-        return in_reach(air.sender_positions[0], pos, self.base_range)
 
     # ------------------------------------------------------------------
     # protocol: hop orchestration
@@ -597,7 +579,7 @@ class Simulator:
             next_hop_distance=distance(node.pos, nxt.pos),
             neighbor_ids=neighbors)
         ctrl_dur = self._tx_duration_us(self.cfg.mac.ctrl_bits)
-        node.mac.phase = Phase.AWAITING_CANDIDATES
+        macmod.step(node.mac, "ct_query", self.now)
         self._ensure_awake_for(node, self.now, self.now + 2 * ctrl_dur + TURNAROUND_US,
                                self._new_rdv(), "station_exchange")
         d_station = distance(node.pos, self.station_pos)
@@ -679,7 +661,7 @@ class Simulator:
         self._ensure_awake_for(node, sf.origin_us,
                                sf.rdv_slots()[-1].end_us if sf.rdv_slots() else sf.origin_us + self.slot_us,
                                self._new_rdv(), "sf_span")
-        node.mac.phase = Phase.AWAITING_CT_ACK
+        macmod.step(node.mac, "sf_announce", self.now)
         self._send([(node.id, max(dists))], addressed, pkt, "superframe",
                    {"origin": node.id})
         self._set_timer(node, "ct_ack", self.timeout_us)
@@ -713,7 +695,7 @@ class Simulator:
             return
         macmod.step(node.mac, "ct_ack", self.now)
         self._cancel_timer(node)
-        self._emit(node.id, "ct_reserved", {"leader": txn.air.sender_ids[0]})
+        self._emit(node.id, "ct_reserved", {"leader": txn.sender_ids[0]})
         nxt = self.nodes[node.next_hop]
         if not in_reach(node.pos, nxt.pos, self.base_range):
             self._schedule(self.now + TURNAROUND_US, "sf_relay", {"node": node.id})
@@ -770,7 +752,6 @@ class Simulator:
         i = data["index"]
         if i >= len(xfer.batch):
             return
-        macmod.step(node.mac, "broadcast_done", self.now)
         packet = xfer.batch[i]
         nxt = self.nodes[node.next_hop]
         senders = []
@@ -811,9 +792,10 @@ class Simulator:
             self._finish_batch(node)
             return
         xfer.attempts = 0
-        self._noct_request(node)
+        self._on_noct_request({"node": node.id})
 
-    def _noct_request(self, node):
+    def _on_noct_request(self, data):
+        node = self.nodes[data["node"]]
         xfer = self._transfers[node.id]
         if not xfer.active or xfer.noct_index >= len(xfer.batch):
             return
@@ -839,7 +821,7 @@ class Simulator:
         self._ensure_awake_for(node, self.now, self.now + self.timeout_us, rdv, "noct_wait")
         pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id,
                      destination=node.next_hop, kind="noct_request")
-        node.mac.phase = Phase.AWAITING_NOCT_REPLY
+        macmod.step(node.mac, "noct_request", self.now)
         self._send([(node.id, distance(node.pos, nxt.pos))], [node.next_hop], pkt,
                    "noct_request",
                    {"origin": node.id, "interval_start": interval_start,
@@ -918,10 +900,9 @@ class Simulator:
             return
         packet = xfer.batch[xfer.noct_index]
         nxt = self.nodes[node.next_hop]
-        node.mac.phase = Phase.TRANSMITTING
         self._send([(node.id, distance(node.pos, nxt.pos))], [node.next_hop], packet,
                    "data", {"origin": node.id, "mode": "noct"})
-        node.mac.phase = Phase.AWAITING_NOCT_REPLY  # waiting for the data ack
+        macmod.step(node.mac, "noct_data", self.now)  # now waiting for the data ack
         self._set_timer(node, "data_ack", self.timeout_us)
 
     def _on_data_rx(self, receiver, txn):
@@ -945,7 +926,7 @@ class Simulator:
         xfer = self._transfers[node.id]
         if xfer.mode == "noct" and xfer.active:
             self._cancel_timer(node)
-            node.mac.phase = Phase.IDLE_LISTENING
+            macmod.step(node.mac, "data_ack", self.now)
             xfer.noct_index += 1
             self._noct_next(node)
 
@@ -1023,7 +1004,7 @@ class Simulator:
         "ct_slot": "_on_ct_slot",
         "ct_coop": "_on_ct_coop",
         "ct_batch_done": "_on_ct_batch_done",
-        "noct_request": "_on_noct_request_wrap",
+        "noct_request": "_on_noct_request",
         "noct_data": "_on_noct_data",
         "send_noct_reply": "_on_send_noct_reply",
         "send_data_ack": "_on_send_data_ack",
@@ -1032,23 +1013,15 @@ class Simulator:
         "housekeeping": "_on_housekeeping",
     }
 
-    def _on_noct_request_wrap(self, data):
-        self._noct_request(self.nodes[data["node"]])
-
-    def _dispatch(self, receiver, txn):
-        kind = txn.packet.kind
-        if kind == "superframe":
-            self._on_superframe_rx(receiver, txn)
-        elif kind == "ct_ack":
-            self._on_ct_ack_rx(receiver, txn)
-        elif kind == "noct_request":
-            self._on_noct_request_rx(receiver, txn)
-        elif kind == "noct_reply":
-            self._on_noct_reply_rx(receiver, txn)
-        elif kind == "data":
-            self._on_data_rx(receiver, txn)
-        elif kind == "data_ack":
-            self._on_data_ack_rx(receiver, txn)
+    # kind of a received packet -> handler
+    _RX_HANDLERS = {
+        "superframe": "_on_superframe_rx",
+        "ct_ack": "_on_ct_ack_rx",
+        "noct_request": "_on_noct_request_rx",
+        "noct_reply": "_on_noct_reply_rx",
+        "data": "_on_data_rx",
+        "data_ack": "_on_data_ack_rx",
+    }
 
     def run(self) -> Metrics:
         while self.heap:

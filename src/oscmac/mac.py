@@ -4,6 +4,12 @@ Schedules are pipelined (a node wakes one active window after its
 downstream hop) and orthogonalized (nodes within two hops never share a
 wake window unless they are the same pipeline stage out of interference
 range). Time is integer microseconds throughout.
+
+The MAC picks who listens: schedules and reservations say when a node
+is awake, and the channel (``channel.resolve_slot``) decides what each
+listener hears. A node's protocol phase changes only through ``step``:
+the engine reports each protocol event of a node there and never sets a
+phase itself.
 """
 
 from dataclasses import dataclass, field
@@ -193,20 +199,17 @@ def compose_superframe(transmitter, elected, next_hop, packet_count,
 
 
 class Phase(Enum):
-    SLEEPING = "Sleeping"
     IDLE_LISTENING = "IdleListening"
     AWAITING_CANDIDATES = "AwaitingCandidates"
     AWAITING_CT_ACK = "AwaitingCtAck"
-    AWAITING_NOCT_REPLY = "AwaitingNoCtReply"
+    AWAITING_NOCT_REPLY = "AwaitingNoCtReply"  # also the wait for a data ack
     CT_BROADCAST = "CtBroadcast"
-    CT_COOPERATIVE = "CtCooperative"
-    TRANSMITTING = "Transmitting"
 
 
 @dataclass
 class MacState:
     node: int
-    phase: Phase = Phase.SLEEPING
+    phase: Phase = Phase.IDLE_LISTENING
     pending_packets: list = field(default_factory=list)
     reservations: list = field(default_factory=list)  # (start_us, end_us, rdv_id)
     timer_token: int = 0
@@ -243,38 +246,28 @@ def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     return state, state.node == sf.leader
 
 
-# (phase, event kind) -> (new phase or None, effect or None); the engine
-# interprets effects. Anything not listed is an explicit recorded no-op.
+# (phase, event) -> next phase, one row per transition the engine makes;
+# any other pair leaves the phase as it is
 _TRANSITIONS = {
-    (Phase.SLEEPING, "wake"): (Phase.IDLE_LISTENING, None),
-    (Phase.IDLE_LISTENING, "sleep"): (Phase.SLEEPING, None),
-    (Phase.AWAITING_CANDIDATES, "candidate_reply"): (Phase.IDLE_LISTENING, "candidates"),
-    (Phase.AWAITING_CANDIDATES, "timeout"): (Phase.IDLE_LISTENING, "retry_or_fallback"),
-    (Phase.AWAITING_CT_ACK, "ct_ack"): (Phase.IDLE_LISTENING, "ct_confirmed"),
-    (Phase.AWAITING_CT_ACK, "timeout"): (Phase.IDLE_LISTENING, "retry_or_fallback"),
-    (Phase.AWAITING_NOCT_REPLY, "noct_reply"): (Phase.IDLE_LISTENING, "noct_reply"),
-    (Phase.AWAITING_NOCT_REPLY, "timeout"): (Phase.IDLE_LISTENING, "retry_or_fail"),
-    (Phase.IDLE_LISTENING, "slot_start"): (Phase.CT_BROADCAST, "ct_slot"),
-    (Phase.CT_BROADCAST, "broadcast_done"): (Phase.CT_COOPERATIVE, "ct_coop"),
-    (Phase.CT_COOPERATIVE, "coop_done"): (Phase.IDLE_LISTENING, None),
+    (Phase.IDLE_LISTENING, "ct_query"): Phase.AWAITING_CANDIDATES,
+    (Phase.AWAITING_CANDIDATES, "candidate_reply"): Phase.IDLE_LISTENING,
+    (Phase.IDLE_LISTENING, "sf_announce"): Phase.AWAITING_CT_ACK,
+    (Phase.AWAITING_CT_ACK, "ct_ack"): Phase.IDLE_LISTENING,
+    (Phase.AWAITING_CT_ACK, "timeout"): Phase.IDLE_LISTENING,
+    (Phase.IDLE_LISTENING, "slot_start"): Phase.CT_BROADCAST,
+    (Phase.CT_BROADCAST, "coop_done"): Phase.IDLE_LISTENING,
+    (Phase.IDLE_LISTENING, "noct_request"): Phase.AWAITING_NOCT_REPLY,
+    (Phase.AWAITING_NOCT_REPLY, "noct_reply"): Phase.IDLE_LISTENING,
+    (Phase.AWAITING_NOCT_REPLY, "timeout"): Phase.IDLE_LISTENING,
+    (Phase.IDLE_LISTENING, "noct_data"): Phase.AWAITING_NOCT_REPLY,
+    (Phase.AWAITING_NOCT_REPLY, "data_ack"): Phase.IDLE_LISTENING,
 }
 
 
-def step(state: MacState, event_kind: str, t_us: int = None, payload=None):
-    """Total transition function; unknown combinations are recorded no-ops.
-
-    Returns (state, effects) where effects is a list of (tag, payload)
-    the caller acts on.
-    """
-    if t_us is not None:
-        if t_us < state.last_event_us:
-            raise ValueError("events must arrive in non-decreasing time order")
-        state.last_event_us = t_us
-    key = (state.phase, event_kind)
-    if key not in _TRANSITIONS:
-        return state, [("noop", f"{state.phase.value}/{event_kind}")]
-    new_phase, effect = _TRANSITIONS[key]
-    if new_phase is not None:
-        state.phase = new_phase
-    effects = [(effect, payload)] if effect is not None else []
-    return state, effects
+def step(state: MacState, event_kind: str, t_us: int) -> Phase:
+    """Apply one protocol event at ``t_us``; returns the new phase."""
+    if t_us < state.last_event_us:
+        raise ValueError("events must arrive in non-decreasing time order")
+    state.last_event_us = t_us
+    state.phase = _TRANSITIONS.get((state.phase, event_kind), state.phase)
+    return state.phase

@@ -17,6 +17,12 @@ def txn(rdv, senders, ids, addressed=(), coop=False):
                            cooperative=coop)
 
 
+def resolve(transmissions, receivers):
+    """Every receiver listening to every transmission; outcomes by receiver id."""
+    listening = {rid: list(transmissions) for rid in receivers}
+    return {o.receiver: o for o in resolve_slot(listening, receivers, R, D0)}
+
+
 def test_in_reach_closed_disk():
     assert in_reach((0, 0), (90, 0), R)
     assert not in_reach((0, 0), (90.0001, 0), R)
@@ -68,7 +74,7 @@ def test_ct_reach_degenerates_to_in_reach(x, y, sx, sy):
 
 def test_resolve_single_transmission_decodes():
     t = txn(1, [(0, 0)], [10], addressed=(20,))
-    out = resolve_slot([t], {20: (50.0, 0.0), 30: (500.0, 0.0)}, R, D0)
+    out = resolve([t], {20: (50.0, 0.0), 30: (500.0, 0.0)})
     assert out[20].decoded is t
     assert not out[20].collision
     assert 30 not in out  # out of reach, nothing audible
@@ -77,7 +83,7 @@ def test_resolve_single_transmission_decodes():
 def test_resolve_two_rendezvous_collide():
     a = txn(1, [(0, 0)], [10])
     b = txn(2, [(30, 0)], [11])
-    out = resolve_slot([a, b], {20: (15.0, 0.0)}, R, D0)
+    out = resolve([a, b], {20: (15.0, 0.0)})
     assert out[20].collision
     assert out[20].decoded is None
     assert len(out[20].audible) == 2
@@ -86,14 +92,14 @@ def test_resolve_two_rendezvous_collide():
 def test_resolve_cooperative_group_is_one_signal():
     # three senders, one rendezvous: no self-collision at the receiver
     g = txn(5, [(0, 0), (8, 6), (8, -6)], [1, 2, 3], addressed=(0,), coop=True)
-    out = resolve_slot([g], {0: (120.0, 0.0)}, R, D0)
+    out = resolve([g], {0: (120.0, 0.0)})
     assert out[0].decoded is g
     assert not out[0].collision
 
 
 def test_resolve_sender_never_receives_itself():
     t = txn(1, [(0, 0)], [10])
-    out = resolve_slot([t], {10: (0.0, 0.0)}, R, D0)
+    out = resolve([t], {10: (0.0, 0.0)})
     assert 10 not in out
 
 
@@ -103,7 +109,15 @@ def test_resolve_collision_is_per_receiver():
     receivers = {20: (-40.0, 0.0),   # hears only a
                  21: (60.0, 0.0),    # hears both
                  22: (160.0, 0.0)}   # hears only b
-    out = resolve_slot([a, b], receivers, R, D0)
+    out = resolve([a, b], receivers)
     assert out[20].decoded is a and not out[20].collision
     assert out[21].collision
     assert out[22].decoded is b and not out[22].collision
+
+
+def test_resolve_outcomes_ascend_by_receiver():
+    t = txn(1, [(0, 0)], [10])
+    listening = {30: [t], 20: [t], 25: [t]}
+    positions = {20: (10.0, 0.0), 25: (500.0, 0.0), 30: (20.0, 0.0)}
+    out = resolve_slot(listening, positions, R, D0)
+    assert [o.receiver for o in out] == [20, 30]

@@ -3,25 +3,24 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oscmac.energy import (Battery, RadioEnergyParams, crossover_distance,
-                           drain, idle_energy, rx_energy, sleep_energy, tx_energy)
+from oscmac.energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 
 DEFAULTS = RadioEnergyParams()
 
 
 def test_crossover_distance_default():
     # sqrt(10e-12 / 0.0013e-12) = sqrt(10 / 0.0013)
-    assert crossover_distance(DEFAULTS) == pytest.approx(87.70580193070292, rel=1e-12)
+    assert DEFAULTS.d0 == pytest.approx(87.70580193070292, rel=1e-12)
 
 
 def test_crossover_equal_coefficients():
     p = RadioEnergyParams(e_fs=3e-12, e_mp=3e-12)
-    assert crossover_distance(p) == 1.0
+    assert p.d0 == 1.0
 
 
 def test_crossover_ratio_four():
     p = RadioEnergyParams(e_fs=4e-12, e_mp=1e-12)
-    assert crossover_distance(p) == 2.0
+    assert p.d0 == 2.0
 
 
 def test_params_reject_nonpositive():
@@ -53,17 +52,6 @@ def test_rx_energy_values():
     assert rx_energy(0, DEFAULTS) == 0.0
     assert rx_energy(800, DEFAULTS) == pytest.approx(4.0e-5, rel=1e-12)
     assert rx_energy(1, DEFAULTS) == pytest.approx(5.0e-8, rel=1e-12)
-
-
-def test_idle_energy_equals_receive_power():
-    assert idle_energy(0.0, DEFAULTS) == 0.0
-    assert idle_energy(1.0, DEFAULTS) == DEFAULTS.p_rx
-    for t in (0.25, 3.0, 17.5):
-        assert idle_energy(t, DEFAULTS) == t * DEFAULTS.p_rx
-
-
-def test_sleep_energy():
-    assert sleep_energy(2.0, DEFAULTS) == 2.0 * DEFAULTS.p_sleep
 
 
 def test_branch_continuity_at_d0():
@@ -107,12 +95,6 @@ def test_battery_floors_at_zero_and_dies():
     # dead battery drains are no-ops
     assert b.drain(1.0, "receive") == 0.0
     assert not b.alive
-
-
-def test_drain_wrapper_returns_battery():
-    b = Battery(initial=1.0)
-    assert drain(b, 0.5, "idle_listen") is b
-    assert b.residual == 0.5
 
 
 @given(st.lists(st.tuples(st.floats(0, 0.3),

@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from oscmac import mac
 from oscmac.engine import Simulator
 from oscmac.trace import render_trace, write_metrics
 
@@ -111,3 +112,21 @@ def test_housekeeping_is_one_sweep_per_period():
         # a node dead by the previous sweep is no longer sampled
         assert sampled == [n for n in ids if death[n] is None or death[n] > t_us - period]
     assert sorted(by_time) == list(range(period, max(by_time) + 1, period))
+
+
+def test_engine_phase_changes_are_table_rows(monkeypatch):
+    """Every protocol event the engine reports to ``mac.step`` matches a
+    row of its table, and the three scenarios between them use every row."""
+    used = set()
+    step = mac.step
+
+    def checked_step(state, event, t_us):
+        key = (state.phase, event)
+        assert key in mac._TRANSITIONS, key
+        used.add(key)
+        return step(state, event, t_us)
+
+    monkeypatch.setattr(mac, "step", checked_step)
+    for doc, _, _ in SCENARIOS.values():
+        Simulator(make_config(doc), SEED).run()
+    assert used == set(mac._TRANSITIONS)

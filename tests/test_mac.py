@@ -176,48 +176,48 @@ def test_on_superframe_participant_reserves_and_leader_acks():
 
 def test_step_known_transitions():
     s = MacState(node=1)
-    s, eff = step(s, "wake", 10)
-    assert s.phase is Phase.IDLE_LISTENING and eff == []
-    s, eff = step(s, "slot_start", 20, payload="sf")
-    assert s.phase is Phase.CT_BROADCAST and eff == [("ct_slot", "sf")]
-    s, eff = step(s, "broadcast_done", 30)
-    assert s.phase is Phase.CT_COOPERATIVE and eff == [("ct_coop", None)]
-    s, eff = step(s, "coop_done", 40)
+    assert s.phase is Phase.IDLE_LISTENING
+    # the cooperative path
+    assert step(s, "ct_query", 10) is Phase.AWAITING_CANDIDATES
+    assert step(s, "candidate_reply", 15) is Phase.IDLE_LISTENING
+    assert step(s, "sf_announce", 20) is Phase.AWAITING_CT_ACK
+    assert step(s, "ct_ack", 25) is Phase.IDLE_LISTENING
+    assert step(s, "slot_start", 30) is Phase.CT_BROADCAST
+    assert step(s, "coop_done", 40) is Phase.IDLE_LISTENING
+    # the no-CT handshake, then the data and its ack
+    assert step(s, "noct_request", 50) is Phase.AWAITING_NOCT_REPLY
+    assert step(s, "noct_reply", 55) is Phase.IDLE_LISTENING
+    assert step(s, "noct_data", 60) is Phase.AWAITING_NOCT_REPLY
+    assert step(s, "data_ack", 65) is Phase.IDLE_LISTENING
     assert s.phase is Phase.IDLE_LISTENING
 
 
-def test_step_timeouts_map_to_effects():
-    s = MacState(node=1, phase=Phase.AWAITING_NOCT_REPLY)
-    s, eff = step(s, "timeout", 5)
-    assert eff == [("retry_or_fail", None)]
-    s.phase = Phase.AWAITING_CT_ACK
-    s, eff = step(s, "timeout", 6)
-    assert eff == [("retry_or_fallback", None)]
+def test_step_timeouts_return_to_idle_listening():
+    for waiting in (Phase.AWAITING_NOCT_REPLY, Phase.AWAITING_CT_ACK):
+        s = MacState(node=1, phase=waiting)
+        assert step(s, "timeout", 5) is Phase.IDLE_LISTENING
 
 
 def test_step_unknown_combo_is_recorded_noop():
-    s = MacState(node=1, phase=Phase.SLEEPING)
-    s, eff = step(s, "ct_ack", 5)
-    assert s.phase is Phase.SLEEPING
-    assert eff == [("noop", "Sleeping/ct_ack")]
+    s = MacState(node=1)
+    assert step(s, "ct_ack", 5) is Phase.IDLE_LISTENING
+    assert s.last_event_us == 5  # the event's time is recorded all the same
 
 
 def test_step_rejects_time_regression():
     s = MacState(node=1)
-    step(s, "wake", 100)
+    step(s, "ct_query", 100)
     with pytest.raises(ValueError):
-        step(s, "sleep", 99)
+        step(s, "candidate_reply", 99)
 
 
-@given(st.lists(st.sampled_from(["wake", "sleep", "timeout", "ct_ack",
-                                 "noct_reply", "candidate_reply", "slot_start",
-                                 "broadcast_done", "coop_done"]),
+@given(st.lists(st.sampled_from(["ct_query", "candidate_reply", "sf_announce", "ct_ack",
+                                 "timeout", "slot_start", "coop_done", "noct_request",
+                                 "noct_reply", "noct_data", "data_ack", "wake"]),
                 max_size=40))
 def test_step_total_over_event_sequences(events):
     """Any event sequence leaves the machine in a defined phase."""
     s = MacState(node=1)
     for t, ev in enumerate(events):
-        s, effects = step(s, ev, t)
+        assert step(s, ev, t) is s.phase
         assert isinstance(s.phase, Phase)
-        for tag, _ in effects:
-            assert isinstance(tag, str)

@@ -2,9 +2,10 @@
 
 import math
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oscmac.channel import NeighbourIndex, ct_prune_radius, ct_reach, distance, in_reach
+from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
+                            in_reach, resolve_slot)
 from oscmac.mac import two_hop_sets
 
 R = 90.0
@@ -22,13 +23,14 @@ def brute_within(positions, points, radius):
 
 
 @st.composite
-def layouts(draw):
+def layouts(draw, span=4):
     """Node layouts with negative coordinates, coincident nodes and pairs
-    exactly one base range apart, on shuffled ids."""
+    exactly one base range apart, on shuffled ids, within ``span`` base
+    ranges of the origin."""
     r = draw(st.sampled_from([0.7, R, 123.4]))
     coord = st.one_of(
-        st.floats(-4 * r, 4 * r),
-        st.integers(-4, 4).map(lambda k: k * r),
+        st.floats(-span * r, span * r),
+        st.integers(-span, span).map(lambda k: k * r),
         st.sampled_from([0.0, -0.0, -1e-15, 1e-15, -5e-324]))
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
     points += draw(st.lists(st.sampled_from(points), max_size=5))
@@ -79,3 +81,28 @@ def test_ct_reach_false_beyond_prune_radius(k, rx, polar, d0):
                for a, s in polar[:k]]
     assume(all(distance(p, rx) > radius for p in senders))
     assert not ct_reach(senders, rx, R, d0)
+
+
+@settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
+@given(layouts(span=2), st.data())
+def test_resolve_over_may_hear_matches_full_listening(layout, data):
+    """Listening only where ``may_hear`` allows resolves a slot exactly as
+    every listener hearing every transmission does."""
+    positions, r = layout
+    ids = sorted(positions)
+    d0 = data.draw(st.floats(0, 4 * r))
+    transmissions = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coop = data.draw(st.booleans())
+        senders = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                     max_size=6 if coop else 1, unique=True))
+        transmissions.append(AirTransmission(
+            rdv_id=data.draw(st.integers(0, 2)),
+            sender_positions=tuple(positions[i] for i in senders),
+            sender_ids=tuple(senders), addressed_to=(), cooperative=coop))
+    deaf = data.draw(st.sets(st.sampled_from(ids)))
+    listeners = [i for i in ids if i not in deaf]
+    index = NeighbourIndex(positions, r)
+    pruned = {rid: [t for t in transmissions if rid in index.may_hear(t)] for rid in listeners}
+    full = {rid: list(transmissions) for rid in listeners}
+    assert resolve_slot(pruned, positions, r, d0) == resolve_slot(full, positions, r, d0)
