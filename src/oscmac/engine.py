@@ -21,11 +21,13 @@ from .config import ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 from .mac import (DutySchedule, MacState, Packet, Phase, Superframe, build_schedules,
                   compose_superframe)
-from .selection import CtRequest, ElectedList, WiLemStation
+from .selection import CtRequest, WiLemStation
 
 US = 1_000_000  # microseconds per second
 TURNAROUND_US = 1000  # rx-to-tx turnaround before replies
 _CONTENTION_FRAMES = 8  # frames a reservation attempt may be deferred over
+# sequence number of each turnaround reply's control packet
+_REPLY_SEQ = {"ct_ack": -2, "noct_reply": -4, "data_ack": -5}
 # the bytes of json.dumps(detail, sort_keys=True), without building an
 # encoder per trace row
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -85,7 +87,6 @@ class Metrics:
 class SimNode:
     id: int
     pos: tuple
-    role: str
     battery: Battery
     schedule: DutySchedule
     mac: MacState
@@ -101,7 +102,6 @@ class _Transfer:
     batch: list = field(default_factory=list)
     mode: str = None              # type: ignore[assignment]
     request: CtRequest = None     # type: ignore[assignment]
-    elected: ElectedList = None   # type: ignore[assignment]
     sf: Superframe = None         # type: ignore[assignment]
     got_broadcast: dict = field(default_factory=dict)  # slot index -> set of helper ids
     noct_index: int = 0
@@ -115,7 +115,7 @@ class _Transfer:
 class _Txn(AirTransmission):
     """A transmission on the air and the packet it carries."""
     packet: Packet
-    tag: str            # superframe | sf_relay | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
+    tag: str            # superframe | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
     meta: dict
     resolved: bool = False
 
@@ -123,7 +123,6 @@ class _Txn(AirTransmission):
 class Simulator:
     def __init__(self, cfg: ScenarioConfig, seed: int):
         self.cfg = cfg
-        self.seed = seed
         self.rng = random.Random(seed)
         self.params: RadioEnergyParams = cfg.radio
         self.frame_us = int(round(cfg.mac.frame_ms * 1000))
@@ -156,7 +155,6 @@ class Simulator:
         cfg = self.cfg
         nodes = {}
         if cfg.topology.nodes is not None:
-            specs = {n.id: n for n in cfg.topology.nodes}
             self.fr = cfg.topology.fr
             positions = {n.id: (float(n.x), float(n.y)) for n in cfg.topology.nodes}
             initial = {n.id: n.initial_j for n in cfg.topology.nodes}
@@ -170,7 +168,6 @@ class Simulator:
             for i in range(1, count):
                 positions[i] = (grng.uniform(0, area), grng.uniform(0, area))
             initial = {i: cfg.sim.battery_j for i in positions}
-            specs = None
 
         # positions never change, so radio neighbourhoods are computed once
         self.index = NeighbourIndex(positions, self.base_range)
@@ -203,9 +200,8 @@ class Simulator:
         schedules = build_schedules(positions, depths, self.base_range,
                                     self.frame_us, self.active_us)
         for nid in ids:
-            role = "fr" if nid == self.fr else (specs[nid].role if specs else "relay")
             nodes[nid] = SimNode(
-                id=nid, pos=positions[nid], role=role,
+                id=nid, pos=positions[nid],
                 battery=Battery(initial=initial[nid]),
                 schedule=schedules[nid],
                 mac=MacState(node=nid),
@@ -287,36 +283,32 @@ class Simulator:
     # ------------------------------------------------------------------
     # energy accounting
 
-    def _sched_extra_awake(self, node, t0, t1):
-        """(scheduled awake, reservation-only awake) microseconds in [t0, t1)."""
-        sched = node.schedule.awake_time(t0, t1)
-        if not node.mac.reservations:
-            return sched, 0
-        ivs = sorted((max(s, t0), min(e, t1)) for s, e, _ in node.mac.reservations
-                     if s < t1 and e > t0)
-        merged = []
-        for s, e in ivs:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        extra = sum((e - s) - node.schedule.awake_time(s, e) for s, e in merged)
-        return sched, extra
-
     def _interval_cost(self, node, t0, t1):
-        """(idle, sleep) joules the node draws over [t0, t1)."""
-        sched, extra = self._sched_extra_awake(node, t0, t1)
-        awake = sched + extra
+        """(idle, sleep) joules the node draws over [t0, t1): awake on its
+        schedule or inside a reservation, asleep otherwise."""
+        awake = node.schedule.awake_time(t0, t1)
+        if node.mac.reservations:
+            ivs = sorted((max(s, t0), min(e, t1)) for s, e, _ in node.mac.reservations
+                         if s < t1 and e > t0)
+            merged = []
+            for s, e in ivs:
+                if merged and s <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], e)
+                else:
+                    merged.append([s, e])
+            # reservation time the schedule does not already cover
+            awake += sum((e - s) - node.schedule.awake_time(s, e) for s, e in merged)
         asleep = (t1 - t0) - awake
         return (awake / US) * self.params.p_rx, (asleep / US) * self.params.p_sleep
 
     def _account(self, node, now=None):
-        """Charge idle/sleep power since the node was last accounted."""
+        """Charge idle/sleep power since the node was last accounted;
+        returns whether the node is still alive."""
         now = self.now if now is None else now
         t0 = node.last_accounted_us
         if now <= t0 or not node.battery.alive:
             node.last_accounted_us = max(t0, now)
-            return
+            return node.battery.alive
         idle, sleep = self._interval_cost(node, t0, now)
         death = None
         if idle + sleep >= node.battery.residual:
@@ -338,13 +330,14 @@ class Simulator:
                 self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
             if node.mac.reservations:
                 node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
-            return
+            return node.battery.alive
         # any residue from float rounding is absorbed as idle draw
         if node.battery.alive:
             idle += node.battery.drain(node.battery.residual, "idle_listen")
         node.death_us = death
         self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
         self._register_death(node, death)
+        return False
 
     def _register_death(self, node, death_us):
         self._emit(node.id, "node_died", {"death_time_us": death_us})
@@ -356,8 +349,7 @@ class Simulator:
             self.metrics.trn_death_time_s = t
 
     def _charge(self, node, amount, category, event, detail):
-        self._account(node)
-        if not node.battery.alive:
+        if not self._account(node):
             self._emit(node.id, "charge_skipped_dead", {"event": event})
             return 0.0
         drawn = node.battery.drain(amount, category)
@@ -407,8 +399,7 @@ class Simulator:
         live = []
         for nid, dist in sender_specs:
             node = self.nodes[nid]
-            self._account(node)
-            if not node.battery.alive:
+            if not self._account(node):
                 self._emit(nid, "tx_skipped_dead", {"tag": tag})
                 continue
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
@@ -431,6 +422,21 @@ class Simulator:
         self.unresolved.append(txn)
         self._schedule(self.now + dur, "tx_end", {"txn": txn})
         return txn
+
+    def _reply(self, node, to, kind, meta):
+        """Answer node ``to`` with a ``kind`` control packet after the
+        rx-to-tx turnaround; the heap event is ``send_<kind>``."""
+        self._schedule(self.now + TURNAROUND_US, "send_" + kind,
+                       {"node": node.id, "to": to, "kind": kind, "meta": meta})
+
+    def _on_send_reply(self, data):
+        sender = self.nodes[data["node"]]
+        target = self.nodes[data["to"]]
+        kind = data["kind"]
+        pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
+                     source=sender.id, destination=target.id, kind=kind)
+        self._send([(sender.id, distance(sender.pos, target.pos))], [target.id],
+                   pkt, kind, data["meta"])
 
     def _on_tx_end(self, data):
         txn = data["txn"]
@@ -486,7 +492,7 @@ class Simulator:
                              {"rdv": t.rdv_id, "tag": t.tag, "bits": t.packet.size_bits,
                               "packet": t.packet.seq, "pkind": t.packet.kind})
                 if receiver.battery.alive:
-                    getattr(self, self._RX_HANDLERS[t.packet.kind])(receiver, t)
+                    getattr(self, self._RX_HANDLERS[t.tag])(receiver, t)
             else:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "overhear", "overhear",
@@ -498,8 +504,6 @@ class Simulator:
 
     def _resolve_mode(self, node, elected):
         mode = self.cfg.mac.mode
-        if mode == "noct":
-            return "noct"
         if not elected or not elected.helpers:
             return "noct"
         if mode == "ct":
@@ -543,14 +547,11 @@ class Simulator:
         node = self.nodes[data["node"]]
         xfer = self._transfers[node.id]
         xfer.hop_scheduled = False
-        self._account(node)
-        if not node.battery.alive or not node.mac.pending_packets or xfer.active:
+        if not self._account(node) or not node.mac.pending_packets or xfer.active:
             return
         xfer.active = True
         xfer.batch = list(node.mac.pending_packets)
-        xfer.retries = 0
         if self.cfg.mac.mode == "noct":
-            xfer.mode = "noct"
             self._noct_begin(node)
         else:
             self._ct_query(node)
@@ -595,17 +596,13 @@ class Simulator:
     def _on_station_reply(self, data):
         node = self.nodes[data["node"]]
         xfer = self._transfers[node.id]
-        if xfer.request is None:
-            return
-        self._account(node)
-        if not node.battery.alive:
+        if xfer.request is None or not self._account(node):
             return
         # the station meters every battery losslessly and instantly; the
         # election reads only the requester's neighbours
         for nid in xfer.request.neighbor_ids:
             self.station.update_energy(nid, self.nodes[nid].battery.residual)
         elected, skipped = self.station.handle_ct_request(xfer.request, self.params)
-        xfer.elected = elected
         self._emit(node.id, "candidate_reply",
                    {"helpers": list(elected.helpers), "leader": elected.leader,
                     "skipped": skipped})
@@ -629,20 +626,14 @@ class Simulator:
         # station-assisted wake bootstrap: elected helpers and the next
         # hop are told (out of band) when to listen for the superframe
         control_end = origin + self.slot_us
-        for h in elected.helpers:
-            helper = self.nodes[h]
-            self._charge(helper, rx_energy(self.cfg.mac.ctrl_bits, self.params),
+        for nid in (*elected.helpers, node.next_hop):
+            listener = self.nodes[nid]
+            self._charge(listener, rx_energy(self.cfg.mac.ctrl_bits, self.params),
                          "receive", "station_notify", {"listen_from_us": origin,
                                                        "listen_until_us": control_end})
-            if helper.battery.alive:
-                self._add_reservation(helper, origin, control_end, self._new_rdv(),
+            if listener.battery.alive:
+                self._add_reservation(listener, origin, control_end, self._new_rdv(),
                                       "sf_listen")
-        nxt = self.nodes[node.next_hop]
-        self._charge(nxt, rx_energy(self.cfg.mac.ctrl_bits, self.params),
-                     "receive", "station_notify", {"listen_from_us": origin,
-                                                   "listen_until_us": control_end})
-        if nxt.battery.alive:
-            self._add_reservation(nxt, origin, control_end, self._new_rdv(), "sf_listen")
         self._schedule(origin, "sf_announce", {"node": node.id})
 
     def _on_sf_announce(self, data):
@@ -678,16 +669,7 @@ class Simulator:
                        {"start_us": s.start_us, "end_us": s.end_us, "rdv": rdv,
                         "kind": "ct_rdv", "accepted": True})
         if is_leader:
-            self._schedule(self.now + TURNAROUND_US, "send_ct_ack",
-                           {"node": receiver.id, "origin": origin.id})
-
-    def _on_send_ct_ack(self, data):
-        leader = self.nodes[data["node"]]
-        origin = self.nodes[data["origin"]]
-        pkt = Packet(seq=-2, size_bits=self.cfg.mac.ctrl_bits,
-                     source=leader.id, destination=origin.id, kind="ct_ack")
-        self._send([(leader.id, distance(leader.pos, origin.pos))],
-                   [origin.id], pkt, "ct_ack", {"origin": origin.id})
+            self._reply(receiver, origin.id, "ct_ack", {"origin": origin.id})
 
     def _on_ct_ack_rx(self, node, txn):
         xfer = self._transfers[node.id]
@@ -722,8 +704,7 @@ class Simulator:
         if xfer.sf is None:
             return
         i = data["index"]
-        self._account(node)
-        if not node.battery.alive:
+        if not self._account(node):
             self._emit(node.id, "ct_slot_skipped", {"index": i, "reason": "transmitter dead"})
             return
         if i >= len(xfer.batch):
@@ -755,8 +736,7 @@ class Simulator:
         packet = xfer.batch[i]
         nxt = self.nodes[node.next_hop]
         senders = []
-        self._account(node)
-        if node.battery.alive:
+        if self._account(node):
             senders.append((node.id, distance(node.pos, nxt.pos)))
         for h in xfer.sf.helpers:
             if h in xfer.got_broadcast.get(i, ()) and self.nodes[h].battery.alive:
@@ -782,7 +762,6 @@ class Simulator:
         xfer = self._transfers[node.id]
         xfer.mode = "noct"
         xfer.noct_index = 0
-        xfer.attempts = 0
         self._emit(node.id, "mode_selected", {"mode": "noct"})
         self._noct_next(node)
 
@@ -809,8 +788,7 @@ class Simulator:
             self._schedule(t_req + frame_pick * self.frame_us, "noct_request",
                            {"node": node.id})
             return
-        self._account(node)
-        if not node.battery.alive:
+        if not self._account(node):
             return
         interval_start = self.now + self.timeout_us + TURNAROUND_US
         data_bits = 8 * self.cfg.traffic.packet_size_bytes
@@ -836,22 +814,10 @@ class Simulator:
         self._emit(receiver.id, "reserve",
                    {"start_us": start, "end_us": start + dur, "rdv": txn.meta["rdv"],
                     "kind": "noct_rdv", "accepted": accepted})
-        self._schedule(self.now + TURNAROUND_US, "send_noct_reply",
-                       {"node": receiver.id, "to": sender_id, "accepted": accepted,
-                        "interval_start": start, "interval_us": dur})
-
-    def _on_send_noct_reply(self, data):
-        receiver = self.nodes[data["node"]]
-        target = self.nodes[data["to"]]
-        pkt = Packet(seq=-4, size_bits=self.cfg.mac.ctrl_bits, source=receiver.id,
-                     destination=target.id, kind="noct_reply")
-        self._send([(receiver.id, distance(receiver.pos, target.pos))], [target.id],
-                   pkt, "noct_reply",
-                   {"accepted": data["accepted"], "interval_start": data["interval_start"],
-                    "interval_us": data["interval_us"]})
+        self._reply(receiver, sender_id, "noct_reply",
+                    {"accepted": accepted, "interval_start": start, "interval_us": dur})
 
     def _on_noct_reply_rx(self, node, txn):
-        xfer = self._transfers[node.id]
         if node.mac.phase is not Phase.AWAITING_NOCT_REPLY:
             return
         macmod.step(node.mac, "noct_reply", self.now)
@@ -893,10 +859,7 @@ class Simulator:
     def _on_noct_data(self, data):
         node = self.nodes[data["node"]]
         xfer = self._transfers[node.id]
-        if xfer.noct_index >= len(xfer.batch):
-            return
-        self._account(node)
-        if not node.battery.alive:
+        if xfer.noct_index >= len(xfer.batch) or not self._account(node):
             return
         packet = xfer.batch[xfer.noct_index]
         nxt = self.nodes[node.next_hop]
@@ -906,21 +869,9 @@ class Simulator:
         self._set_timer(node, "data_ack", self.timeout_us)
 
     def _on_data_rx(self, receiver, txn):
-        if txn.tag == "ct_broadcast":
-            self._on_ct_broadcast_rx(receiver, txn)
-            return
         origin = self.nodes[txn.meta["origin"]]
         self._accept_packet(receiver, txn.packet, origin)
-        self._schedule(self.now + TURNAROUND_US, "send_data_ack",
-                       {"node": receiver.id, "to": origin.id, "packet": txn.packet.seq})
-
-    def _on_send_data_ack(self, data):
-        receiver = self.nodes[data["node"]]
-        target = self.nodes[data["to"]]
-        pkt = Packet(seq=-5, size_bits=self.cfg.mac.ctrl_bits, source=receiver.id,
-                     destination=target.id, kind="data_ack")
-        self._send([(receiver.id, distance(receiver.pos, target.pos))], [target.id],
-                   pkt, "data_ack", {"packet": data["packet"]})
+        self._reply(receiver, origin.id, "data_ack", {"packet": txn.packet.seq})
 
     def _on_data_ack_rx(self, node, txn):
         xfer = self._transfers[node.id]
@@ -953,10 +904,7 @@ class Simulator:
 
     def _on_timer(self, data):
         node = self.nodes[data["node"]]
-        if data["token"] != node.mac.timer_token:
-            return
-        self._account(node)
-        if not node.battery.alive:
+        if data["token"] != node.mac.timer_token or not self._account(node):
             return
         tag = data["tag"]
         xfer = self._transfers[node.id]
@@ -999,24 +947,26 @@ class Simulator:
         "start_hop": "_on_start_hop",
         "station_reply": "_on_station_reply",
         "sf_announce": "_on_sf_announce",
-        "send_ct_ack": "_on_send_ct_ack",
+        "send_ct_ack": "_on_send_reply",
         "sf_relay": "_on_sf_relay",
         "ct_slot": "_on_ct_slot",
         "ct_coop": "_on_ct_coop",
         "ct_batch_done": "_on_ct_batch_done",
         "noct_request": "_on_noct_request",
         "noct_data": "_on_noct_data",
-        "send_noct_reply": "_on_send_noct_reply",
-        "send_data_ack": "_on_send_data_ack",
+        "send_noct_reply": "_on_send_reply",
+        "send_data_ack": "_on_send_reply",
         "tx_end": "_on_tx_end",
         "timer": "_on_timer",
         "housekeeping": "_on_housekeeping",
     }
 
-    # kind of a received packet -> handler
+    # tag of a received transmission -> handler
     _RX_HANDLERS = {
         "superframe": "_on_superframe_rx",
         "ct_ack": "_on_ct_ack_rx",
+        "ct_broadcast": "_on_ct_broadcast_rx",
+        "ct_coop": "_on_data_rx",
         "noct_request": "_on_noct_request_rx",
         "noct_reply": "_on_noct_reply_rx",
         "data": "_on_data_rx",
@@ -1030,15 +980,13 @@ class Simulator:
                 break
             self.now = t
             getattr(self, self._HANDLERS[kind])(data)
-        # settle every node's power draw up to the horizon
+        # settle every node's power draw up to the horizon and record it
         self.now = self.horizon_us
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             self._account(node)
             self.metrics.energy_timeline.append(
                 (self.now / US, nid, node.battery.residual))
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
             self.metrics.residual_by_node[nid] = node.battery.residual
             self.metrics.energy_by_category[nid] = dict(node.battery.consumed_by_category)
         undeliverable = self.metrics.packets_offered - self.metrics.packets_delivered
