@@ -29,19 +29,37 @@ def _auto_doc():
     return doc
 
 
-# mode -> (scenario, trace digest, metrics-document digest)
+def _retry_cap_doc():
+    # the lifetime-50 benchmark document cut to 100 s. At run seed 0 a
+    # sender hits the no-CT retry cap while the rejecting reply is still
+    # being dispatched to the nodes that overhear it; the trace pins that
+    # the sender's next request waits for its own heap event, after them
+    doc = generated_doc(node_count=50, area_m=300.0, active_ms=2.0, mode="auto",
+                        horizon_s=100.0, sources=10, packets=100, jitter_ms=200.0)
+    doc["sim"]["battery_j"] = 0.05
+    return doc
+
+
+# name -> (scenario, run seed, trace digest, metrics-document digest)
 SCENARIOS = {
     "noct": (generated_doc(node_count=120, area_m=400.0, active_ms=1.0, mode="noct",
                            horizon_s=60.0, sources=5, packets=5, jitter_ms=200.0),
+             SEED,
              "1bbe01395a3e32ca47cdc902312d3fd60954292696ec0502e9605a733ffe92a3",
              "49c2ac65efd2153cf236e781105f073526bafd4787eea831ecec543ec55ebd17"),
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
+           SEED,
            "b23122433ff6ada9493bcbedee7088b24efc827a6e357d1e586b158bbbe90c17",
            "a675e376c121406a28767cd701a335e71b8d62ae080f7d47c77fc82166fc3566"),
     "auto": (_auto_doc(),
+             SEED,
              "5b5e217ebb1b057107198610df48678edbee6167c580b5078683f275308674ef",
              "521430c2978014cb42f5bd9cfc25ef171f88c1b4e77736b63209284a1a74d6cd"),
+    "retry_cap": (_retry_cap_doc(),
+                  0,
+                  "4b4cd7420c797fd6ebd0395e3530b39e6c68bc4e0ccf26d08b245b9a888e5caf",
+                  "92424b98d02ce37137a25396288e5815aca698810b08e12873da2b917fcfa69c"),
 }
 
 
@@ -60,18 +78,18 @@ def digests(doc, metrics_path, seed=SEED):
 @pytest.fixture(scope="module")
 def computed(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    return {mode: digests(doc, out / f"{mode}.metrics.json")
-            for mode, (doc, _, _) in SCENARIOS.items()}
+    return {name: digests(doc, out / f"{name}.metrics.json", seed)
+            for name, (doc, seed, _, _) in SCENARIOS.items()}
 
 
-@pytest.mark.parametrize("mode", sorted(SCENARIOS))
-def test_trace_digest_is_pinned(mode, computed):
-    assert computed[mode][0] == SCENARIOS[mode][1]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_digest_is_pinned(name, computed):
+    assert computed[name][0] == SCENARIOS[name][2]
 
 
-@pytest.mark.parametrize("mode", sorted(SCENARIOS))
-def test_metrics_digest_is_pinned(mode, computed):
-    assert computed[mode][1] == SCENARIOS[mode][2]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metrics_digest_is_pinned(name, computed):
+    assert computed[name][1] == SCENARIOS[name][3]
 
 
 def test_housekeeping_is_one_sweep_per_period():
@@ -116,7 +134,7 @@ def test_housekeeping_is_one_sweep_per_period():
 
 def test_engine_phase_changes_are_table_rows(monkeypatch):
     """Every protocol event the engine reports to ``mac.step`` matches a
-    row of its table, and the three scenarios between them use every row."""
+    row of its table, and the scenarios between them use every row."""
     used = set()
     step = mac.step
 
@@ -127,6 +145,6 @@ def test_engine_phase_changes_are_table_rows(monkeypatch):
         return step(state, event, t_us)
 
     monkeypatch.setattr(mac, "step", checked_step)
-    for doc, _, _ in SCENARIOS.values():
-        Simulator(make_config(doc), SEED).run()
+    for doc, seed, _, _ in SCENARIOS.values():
+        Simulator(make_config(doc), seed).run()
     assert used == set(mac._TRANSITIONS)
