@@ -663,11 +663,11 @@ class Simulator:
         if sf is None:
             return
         rdv = self._new_rdv()
-        _, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
-        for s in sf.rdv_slots():
+        accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
+        for s, ok in zip(sf.rdv_slots(), accepted):
             self._emit(receiver.id, "reserve",
                        {"start_us": s.start_us, "end_us": s.end_us, "rdv": rdv,
-                        "kind": "ct_rdv", "accepted": True})
+                        "kind": "ct_rdv", "accepted": ok})
         if is_leader:
             self._reply(receiver, origin.id, "ct_ack", {"origin": origin.id})
 

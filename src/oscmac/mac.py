@@ -233,17 +233,17 @@ def reserve_noct(receiver: MacState, start_us: int, duration_us: int, rdv_id: in
 def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     """Helper/next-hop reaction to a superframe announcement.
 
-    Participants book wake-ups covering every rendezvous slot (temporary
-    synchrony); exactly the leader answers with a ct_ack. Non-participants
-    ignore it (the caller charges overhearing).
+    Participants try to book a wake-up covering each rendezvous slot
+    (temporary synchrony); exactly the leader answers with a ct_ack.
+    Non-participants ignore it (the caller charges overhearing). Returns
+    the ``reserve`` result of each rendezvous slot, in slot order (empty
+    for a non-participant), and whether this node is the leader.
     """
-    member = any(state.node in s.participants for s in sf.slots if s.kind == "ct_rdv")
-    if not member:
-        return state, False
-    for s in sf.slots:
-        if s.kind == "ct_rdv":
-            reserve(state, s.start_us, s.end_us, rdv_id)
-    return state, state.node == sf.leader
+    slots = sf.rdv_slots()
+    if not any(state.node in s.participants for s in slots):
+        return [], False
+    accepted = [reserve(state, s.start_us, s.end_us, rdv_id) for s in slots]
+    return accepted, state.node == sf.leader
 
 
 # (phase, event) -> next phase, one row per transition the engine makes;

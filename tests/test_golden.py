@@ -9,6 +9,7 @@ why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -50,11 +51,11 @@ SCENARIOS = {
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
-           "b23122433ff6ada9493bcbedee7088b24efc827a6e357d1e586b158bbbe90c17",
+           "7d63dd26a0a04c572c83a9b38caf7f9780f4ce372d4fac2fdf2e18585d87956e",
            "a675e376c121406a28767cd701a335e71b8d62ae080f7d47c77fc82166fc3566"),
     "auto": (_auto_doc(),
              SEED,
-             "5b5e217ebb1b057107198610df48678edbee6167c580b5078683f275308674ef",
+             "7de00e5dcb4dad0afc16449379561a1c551eb05b13ed5ad01fc5720ee920ecb4",
              "521430c2978014cb42f5bd9cfc25ef171f88c1b4e77736b63209284a1a74d6cd"),
     "retry_cap": (_retry_cap_doc(),
                   0,
@@ -148,3 +149,24 @@ def test_engine_phase_changes_are_table_rows(monkeypatch):
     for doc, seed, _, _ in SCENARIOS.values():
         Simulator(make_config(doc), seed).run()
     assert used == set(mac._TRANSITIONS)
+
+
+@pytest.mark.parametrize("name", ["ct", "auto"])
+def test_reserve_rows_log_the_booking_result(name, monkeypatch):
+    """Each ``reserve`` trace row reports what its ``mac.reserve`` call
+    returned, rejected rendezvous bookings included."""
+    results = []
+    reserve = mac.reserve
+
+    def recorded_reserve(state, start_us, end_us, rdv_id):
+        results.append(reserve(state, start_us, end_us, rdv_id))
+        return results[-1]
+
+    monkeypatch.setattr(mac, "reserve", recorded_reserve)
+    doc, seed, _, _ = SCENARIOS[name]
+    sim = Simulator(make_config(doc), seed)
+    sim.run()
+    logged = [json.loads(detail) for _, _, _, event, detail, _ in sim.rows
+              if event == "reserve"]
+    assert [row["accepted"] for row in logged] == results
+    assert any(not row["accepted"] for row in logged if row["kind"] == "ct_rdv")

@@ -163,15 +163,33 @@ def test_on_superframe_participant_reserves_and_leader_acks():
     elected = ElectedList(helpers=(2, 3), leader=2)
     sf = compose_superframe(1, elected, 0, packet_count=2,
                             now_us=0, slot_us=20_000, frame_us=FRAME)
-    leader_state, is_leader = on_superframe(MacState(node=2), sf, rdv_id=9)
+    leader = MacState(node=2)
+    accepted, is_leader = on_superframe(leader, sf, rdv_id=9)
     assert is_leader
-    assert len(leader_state.reservations) == 2
-    helper_state, is_leader = on_superframe(MacState(node=3), sf, rdv_id=9)
+    assert accepted == [True, True]
+    assert len(leader.reservations) == 2
+    helper = MacState(node=3)
+    accepted, is_leader = on_superframe(helper, sf, rdv_id=9)
     assert not is_leader
-    assert len(helper_state.reservations) == 2
-    outsider, is_leader = on_superframe(MacState(node=42), sf, rdv_id=9)
+    assert accepted == [True, True]
+    assert len(helper.reservations) == 2
+    outsider = MacState(node=42)
+    accepted, is_leader = on_superframe(outsider, sf, rdv_id=9)
     assert not is_leader
+    assert accepted == []
     assert outsider.reservations == []
+
+
+def test_on_superframe_reports_each_slot_booking():
+    """A rendezvous slot that overlaps an earlier booking is rejected and
+    reported so; the other slots are still booked."""
+    elected = ElectedList(helpers=(2, 3), leader=2)
+    sf = compose_superframe(1, elected, 0, packet_count=2,
+                            now_us=0, slot_us=20_000, frame_us=FRAME)
+    helper = MacState(node=3, reservations=[(25_000, 30_000, 1)])
+    accepted, _ = on_superframe(helper, sf, rdv_id=9)
+    assert accepted == [False, True]
+    assert helper.reservations == [(25_000, 30_000, 1), (40_000, 60_000, 9)]
 
 
 def test_step_known_transitions():
