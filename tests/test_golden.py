@@ -64,7 +64,7 @@ SCENARIOS = {
 }
 
 
-def digests(doc, metrics_path, seed=SEED):
+def digests(doc, metrics_path, seed):
     """(trace digest, metrics-document digest) of one run of ``doc``."""
     cfg = make_config(doc)
     sim = Simulator(cfg, seed)

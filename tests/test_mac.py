@@ -178,18 +178,12 @@ def test_on_superframe_participant_reserves_and_leader_acks():
     assert not is_leader
     assert accepted == []
     assert outsider.reservations == []
-
-
-def test_on_superframe_reports_each_slot_booking():
-    """A rendezvous slot that overlaps an earlier booking is rejected and
-    reported so; the other slots are still booked."""
-    elected = ElectedList(helpers=(2, 3), leader=2)
-    sf = compose_superframe(1, elected, 0, packet_count=2,
-                            now_us=0, slot_us=20_000, frame_us=FRAME)
-    helper = MacState(node=3, reservations=[(25_000, 30_000, 1)])
-    accepted, _ = on_superframe(helper, sf, rdv_id=9)
+    # a slot that overlaps an earlier booking is rejected and reported so;
+    # the other slot is still booked
+    busy = MacState(node=3, reservations=[(25_000, 30_000, 1)])
+    accepted, _ = on_superframe(busy, sf, rdv_id=9)
     assert accepted == [False, True]
-    assert helper.reservations == [(25_000, 30_000, 1), (40_000, 60_000, 9)]
+    assert busy.reservations == [(25_000, 30_000, 1), (40_000, 60_000, 9)]
 
 
 def test_step_known_transitions():
