@@ -4,9 +4,12 @@ Single-threaded event loop over a (time, sequence) heap; time is kept in
 integer microseconds so ordering and trace equality are exact. Idle and
 sleep power draws are accounted lazily by integrating each node's duty
 schedule (plus reservation wake-ups) between the events that touch it,
-with an exact binary search for the moment a battery empties.
+with an exact binary search for the moment a battery empties. Interval
+costs and ``energy_account`` details are memoised per run; their keys, integer
+microseconds and drawn joules, fix the values exactly.
 """
 
+import functools
 import heapq
 import json
 import math
@@ -141,6 +144,11 @@ class Simulator:
         self.now = 0
         self._rdv_counter = 0
         self.unresolved = []
+        p = self.params
+        self._costs = functools.cache(  # (awake_us, asleep_us) -> (idle_j, sleep_j)
+            lambda awake, asleep: ((awake / US) * p.p_rx, (asleep / US) * p.p_sleep))
+        self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
+            lambda idle, slept: _encode({"idle_j": idle, "sleep_j": slept}))
 
         self._build_topology()
         self._build_station()
@@ -298,13 +306,12 @@ class Simulator:
                     merged.append([s, e])
             # reservation time the schedule does not already cover
             awake += sum((e - s) - node.schedule.awake_time(s, e) for s, e in merged)
-        asleep = (t1 - t0) - awake
-        return (awake / US) * self.params.p_rx, (asleep / US) * self.params.p_sleep
+        return self._costs(awake, (t1 - t0) - awake)
 
-    def _account(self, node, now=None):
+    def _account(self, node):
         """Charge idle/sleep power since the node was last accounted;
         returns whether the node is still alive."""
-        now = self.now if now is None else now
+        now = self.now
         t0 = node.last_accounted_us
         if now <= t0 or not node.battery.alive:
             node.last_accounted_us = max(t0, now)
@@ -327,7 +334,9 @@ class Simulator:
         node.last_accounted_us = now
         if death is None:
             if idle or slept:
-                self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
+                self.rows.append((now, len(self.rows), node.id, "energy_account",
+                                  self._account_detail(idle, slept),
+                                  repr(node.battery.residual)))
             if node.mac.reservations:
                 node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
             return node.battery.alive

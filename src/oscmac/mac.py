@@ -64,6 +64,9 @@ class DutySchedule:
         """Total scheduled-awake microseconds within [t0, t1)."""
         if t1_us <= t0_us:
             return 0
+        frames, rest = divmod(t1_us - t0_us, self.frame_us)
+        if not rest:
+            return frames * self.active_us  # every frame holds one active window
         return self._awake_before(t1_us) - self._awake_before(t0_us)
 
     def _awake_before(self, t_us: int) -> int:

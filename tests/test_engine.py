@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oscmac.energy import rx_energy, tx_energy
 from oscmac.engine import Simulator, run
+from oscmac.trace import render_trace
 from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 
 
@@ -212,3 +218,34 @@ def test_auto_mode_prefers_ct_for_unreachable_hop():
     _, rows = run(make_config(range_extension_doc(mode="auto")), 0)
     modes = {detail(r)["mode"] for r in rows_for(rows, event="mode_selected")}
     assert "ct" in modes
+
+
+# ---------------------------------------------------------------------------
+# memoised interval costs
+
+def _trace_digest(doc):
+    cfg = make_config(doc)
+    sim = Simulator(cfg, 0)
+    sim.run()
+    return hashlib.sha256(render_trace(sim.rows, "", 0).encode()).hexdigest()
+
+
+def test_cost_memo_does_not_leak_between_runs():
+    """Two runs that differ only in idle and sleep power, back to back in one
+    process, each give the trace of the same scenario run in a fresh
+    interpreter; a cost memo shared between runs, or keyed without the
+    radio parameters, would charge the second run the first run's joules."""
+    docs = []
+    for p_rx, p_sleep in ((1e-3, 1e-8), (3e-3, 5e-8)):
+        doc = generated_doc(horizon_s=30.0)
+        doc["radio"] = {"p_rx": p_rx, "p_sleep": p_sleep}
+        docs.append(doc)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    fresh = ("import json, sys, test_engine; "
+             "print(test_engine._trace_digest(json.loads(sys.argv[1])))")
+    alone = [subprocess.run([sys.executable, "-c", fresh, json.dumps(doc)], env=env,
+                            capture_output=True, text=True, check=True).stdout.strip()
+             for doc in docs]
+    assert alone[0] != alone[1]  # the rows themselves differ: the header is blank
+    assert [_trace_digest(doc) for doc in docs] == alone

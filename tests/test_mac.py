@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oscmac.mac import (ConfigurationError, DutySchedule, MacState, Phase,
                         Slot, Superframe, build_schedules, compose_superframe,
@@ -63,9 +63,11 @@ def test_wrapping_window():
 
 @given(offset=st.integers(0, FRAME // 1000 - 1).map(lambda k: k * 1000),
        t0=st.integers(0, 10 * FRAME),
-       span=st.integers(0, 3 * FRAME))
+       span=st.integers(0, 3 * FRAME) | st.integers(1, 5).map(lambda k: k * FRAME))
+@example(offset=95_000, t0=97_000, span=2 * FRAME)  # whole frames, wrapping window
 def test_awake_time_matches_pointwise_scan(offset, t0, span):
-    """Closed-form awake time must agree with millisecond-grained sampling."""
+    """Closed-form awake time must agree with millisecond-grained sampling,
+    whole-frame spans included."""
     s = DutySchedule(FRAME, ACTIVE, offset)
     step_us = 1000  # all boundaries are multiples of 1000 here
     t0 = (t0 // step_us) * step_us
