@@ -2,7 +2,7 @@
 
 Traces are CSV with one leading ``#`` header line carrying the config
 hash, the seed, and the tool version, so any output file identifies the
-run that produced it. Metrics are a single JSON document.
+run that produced it. Metrics are a single compact JSON document.
 """
 
 import csv
@@ -32,9 +32,9 @@ def write_trace(path, rows, config_hash: str, seed: int) -> None:
 def write_metrics(path, metrics, config_hash: str, seed: int) -> None:
     doc = {"config_hash": config_hash, "seed": seed, "version": __version__}
     doc.update(metrics.to_dict())
+    # dumps is one C-encoder call; dump streams the same bytes through Python, 2x slower
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_trace(path):

@@ -47,20 +47,20 @@ SCENARIOS = {
                            horizon_s=60.0, sources=5, packets=5, jitter_ms=200.0),
              SEED,
              "1bbe01395a3e32ca47cdc902312d3fd60954292696ec0502e9605a733ffe92a3",
-             "49c2ac65efd2153cf236e781105f073526bafd4787eea831ecec543ec55ebd17"),
+             "b41d4cd60f4ee77a89dc297ef2a6d3e3fe0cde084d75680beabc984874c946b8"),
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
            "7d63dd26a0a04c572c83a9b38caf7f9780f4ce372d4fac2fdf2e18585d87956e",
-           "a675e376c121406a28767cd701a335e71b8d62ae080f7d47c77fc82166fc3566"),
+           "235ad0782075fe0821edf6dbcde3a9a0a3413c68a683314c107d0fa01991b599"),
     "auto": (_auto_doc(),
              SEED,
              "7de00e5dcb4dad0afc16449379561a1c551eb05b13ed5ad01fc5720ee920ecb4",
-             "521430c2978014cb42f5bd9cfc25ef171f88c1b4e77736b63209284a1a74d6cd"),
+             "5ee447aece117c295b26afdac33308c9929a0eb3f20d0eb9118c2b1efaa0e8a0"),
     "retry_cap": (_retry_cap_doc(),
                   0,
                   "4b4cd7420c797fd6ebd0395e3530b39e6c68bc4e0ccf26d08b245b9a888e5caf",
-                  "92424b98d02ce37137a25396288e5815aca698810b08e12873da2b917fcfa69c"),
+                  "c201885f306c1c6def40ce2d37667287f56889db1ffb48a7c8a5711d04c397a3"),
 }
 
 

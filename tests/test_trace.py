@@ -59,3 +59,7 @@ def test_write_metrics(tmp_path):
     assert doc["packets_delivered"] == metrics.packets_delivered
     assert doc["delivery_ratio"] == metrics.delivery_ratio
     assert set(doc["energy_by_category"]) == {"0", "1"}
+    # the whole document is the header plus the metrics, after a JSON round trip
+    expected = {"config_hash": cfg.config_hash(), "seed": 0, "version": __version__}
+    expected.update(json.loads(json.dumps(metrics.to_dict())))
+    assert doc == expected
