@@ -197,6 +197,14 @@ def parse_config(document: str) -> ScenarioConfig:
                 if nid not in seen or v not in seen:
                     raise ConfigError(f"topology.routes entry {k}->{v} names unknown node")
                 topo.routes[nid] = v
+            for start in topo.routes:
+                chain, cur = set(), start
+                while cur != topo.fr:
+                    if cur in chain or cur not in topo.routes:
+                        raise ConfigError(f"topology.routes: node {start} never reaches fr")
+                    chain.add(cur)
+                    cur = topo.routes[cur]
+        node_ids, sink = seen, topo.fr
     else:
         gen = dict(topo_raw["generator"])
         _reject_unknown(gen, _GENERATOR_KEYS, "topology.generator")
@@ -206,6 +214,7 @@ def parse_config(document: str) -> ScenarioConfig:
         _require_positive(gen["node_count"], "topology.generator.node_count")
         _require_positive(gen["area_m"], "topology.generator.area_m")
         topo.generator = gen
+        node_ids, sink = range(max(1, int(gen["node_count"]))), 0  # the engine's numbering
     if topo_raw.get("wilem") is not None:
         w = topo_raw["wilem"]
         if isinstance(w, dict):
@@ -222,6 +231,13 @@ def parse_config(document: str) -> ScenarioConfig:
         raise ConfigError("traffic.packets_per_source must be non-negative")
     _require_positive(traffic.start_s, "traffic.start_s", strict=False)
     _require_positive(traffic.jitter_ms, "traffic.jitter_ms", strict=False)
+    if isinstance(traffic.sources, list):
+        for nid in traffic.sources:
+            if nid not in node_ids or nid == sink:
+                raise ConfigError(f"traffic.sources id {nid!r} is not a sensor node")
+    elif not isinstance(traffic.sources, int) or traffic.sources < 0:
+        raise ConfigError(f"traffic.sources must be a count or a list of node ids, "
+                          f"got {traffic.sources!r}")
 
     mac_raw = raw.get("mac") or {}
     _reject_unknown(mac_raw, _SECTION_KEYS["mac"], "mac")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oscmac.cli import main
 from oscmac.trace import read_trace
 from conftest import generated_doc, range_extension_doc
@@ -87,6 +89,19 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     path.write_text('{"topology": {"generator": {}}, "mac": {"warp": 9}}')
     assert main(["run", "--config", str(path)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("routes", {"1": 2, "2": 1}),
+    ("sources", [0]),
+])
+def test_unsimulable_route_or_source_exits_1(tmp_path, capsys, field, value):
+    doc = range_extension_doc()
+    section = "topology" if field == "routes" else "traffic"
+    doc[section][field] = value
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"config error: {section}.{field}" in capsys.readouterr().err
 
 
 def test_unschedulable_topology_exits_2(tmp_path, capsys):

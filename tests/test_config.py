@@ -90,6 +90,46 @@ def test_route_to_unknown_node_rejected():
         make_config(doc)
 
 
+@pytest.mark.parametrize("routes", [
+    {"1": 2, "2": 3, "3": 1},   # a cycle that never reaches the sink
+    {"1": 1},                   # a node routed to itself
+    {"1": 2},                   # a chain that stops at a node without a route
+])
+def test_route_that_never_reaches_the_sink_rejected(routes):
+    doc = range_extension_doc()
+    doc["topology"]["routes"] = routes
+    with pytest.raises(ConfigError, match=r"topology\.routes: node 1 never"):
+        make_config(doc)
+
+
+def test_route_chains_to_the_sink_accepted():
+    doc = range_extension_doc()
+    doc["topology"]["routes"] = {"1": 2, "2": 3, "3": 0}
+    assert make_config(doc).topology.routes == {1: 2, 2: 3, 3: 0}
+
+
+@pytest.mark.parametrize("doc, sources, msg", [
+    (range_extension_doc(), [1, 99], "id 99 is not"),   # unknown id
+    (range_extension_doc(), [0], "id 0 is not"),        # the sink
+    (generated_doc(node_count=20), [20], "id 20 is not"),
+    (generated_doc(node_count=20), [3, 0], "id 0 is not"),
+    (generated_doc(), -1, "must be a count"),
+    (generated_doc(), 2.5, "must be a count"),
+    (generated_doc(), "3", "must be a count"),
+    (generated_doc(), {"1": 1}, "must be a count"),
+])
+def test_sources_that_are_not_sensor_nodes_rejected(doc, sources, msg):
+    doc["traffic"]["sources"] = sources
+    with pytest.raises(ConfigError, match=rf"traffic\.sources {msg}"):
+        make_config(doc)
+
+
+def test_sources_on_generated_topology_accepted():
+    doc = generated_doc(node_count=20)
+    doc["traffic"]["sources"] = [1, 19]
+    assert make_config(doc).traffic.sources == [1, 19]
+
+
 def test_value_validation():
     for mutate, msg in [
         (lambda d: d["mac"].update({"mode": "turbo"}), "mode"),
