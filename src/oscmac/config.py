@@ -1,20 +1,22 @@
 """Scenario configuration: JSON parsing, defaults, validation, hashing.
 
-Every field has a documented default; unknown keys are rejected so a
-typo cannot silently fall back to a default. An explicit node list and
-a random topology generator are mutually exclusive.
+Each section is checked on one path against its spec dataclass, whose
+fields give the allowed keys (a typo cannot fall back to a default), the
+defaults, the required fields and the types. Scalar values are stored as
+given, never coerced. Explicit nodes and a generator are mutually exclusive.
 """
 
+import functools
 import hashlib
 import json
-import math
-from dataclasses import dataclass, asdict
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .energy import RadioEnergyParams
 
 
 class ConfigError(ValueError):
-    """Invalid scenario document; the message names the offending field."""
+    """Invalid or unschedulable scenario document; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -26,13 +28,20 @@ class NodeSpec:
     role: str = "relay"  # trn | relay | fr
 
 
+@dataclass(frozen=True)
+class GeneratorSpec:
+    node_count: int = 50
+    area_m: float = 300.0
+    seed: int = 0
+
+
 @dataclass
 class TopologySpec:
     nodes: list = None                  # explicit list of NodeSpec
     fr: int = None                      # final receiver id (explicit topologies)
     wilem: tuple = None                 # station position; default: FR position
     routes: dict = None                 # node id -> next hop; default: BFS to FR
-    generator: dict = None              # {node_count, area_m, seed}
+    generator: dict = None              # asdict of a GeneratorSpec
 
 
 @dataclass
@@ -104,39 +113,132 @@ class ScenarioConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-_SECTION_KEYS = {
-    "radio": {"e_elec", "e_fs", "e_mp", "e_rx", "p_rx", "p_sleep"},
-    "topology": {"nodes", "fr", "wilem", "routes", "generator"},
-    "traffic": {"packet_size_bytes", "packets_per_source", "sources", "start_s", "jitter_ms"},
-    "mac": {"frame_ms", "active_ms", "slot_ms", "timeout_slots", "retry_cap", "mode",
-            "ctrl_bits", "superframe_bits", "bit_rate_bps", "ct_energy_fraction"},
-    "sim": {"base_range_m", "horizon_s", "battery_j", "housekeeping_frames"},
-}
-
-_NODE_KEYS = {"id", "x", "y", "initial_j", "role"}
-_GENERATOR_KEYS = {"node_count", "area_m", "seed"}
+# Every number in a scenario must be strictly positive except these.
+_NON_NEGATIVE = {"start_s", "jitter_ms", "packets_per_source", "retry_cap", "ct_energy_fraction"}
+_UNBOUNDED = {"x", "y", "id", "seed"}
+_SECTIONS = {"radio": RadioEnergyParams, "traffic": TrafficSpec, "mac": MacSpec, "sim": SimSpec}
 
 
-def _reject_unknown(given: dict, allowed: set, path: str) -> None:
+def _is_finite(value) -> bool:
+    # type() excludes bool; abs() <= max excludes nan, inf and ints too big for a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_value(value, kind, name: str, path: str) -> None:
+    """Check one scalar field against its annotated type and the lower bound."""
+    if kind is int:
+        ok, what = type(value) is int, "an integer"
+    elif kind is float:
+        ok, what = _is_finite(value), "a finite number"
+    elif kind is str:
+        ok, what = type(value) is str, "a string"
+    else:
+        return  # not a scalar: its section checks it
+    if not ok:
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    if kind is str or name in _UNBOUNDED:
+        return
+    if value < 0 or (value == 0 and name not in _NON_NEGATIVE):
+        bound = "non-negative" if name in _NON_NEGATIVE else "strictly positive"
+        raise ConfigError(f"{path} must be {bound}, got {value!r}")
+
+
+def _object(value, path: str) -> dict:
+    """A JSON object; an absent or null one is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+    return value
+
+
+def _reject_unknown(given: dict, allowed, path: str) -> None:
     for key in given:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key}")
 
 
-def _require_finite(value, path: str):
-    try:
-        finite = math.isfinite(float(value))
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+@functools.cache
+def _fields(cls) -> dict:
+    return {f.name: f for f in fields(cls)}
 
 
-def _require_positive(value, path: str, strict: bool = True):
-    if not isinstance(value, (int, float)) or (value <= 0 if strict else value < 0):
-        kind = "strictly positive" if strict else "non-negative"
-        raise ConfigError(f"{path} must be {kind}, got {value!r}")
-    return value
+def _build(cls, given, path: str):
+    """``cls(**given)`` once every given key is a field of ``cls`` holding a
+    value of its type and bound, and every field without a default is given."""
+    given = _object(given, path)
+    spec = _fields(cls)
+    _reject_unknown(given, spec, path)
+    for key, value in given.items():
+        _check_value(value, spec[key].type, key, f"{path}.{key}")
+    for name, f in spec.items():
+        if name not in given and f.default is MISSING:
+            raise ConfigError(f"{path}.{name} is required")
+    return cls(**given)
+
+
+def _topology(raw) -> tuple:
+    """The topology section and the ids of its sensor nodes (all but the sink)."""
+    raw = _object(raw, "topology")
+    _reject_unknown(raw, _fields(TopologySpec), "topology")
+    nodes, gen = raw.get("nodes"), raw.get("generator")
+    if nodes is not None and gen is not None:
+        raise ConfigError("topology.nodes and topology.generator are mutually exclusive")
+    if nodes is None and gen is None:
+        raise ConfigError("topology requires either topology.nodes or topology.generator")
+    topo = TopologySpec()
+    if gen is not None:
+        gen = _build(GeneratorSpec, gen, "topology.generator")
+        topo.generator = asdict(gen)
+        sensors = range(1, gen.node_count)  # the engine numbers the sink 0
+    else:
+        if not isinstance(nodes, list):
+            raise ConfigError(f"topology.nodes must be a list of nodes, got {nodes!r}")
+        topo.nodes = [_build(NodeSpec, n, f"topology.nodes[{i}]") for i, n in enumerate(nodes)]
+        seen = set()
+        for i, n in enumerate(topo.nodes):
+            if n.id in seen:
+                raise ConfigError(f"topology.nodes[{i}].id duplicates id {n.id}")
+            seen.add(n.id)
+        if raw.get("fr") is None:
+            fr_roles = [n.id for n in topo.nodes if n.role == "fr"]
+            if len(fr_roles) != 1:
+                raise ConfigError("topology.fr is required unless exactly one node has role 'fr'")
+            topo.fr = fr_roles[0]
+        else:
+            topo.fr = raw["fr"]
+        if type(topo.fr) is not int or topo.fr not in seen:
+            raise ConfigError(f"topology.fr {topo.fr!r} is not a node id")
+        if raw.get("routes") is not None:
+            _routes(topo, _object(raw["routes"], "topology.routes"), seen)
+        sensors = seen - {topo.fr}
+    w = raw.get("wilem")
+    if w is not None:
+        if isinstance(w, dict):
+            _reject_unknown(w, ("x", "y"), "topology.wilem")
+            w = [w.get("x"), w.get("y")]
+        if not (isinstance(w, list) and len(w) == 2 and all(map(_is_finite, w))):
+            raise ConfigError(f"topology.wilem must be [x, y] or {{x, y}} of finite numbers, "
+                              f"got {raw['wilem']!r}")
+        topo.wilem = (float(w[0]), float(w[1]))
+    return topo, sensors
+
+
+def _routes(topo: TopologySpec, given: dict, ids: set) -> None:
+    """Set ``topo.routes`` from ``given``; every chain must reach the sink."""
+    topo.routes = {}
+    for k, v in given.items():
+        nid = int(k) if k.removeprefix("-").isdecimal() else None
+        if nid not in ids or type(v) is not int or v not in ids:
+            raise ConfigError(f"topology.routes entry {k}->{v!r} names unknown node")
+        topo.routes[nid] = v
+    for start in topo.routes:
+        chain, cur = set(), start
+        while cur != topo.fr:
+            if cur in chain or cur not in topo.routes:
+                raise ConfigError(f"topology.routes: node {start} never reaches fr")
+            chain.add(cur)
+            cur = topo.routes[cur]
 
 
 def parse_config(document: str) -> ScenarioConfig:
@@ -147,117 +249,22 @@ def parse_config(document: str) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, set(_SECTION_KEYS), "config")
+    _reject_unknown(raw, ("topology", *_SECTIONS), "config")
+    radio, traffic, mac, sim = (_build(cls, raw.get(name), name)
+                                for name, cls in _SECTIONS.items())
+    topo, sensors = _topology(raw.get("topology"))
 
-    radio_raw = raw.get("radio") or {}
-    _reject_unknown(radio_raw, _SECTION_KEYS["radio"], "radio")
-    for k, v in radio_raw.items():
-        _require_positive(v, f"radio.{k}")
-    try:
-        radio = RadioEnergyParams(**radio_raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    topo_raw = raw.get("topology") or {}
-    _reject_unknown(topo_raw, _SECTION_KEYS["topology"], "topology")
-    if topo_raw.get("nodes") is not None and topo_raw.get("generator") is not None:
-        raise ConfigError("topology.nodes and topology.generator are mutually exclusive")
-    if topo_raw.get("nodes") is None and topo_raw.get("generator") is None:
-        raise ConfigError("topology requires either topology.nodes or topology.generator")
-    topo = TopologySpec()
-    if topo_raw.get("nodes") is not None:
-        nodes = []
-        seen = set()
-        for i, n in enumerate(topo_raw["nodes"]):
-            _reject_unknown(n, _NODE_KEYS, f"topology.nodes[{i}]")
-            if "id" not in n or "x" not in n or "y" not in n:
-                raise ConfigError(f"topology.nodes[{i}] requires id, x, y")
-            for axis in ("x", "y"):
-                _require_finite(n[axis], f"topology.nodes[{i}].{axis}")
-            if n["id"] in seen:
-                raise ConfigError(f"topology.nodes[{i}].id duplicates id {n['id']}")
-            seen.add(n["id"])
-            if "initial_j" in n:
-                _require_positive(n["initial_j"], f"topology.nodes[{i}].initial_j")
-            nodes.append(NodeSpec(**n))
-        topo.nodes = nodes
-        if topo_raw.get("fr") is None:
-            fr_roles = [n.id for n in nodes if n.role == "fr"]
-            if len(fr_roles) != 1:
-                raise ConfigError("topology.fr is required unless exactly one node has role 'fr'")
-            topo.fr = fr_roles[0]
-        else:
-            topo.fr = topo_raw["fr"]
-        if topo.fr not in seen:
-            raise ConfigError(f"topology.fr {topo.fr} is not a node id")
-        if topo_raw.get("routes") is not None:
-            topo.routes = {}
-            for k, v in topo_raw["routes"].items():
-                nid = int(k)
-                if nid not in seen or v not in seen:
-                    raise ConfigError(f"topology.routes entry {k}->{v} names unknown node")
-                topo.routes[nid] = v
-            for start in topo.routes:
-                chain, cur = set(), start
-                while cur != topo.fr:
-                    if cur in chain or cur not in topo.routes:
-                        raise ConfigError(f"topology.routes: node {start} never reaches fr")
-                    chain.add(cur)
-                    cur = topo.routes[cur]
-        node_ids, sink = seen, topo.fr
-    else:
-        gen = dict(topo_raw["generator"])
-        _reject_unknown(gen, _GENERATOR_KEYS, "topology.generator")
-        gen.setdefault("node_count", 50)
-        gen.setdefault("area_m", 300.0)
-        gen.setdefault("seed", 0)
-        _require_positive(gen["node_count"], "topology.generator.node_count")
-        _require_positive(gen["area_m"], "topology.generator.area_m")
-        topo.generator = gen
-        node_ids, sink = range(max(1, int(gen["node_count"]))), 0  # the engine's numbering
-    if topo_raw.get("wilem") is not None:
-        w = topo_raw["wilem"]
-        if isinstance(w, dict):
-            _reject_unknown(w, {"x", "y"}, "topology.wilem")
-            topo.wilem = (float(w["x"]), float(w["y"]))
-        else:
-            topo.wilem = (float(w[0]), float(w[1]))
-
-    traffic_raw = raw.get("traffic") or {}
-    _reject_unknown(traffic_raw, _SECTION_KEYS["traffic"], "traffic")
-    traffic = TrafficSpec(**traffic_raw)
-    _require_positive(traffic.packet_size_bytes, "traffic.packet_size_bytes")
-    if traffic.packets_per_source < 0:
-        raise ConfigError("traffic.packets_per_source must be non-negative")
-    _require_positive(traffic.start_s, "traffic.start_s", strict=False)
-    _require_positive(traffic.jitter_ms, "traffic.jitter_ms", strict=False)
-    if isinstance(traffic.sources, list):
-        for nid in traffic.sources:
-            if nid not in node_ids or nid == sink:
+    sources = traffic.sources
+    if isinstance(sources, list):
+        for nid in sources:
+            if type(nid) is not int or nid not in sensors:
                 raise ConfigError(f"traffic.sources id {nid!r} is not a sensor node")
-    elif not isinstance(traffic.sources, int) or traffic.sources < 0:
+    elif type(sources) is not int or sources < 0:
         raise ConfigError(f"traffic.sources must be a count or a list of node ids, "
-                          f"got {traffic.sources!r}")
-
-    mac_raw = raw.get("mac") or {}
-    _reject_unknown(mac_raw, _SECTION_KEYS["mac"], "mac")
-    mac = MacSpec(**mac_raw)
-    for f in ("frame_ms", "active_ms", "slot_ms", "timeout_slots", "bit_rate_bps"):
-        _require_positive(getattr(mac, f), f"mac.{f}")
-    for f in ("ctrl_bits", "superframe_bits"):
-        _require_positive(getattr(mac, f), f"mac.{f}")
+                          f"got {sources!r}")
     if mac.active_ms > mac.frame_ms:
         raise ConfigError("mac.active_ms must not exceed mac.frame_ms")
     if mac.mode not in ("ct", "noct", "auto"):
         raise ConfigError(f"mac.mode must be ct, noct or auto, got {mac.mode!r}")
-    if mac.retry_cap < 0:
-        raise ConfigError("mac.retry_cap must be non-negative")
-
-    sim_raw = raw.get("sim") or {}
-    _reject_unknown(sim_raw, _SECTION_KEYS["sim"], "sim")
-    sim = SimSpec(**sim_raw)
-    for f in ("base_range_m", "horizon_s", "battery_j"):
-        _require_positive(getattr(sim, f), f"sim.{f}")
-    _require_positive(sim.housekeeping_frames, "sim.housekeeping_frames")
 
     return ScenarioConfig(radio=radio, topology=topo, traffic=traffic, mac=mac, sim=sim)

@@ -4,9 +4,8 @@ Single-threaded event loop over a (time, sequence) heap; time is kept in
 integer microseconds so ordering and trace equality are exact. Idle and
 sleep power draws are accounted lazily by integrating each node's duty
 schedule (plus reservation wake-ups) between the events that touch it,
-with an exact binary search for the moment a battery empties. Interval
-costs and ``energy_account`` details are memoised per run; their keys, integer
-microseconds and drawn joules, fix the values exactly.
+with an exact binary search for the moment a battery empties. The encoded
+``energy_account`` details are memoised per run, keyed by the drawn joules.
 """
 
 import functools
@@ -140,9 +139,6 @@ class Simulator:
         self.now = 0
         self._rdv_counter = 0
         self.unresolved = []
-        p = self.params
-        self._costs = functools.cache(  # (awake_us, asleep_us) -> (idle_j, sleep_j)
-            lambda awake, asleep: ((awake / US) * p.p_rx, (asleep / US) * p.p_sleep))
         self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
             lambda idle, slept: _encode({"idle_j": idle, "sleep_j": slept}))
 
@@ -297,7 +293,8 @@ class Simulator:
                     merged.append([s, e])
             # reservation time the schedule does not already cover
             awake += sum((e - s) - node.schedule.awake_time(s, e) for s, e in merged)
-        return self._costs(awake, (t1 - t0) - awake)
+        p = self.params
+        return (awake / US) * p.p_rx, ((t1 - t0 - awake) / US) * p.p_sleep
 
     def _account(self, node):
         """Charge idle/sleep power since the node was last accounted;

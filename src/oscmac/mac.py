@@ -17,11 +17,7 @@ from enum import Enum
 from functools import cached_property
 
 from .channel import NeighbourIndex
-
-
-class ConfigurationError(ValueError):
-    """A scenario parameter combination that cannot be scheduled."""
-
+from .config import ConfigError
 
 # ---------------------------------------------------------------------------
 # duty-cycle schedules
@@ -97,12 +93,14 @@ def build_schedules(positions, depths, base_range, frame_us, active_us):
 
     Base offset is (max_depth - depth) active windows, so a packet can
     descend one hop per window. Nodes sharing a 2-hop neighbourhood are
-    pushed to later window slots until disjoint; running out of window
-    slots in a neighbourhood is a configuration error.
+    pushed to later window slots until disjoint. Running out of window
+    slots in a neighbourhood, or an active window outside (0, frame], is a
+    ``ConfigError`` naming ``mac.active_ms``.
     """
+    if not 0 < active_us <= frame_us:
+        raise ConfigError(f"mac.active_ms gives an active window of {active_us} us, "
+                          f"outside (0, {frame_us}] us")
     slots_avail = frame_us // active_us
-    if slots_avail < 1:
-        raise ConfigurationError("frame shorter than one active window")
     two = two_hop_sets(positions, base_range)
     max_depth = max(depths.values()) if depths else 0
     assigned = {}  # node -> slot index
@@ -116,9 +114,9 @@ def build_schedules(positions, depths, base_range, frame_us, active_us):
                 assigned[node] = slot
                 break
         else:
-            raise ConfigurationError(
-                f"frame of {slots_avail} windows cannot orthogonalize the "
-                f"2-hop neighbourhood of node {node} ({sorted(two[node])})")
+            raise ConfigError(
+                f"mac.active_ms: a frame of {slots_avail} windows cannot orthogonalize "
+                f"the 2-hop neighbourhood of node {node} ({len(two[node])} other nodes)")
     return {n: DutySchedule(frame_us, active_us, assigned[n] * active_us)
             for n in assigned}
 

@@ -100,9 +100,6 @@ def elect_helpers(candidates, packet_count: int) -> ElectedList:
     """
     if packet_count < 1:
         raise ValueError("packet_count must be at least 1")
-    for c in candidates:
-        if c.per_packet_tx_energy <= 0:
-            raise ValueError(f"candidate {c.node} has non-positive per-packet cost")
     chosen = [c for c in candidates
               if c.energy / (packet_count * c.per_packet_tx_energy) >= 1.0]
     if not chosen:

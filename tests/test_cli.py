@@ -91,22 +91,31 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+_SECTION = {"routes": "topology", "nodes": "topology", "sources": "traffic",
+            "active_ms": "mac", "retry_cap": "mac", "housekeeping_frames": "sim"}
+
+
 @pytest.mark.parametrize("field, value", [
     ("routes", {"1": 2, "2": 1}),
     ("sources", [0]),
+    ("active_ms", 0.0004),          # an active window that rounds to 0 us
+    ("retry_cap", "3"),
+    ("housekeeping_frames", 1.5),
+    ("nodes", 5),
 ])
 def test_unsimulable_route_or_source_exits_1(tmp_path, capsys, field, value):
     doc = range_extension_doc()
-    section = "topology" if field == "routes" else "traffic"
+    section = _SECTION[field]
     doc[section][field] = value
     path = write_doc(tmp_path, doc)
     assert main(["run", "--config", str(path)]) == 1
     assert f"config error: {section}.{field}" in capsys.readouterr().err
 
 
-def test_unschedulable_topology_exits_2(tmp_path, capsys):
-    # 50 nodes in a small area cannot be orthogonalized with 10 windows
-    doc = generated_doc(node_count=50, area_m=100.0, active_ms=10.0)
-    path = write_doc(tmp_path, doc)
-    assert main(["run", "--config", str(path)]) == 2
-    assert "runtime failure" in capsys.readouterr().err
+def test_unschedulable_topology_exits_1(tmp_path, capsys):
+    # 50 or 200 nodes in a small area cannot be orthogonalized with 10 windows
+    for node_count in (50, 200):
+        doc = generated_doc(node_count=node_count, area_m=100.0, active_ms=10.0)
+        path = write_doc(tmp_path, doc)
+        assert main(["run", "--config", str(path)]) == 1
+        assert "config error: mac.active_ms" in capsys.readouterr().err

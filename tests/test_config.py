@@ -1,9 +1,17 @@
+import copy
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oscmac.config import ConfigError, parse_config
+from oscmac.config import (ConfigError, GeneratorSpec, MacSpec, NodeSpec, SimSpec,
+                           TopologySpec, TrafficSpec, parse_config)
+from oscmac.energy import RadioEnergyParams
+from oscmac.engine import Simulator
+from oscmac.trace import read_trace, write_trace
 from conftest import generated_doc, make_config, range_extension_doc
+from test_acceptance import trace_summed_charges
 
 
 def test_defaults_applied():
@@ -117,6 +125,8 @@ def test_route_chains_to_the_sink_accepted():
     (generated_doc(), 2.5, "must be a count"),
     (generated_doc(), "3", "must be a count"),
     (generated_doc(), {"1": 1}, "must be a count"),
+    (range_extension_doc(), [[1]], r"id \[1\] is not"),  # unhashable
+    (range_extension_doc(), [True], "id True is not"),
 ])
 def test_sources_that_are_not_sensor_nodes_rejected(doc, sources, msg):
     doc["traffic"]["sources"] = sources
@@ -130,7 +140,14 @@ def test_sources_on_generated_topology_accepted():
     assert make_config(doc).traffic.sources == [1, 19]
 
 
+def _explicit(doc):
+    """Give ``doc`` the explicit four-node topology; returns that section."""
+    doc["topology"] = range_extension_doc()["topology"]
+    return doc["topology"]
+
+
 def test_value_validation():
+    inf, nan = float("inf"), float("nan")
     for mutate, msg in [
         (lambda d: d["mac"].update({"mode": "turbo"}), "mode"),
         (lambda d: d["mac"].update({"active_ms": 200.0}), "active_ms"),
@@ -139,6 +156,33 @@ def test_value_validation():
         (lambda d: d["sim"].update({"battery_j": 0}), "battery_j"),
         (lambda d: d["radio"].update({"e_fs": 0}) if "radio" in d
          else d.update({"radio": {"e_fs": 0}}), "e_fs"),
+        # each field is named, and its type is the one of the spec dataclass
+        (lambda d: d["mac"].update({"retry_cap": "3"}), r"^mac\.retry_cap must be an integer"),
+        (lambda d: d["traffic"].update({"packets_per_source": 2.5}),
+         r"^traffic\.packets_per_source must be an integer"),
+        (lambda d: d["sim"].update({"housekeeping_frames": 1.5}),
+         r"^sim\.housekeeping_frames must be an integer"),
+        (lambda d: d["sim"].update({"horizon_s": inf}), r"^sim\.horizon_s must be a finite"),
+        (lambda d: d["sim"].update({"horizon_s": nan}), r"^sim\.horizon_s must be a finite"),
+        (lambda d: d["sim"].update({"battery_j": True}), r"^sim\.battery_j must be a finite"),
+        (lambda d: d["mac"].update({"ctrl_bits": 64.5}), r"^mac\.ctrl_bits must be an integer"),
+        (lambda d: d["mac"].update({"ct_energy_fraction": "x"}),
+         r"^mac\.ct_energy_fraction must be a finite"),
+        (lambda d: d["mac"].update({"retry_cap": -1}), r"^mac\.retry_cap must be non-negative"),
+        (lambda d: d["topology"]["generator"].update({"node_count": 2.5}),
+         r"^topology\.generator\.node_count must be an integer"),
+        (lambda d: d["topology"]["generator"].update({"seed": [1]}),
+         r"^topology\.generator\.seed must be an integer"),
+        (lambda d: d.update({"sim": [1]}), r"^sim must be a JSON object"),
+        (lambda d: d.update({"topology": {"nodes": 5}}), r"^topology\.nodes must be a list"),
+        (lambda d: _explicit(d).update({"routes": {"a": 0}}), r"^topology\.routes entry a->0"),
+        (lambda d: _explicit(d).update({"wilem": {"x": 1}}), r"^topology\.wilem must be"),
+        (lambda d: _explicit(d)["nodes"][1].update({"id": "b"}),
+         r"^topology\.nodes\[1\]\.id must be an integer"),
+        (lambda d: _explicit(d)["nodes"][1].update({"initial_j": inf}),
+         r"^topology\.nodes\[1\]\.initial_j must be a finite"),
+        (lambda d: _explicit(d)["nodes"][1].pop("x"), r"^topology\.nodes\[1\]\.x is required"),
+        (lambda d: _explicit(d).update({"fr": [0]}), r"^topology\.fr \[0\] is not a node id"),
     ]:
         doc = generated_doc()
         mutate(doc)
@@ -173,3 +217,68 @@ def test_wilem_accepts_pair_or_object():
     assert make_config(doc).topology.wilem == (10.0, 20.0)
     doc["topology"]["wilem"] = {"x": 3.0, "y": 4.0}
     assert make_config(doc).topology.wilem == (3.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a small valid document at a time
+
+_FUZZ_SEED = 3
+_SECTIONS = {"radio": RadioEnergyParams, "traffic": TrafficSpec, "mac": MacSpec, "sim": SimSpec}
+
+
+def _fuzz_bases():
+    explicit = range_extension_doc(mode="auto", packets=2, horizon_s=2.0)
+    explicit["topology"].update({"fr": 0, "wilem": [60.0, 0.0]})
+    generated = generated_doc(node_count=6, area_m=120.0, horizon_s=2.0, packets=2, sources=2)
+    return {"generated": dict(generated, radio={}), "explicit": dict(explicit, radio={})}
+
+
+_BASES = _fuzz_bases()
+# wrong types, bools, negatives, zero, NaN/inf and sub-microsecond durations;
+# as a valid value none adds nodes, packets or sweeps (2.5 s is the longest horizon)
+_BAD = [-1, 0, 4e-7, 0.0004, 2.5, float("nan"), float("inf"), float("-inf"),
+        True, False, None, "x", [1], {"x": 1}]
+_FIELD_TARGETS = (
+    [(base, (name, f.name)) for base in _BASES
+     for name, cls in _SECTIONS.items() for f in fields(cls)]
+    + [(base, (name,)) for base in _BASES for name in ("topology", *_SECTIONS)]
+    + [("generated", ("topology", "generator", f.name)) for f in fields(GeneratorSpec)]
+    + [("explicit", ("topology", "nodes", 1, f.name)) for f in fields(NodeSpec)]
+    + [("explicit", ("topology", f.name)) for f in fields(TopologySpec)]
+    + [("explicit", ("topology", "wilem", 1)), ("explicit", ("topology", "routes", "1"))])
+_ID_TARGETS = [("explicit", ("traffic", "sources")), ("generated", ("traffic", "sources")),
+               ("explicit", ("topology", "routes", "1")), ("explicit", ("topology", "fr")),
+               ("explicit", ("topology", "nodes", 1, "id"))]
+_DANGLING = [99, -1, [99], [1, 99], [[1]]]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(_FIELD_TARGETS), st.sampled_from(_BAD)),
+    st.tuples(st.sampled_from(_ID_TARGETS), st.sampled_from(_DANGLING))))
+@example(case=(("generated", ("sim", "housekeeping_frames")), 1.5))
+@example(case=(("generated", ("traffic", "packets_per_source")), 2.5))
+@example(case=(("generated", ("mac", "active_ms")), 0.0004))
+def test_fuzzed_document_is_rejected_or_runs_cleanly(case, tmp_path_factory):
+    """A document with one bad field raises ConfigError, or runs to the horizon
+    conserving joules and writing a trace that reads back."""
+    (base, path), value = case
+    doc = copy.deepcopy(_BASES[base])
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        cfg = make_config(doc)
+        sim = Simulator(cfg, _FUZZ_SEED)
+    except ConfigError:
+        return
+    metrics = sim.run()
+    spent = sum(metrics.initial_by_node[n] - metrics.residual_by_node[n]
+                for n in metrics.initial_by_node)
+    assert abs(spent - trace_summed_charges(sim.rows)) <= 1e-9
+    trace = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    write_trace(trace, sim.rows, cfg.config_hash(), _FUZZ_SEED)
+    _, records = read_trace(trace)
+    assert [(r["time_us"], r["seq"]) for r in records] == [row[:2] for row in sim.rows]

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oscmac.mac import (ConfigurationError, DutySchedule, MacState, Phase,
-                        Slot, Superframe, build_schedules, compose_superframe,
-                        on_superframe, reserve, reserve_noct, step, two_hop_sets)
+from oscmac.config import ConfigError
+from oscmac.mac import (DutySchedule, MacState, Phase, Slot, Superframe,
+                        build_schedules, compose_superframe, on_superframe, reserve, reserve_noct, step, two_hop_sets)
 from oscmac.selection import ElectedList
 
 FRAME = 100_000
@@ -115,7 +115,7 @@ def test_build_schedules_orthogonal_within_two_hops():
 def test_build_schedules_overcrowded_neighborhood_fails():
     pos = {i: (i * 1.0, 0.0) for i in range(5)}
     depths = {i: 0 for i in range(5)}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError, match=r"^mac\.active_ms"):
         build_schedules(pos, depths, 90.0, 4 * ACTIVE, ACTIVE)
 
 
