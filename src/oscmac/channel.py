@@ -68,7 +68,8 @@ class NeighbourIndex:
 
     ``neighbours[i]`` is the ascending tuple of the other ids within
     ``base_range`` of node i, by exactly ``in_reach``'s predicate, which
-    is symmetric. ``within`` answers closed-disk queries of any radius.
+    is symmetric. ``within`` answers closed-disk queries of any radius;
+    ``may_hear`` keeps its answer for each cooperative sender group.
     """
 
     def __init__(self, positions, base_range: float):
@@ -88,6 +89,7 @@ class NeighbourIndex:
                             near[i].append(j)
                             near[j].append(i)
         self.neighbours = {nid: tuple(sorted(ids)) for nid, ids in near.items()}
+        self._group_reach = {}  # cooperative sender_ids -> may_hear's answer
 
     def _span(self, v, radius):
         """Cell indices along one axis that a disk of ``radius`` at v overlaps.
@@ -118,13 +120,17 @@ class NeighbourIndex:
         """Ascending ids, other than its senders, that ``air`` may reach.
 
         A lone sender reaches only its neighbours; a cooperative group
-        reaches nothing beyond ``ct_prune_radius`` of all its senders.
+        reaches nothing beyond ``ct_prune_radius`` of all its senders, taken
+        at their indexed positions.
         """
-        if air.cooperative:
-            radius = ct_prune_radius(self.side, len(air.sender_positions))
-            return [nid for nid in self.within(air.sender_positions, radius)
-                    if nid not in air.sender_ids]
-        return self.neighbours[air.sender_ids[0]]
+        if not air.cooperative:
+            return self.neighbours[air.sender_ids[0]]
+        group = air.sender_ids
+        if group not in self._group_reach:
+            radius = ct_prune_radius(self.side, len(group))
+            found = self.within([self.positions[nid] for nid in group], radius)
+            self._group_reach[group] = tuple(nid for nid in found if nid not in group)
+        return self._group_reach[group]
 
 
 @dataclass(eq=False)

@@ -188,6 +188,10 @@ def _topology(raw) -> tuple:
         raise ConfigError("topology requires either topology.nodes or topology.generator")
     topo = TopologySpec()
     if gen is not None:
+        for key in ("fr", "routes"):  # a generated network's sink is node 0, routed by BFS
+            if raw.get(key) is not None:
+                raise ConfigError(f"topology.{key} is only for topology.nodes, "
+                                  f"not topology.generator")
         gen = _build(GeneratorSpec, gen, "topology.generator")
         topo.generator = asdict(gen)
         sensors = range(1, gen.node_count)  # the engine numbers the sink 0

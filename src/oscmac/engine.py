@@ -4,8 +4,9 @@ Single-threaded event loop over a (time, sequence) heap; time is kept in
 integer microseconds so ordering and trace equality are exact. Idle and
 sleep power draws are accounted lazily by integrating each node's duty
 schedule (plus reservation wake-ups) between the events that touch it,
-with an exact binary search for the moment a battery empties. The encoded
-``energy_account`` details are memoised per run, keyed by the drawn joules.
+with an exact binary search for the moment a battery empties. Trace details
+are encoded by one prebuilt JSON encoder, and the encoded ``energy_account``
+details are memoised per run, keyed by the drawn joules.
 """
 
 import functools
@@ -30,9 +31,23 @@ TURNAROUND_US = 1000  # rx-to-tx turnaround before replies
 _CONTENTION_FRAMES = 8  # frames a reservation attempt may be deferred over
 # sequence number of each turnaround reply's control packet
 _REPLY_SEQ = {"ct_ack": -2, "noct_reply": -4, "data_ack": -5}
-# the bytes of json.dumps(detail, sort_keys=True), without building an
-# encoder per trace row
-_encode = json.JSONEncoder(sort_keys=True).encode
+
+# json.dumps(detail, sort_keys=True) through one C encoder built once from a
+# JSONEncoder(sort_keys=True)'s own settings; its markers make a cycle raise
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_MARKERS = {}
+_iterencode = json.encoder.c_make_encoder(
+    _MARKERS, _ENCODER.default, json.encoder.encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+
+def _encode(detail):
+    try:
+        return "".join(_iterencode(detail, 0))
+    except BaseException:
+        _MARKERS.clear()  # a failed call leaves its open containers marked
+        raise
 
 
 def _mix(a: int, b: int) -> int:
@@ -280,19 +295,14 @@ class Simulator:
 
     def _interval_cost(self, node, t0, t1):
         """(idle, sleep) joules the node draws over [t0, t1): awake on its
-        schedule or inside a reservation, asleep otherwise."""
-        awake = node.schedule.awake_time(t0, t1)
-        if node.mac.reservations:
-            ivs = sorted((max(s, t0), min(e, t1)) for s, e, _ in node.mac.reservations
-                         if s < t1 and e > t0)
-            merged = []
-            for s, e in ivs:
-                if merged and s <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], e)
-                else:
-                    merged.append([s, e])
-            # reservation time the schedule does not already cover
-            awake += sum((e - s) - node.schedule.awake_time(s, e) for s, e in merged)
+        schedule or inside one of its reservations (disjoint, as ``mac.reserve``
+        keeps them), asleep otherwise."""
+        schedule = node.schedule
+        awake = schedule.awake_time(t0, t1)
+        for s, e, _ in node.mac.reservations:
+            if s < t1 and e > t0:
+                s, e = max(s, t0), min(e, t1)
+                awake += (e - s) - schedule.awake_time(s, e)
         p = self.params
         return (awake / US) * p.p_rx, ((t1 - t0 - awake) / US) * p.p_sleep
 
@@ -364,7 +374,10 @@ class Simulator:
             return False
         if node.schedule.is_awake(t_us):
             return True
-        return any(s <= t_us < e for s, e, _ in node.mac.reservations)
+        for s, e, _ in node.mac.reservations:
+            if s <= t_us < e:
+                return True
+        return False
 
     def _add_reservation(self, node, start, end, rdv, kind):
         ok = macmod.reserve(node.mac, start, end, rdv)
@@ -930,12 +943,13 @@ class Simulator:
         """
         t_s = self.now / US
         timeline = self.metrics.energy_timeline
+        alive = []
         for nid in data["nodes"]:
             node = self.nodes[nid]
-            self._account(node)
+            if self._account(node):
+                alive.append(nid)
             timeline.append((t_s, nid, node.battery.residual))
         nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
-        alive = [nid for nid in data["nodes"] if self.nodes[nid].battery.alive]
         if nxt <= self.horizon_us and alive:
             self._schedule(nxt, "housekeeping", {"nodes": alive})
 

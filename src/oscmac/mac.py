@@ -14,7 +14,6 @@ phase itself.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .channel import NeighbourIndex
 from .config import ConfigError
@@ -35,43 +34,28 @@ class DutySchedule:
         if not 0 <= self.wake_offset_us < self.frame_us:
             raise ValueError("wake offset must lie in [0, frame)")
 
-    @cached_property
-    def _windows(self):
-        """Wake window(s) inside one frame in ascending order, split if the
-        window wraps the frame edge."""
-        start, width = self.wake_offset_us, self.active_us
-        if start + width <= self.frame_us:
-            return ((start, start + width),)
-        return ((0, start + width - self.frame_us), (start, self.frame_us))
-
     def is_awake(self, t_us: int) -> bool:
-        r = t_us % self.frame_us
-        return any(a <= r < b for a, b in self._windows)
+        return (t_us - self.wake_offset_us) % self.frame_us < self.active_us
 
     def next_wake(self, t_us: int) -> int:
         """Earliest time >= t_us inside a wake window."""
-        r = t_us % self.frame_us
-        for a, b in self._windows:
-            if r < b:
-                return t_us if a <= r else t_us - r + a
-        return t_us - r + self.frame_us + self._windows[0][0]
+        r = (t_us - self.wake_offset_us) % self.frame_us  # time since the last wake-up
+        return t_us if r < self.active_us else t_us - r + self.frame_us
 
     def awake_time(self, t0_us: int, t1_us: int) -> int:
-        """Total scheduled-awake microseconds within [t0, t1)."""
+        """Total scheduled-awake microseconds within [t0, t1): one active
+        window per whole frame, plus the partial frame [r, r + rest) (in time
+        since t0's last wake-up) met by windows [0, active) and [frame, ...)."""
         if t1_us <= t0_us:
             return 0
-        frames, rest = divmod(t1_us - t0_us, self.frame_us)
-        if not rest:
-            return frames * self.active_us  # every frame holds one active window
-        return self._awake_before(t1_us) - self._awake_before(t0_us)
-
-    def _awake_before(self, t_us: int) -> int:
-        total = 0
-        for a, b in self._windows:
-            q, r = divmod(t_us - a, self.frame_us)
-            if t_us < a:
-                continue
-            total += q * (b - a) + min(max(r, 0), b - a)
+        frame, active = self.frame_us, self.active_us
+        frames, rest = divmod(t1_us - t0_us, frame)
+        total = frames * active
+        r = (t0_us - self.wake_offset_us) % frame
+        if r < active:
+            total += min(active, r + rest) - r
+        if r + rest > frame:
+            total += min(active, r + rest - frame)
         return total
 
 

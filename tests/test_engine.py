@@ -4,11 +4,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oscmac.energy import rx_energy, tx_energy
-from oscmac.engine import Simulator, run
+from oscmac import engine
+from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
+from oscmac.engine import US, Simulator, run
+from oscmac.mac import DutySchedule, MacState, reserve
 from oscmac.trace import render_trace
 from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 
@@ -249,3 +253,74 @@ def test_cost_memo_does_not_leak_between_runs():
              for doc in docs]
     assert alone[0] != alone[1]  # the rows themselves differ: the header is blank
     assert [_trace_digest(doc) for doc in docs] == alone
+
+
+# ---------------------------------------------------------------------------
+# the prebuilt trace encoder
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 1e-300, 1e308, 5e-324]))
+_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_flat = st.dictionaries(_text, st.one_of(
+    st.integers(), _finite, st.booleans(), st.none(), _text, st.lists(st.integers())))
+
+
+@given(_flat)
+@example({"é": "ñ€😀", "k": -0.0, "z": [1, -2], "a": None, "t": True, "f": 1e-300, "g": 1e308})
+def test_encode_matches_json_dumps(detail):
+    assert engine._encode(detail) == json.dumps(detail, sort_keys=True)
+
+
+def test_encode_rejects_circular_reference_and_recovers():
+    loop = {"a": 1}
+    loop["self"] = loop
+    with pytest.raises(ValueError, match="Circular"):
+        engine._encode({"outer": loop})
+    del loop["self"]  # a failed call must leave no container marked as open
+    assert engine._encode({"outer": loop}) == '{"outer": {"a": 1}}'
+    holder = {"a": [1], "b": object()}
+    with pytest.raises(TypeError):
+        engine._encode(holder)
+    holder["b"] = 2.5
+    assert engine._encode(holder) == json.dumps(holder, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# idle and sleep cost of an interval, reservations included
+
+_FRAME, _ACTIVE, _MS = 100_000, 10_000, 1000
+_PARAMS = RadioEnergyParams()
+
+
+@st.composite
+def _booked_nodes(draw):
+    """A node on a schedule (wrapping windows included) with disjoint,
+    possibly touching reservations in booking order, all on a millisecond
+    grid, and an interval [t0, t1) on the same grid."""
+    offset = draw(st.integers(0, _FRAME // _MS - 1)) * _MS
+    cuts = sorted(draw(st.sets(st.integers(0, 4 * _FRAME // _MS), max_size=12)))
+    pieces = [(a * _MS, b * _MS) for a, b in zip(cuts, cuts[1:])]
+    booked = [p for p in pieces if draw(st.booleans())]  # neighbours touch
+    mac = MacState(node=0)
+    for rdv, (s, e) in enumerate(draw(st.permutations(booked))):
+        assert reserve(mac, s, e, rdv)
+    t0, t1 = sorted(draw(st.integers(0, 4 * _FRAME // _MS)) * _MS for _ in range(2))
+    return SimpleNamespace(schedule=DutySchedule(_FRAME, _ACTIVE, offset), mac=mac), t0, t1
+
+
+@settings(max_examples=300)
+@given(_booked_nodes())
+@example((SimpleNamespace(schedule=DutySchedule(_FRAME, _ACTIVE, 95_000),  # wrapping window
+                          mac=MacState(node=0, reservations=[
+                              (97_000, 103_000, 1),    # spans the frame edge
+                              (90_000, 97_000, 2),     # touches it from below
+                              (103_000, 110_000, 3)])),  # and from above
+          0, 2 * _FRAME))
+def test_interval_cost_matches_millisecond_scan(case):
+    node, t0, t1 = case
+    awake = sum(_MS for t in range(t0, t1, _MS)
+                if node.schedule.is_awake(t)
+                or any(s <= t < e for s, e, _ in node.mac.reservations))
+    sim = SimpleNamespace(params=_PARAMS)
+    assert Simulator._interval_cost(sim, node, t0, t1) == (
+        (awake / US) * _PARAMS.p_rx, ((t1 - t0 - awake) / US) * _PARAMS.p_sleep)

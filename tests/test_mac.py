@@ -235,3 +235,20 @@ def test_step_total_over_event_sequences(events):
     for t, ev in enumerate(events):
         assert step(s, ev, t) is s.phase
         assert isinstance(s.phase, Phase)
+
+
+@given(frame=st.integers(1, 40), data=st.data())
+def test_schedule_matches_microsecond_scan(frame, data):
+    """is_awake, next_wake and awake_time against a scan of every microsecond
+    of small frames: any offset, any active width, wrapping windows and
+    spans of any phase and length."""
+    active = data.draw(st.integers(1, frame))
+    offset = data.draw(st.integers(0, frame - 1))
+    s = DutySchedule(frame, active, offset)
+    window = {(offset + k) % frame for k in range(active)}  # phases inside the window
+    awake = [t % frame in window for t in range(5 * frame)]
+    assert [s.is_awake(t) for t in range(5 * frame)] == awake
+    t0 = data.draw(st.integers(0, 2 * frame))
+    t1 = data.draw(st.integers(0, 5 * frame))
+    assert s.awake_time(t0, t1) == sum(awake[t0:t1])
+    assert s.next_wake(t0) == next(t for t in range(t0, 5 * frame) if awake[t])

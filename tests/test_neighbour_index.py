@@ -106,3 +106,21 @@ def test_resolve_over_may_hear_matches_full_listening(layout, data):
     pruned = {rid: [t for t in transmissions if rid in index.may_hear(t)] for rid in listeners}
     full = {rid: list(transmissions) for rid in listeners}
     assert resolve_slot(pruned, positions, r, d0) == resolve_slot(full, positions, r, d0)
+
+
+@given(layouts(), st.data())
+def test_cooperative_may_hear_matches_uncached_query(layout, data):
+    """The per-group memo answers as a fresh ``within`` query does, the same
+    group asked twice and other groups asked in between included."""
+    positions, r = layout
+    ids = sorted(positions)
+    groups = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6,
+                                         unique=True), min_size=1, max_size=4))
+    order = data.draw(st.permutations(groups + groups))  # every group asked twice
+    index = NeighbourIndex(positions, r)
+    for rdv, group in enumerate(order):
+        air = AirTransmission(rdv_id=rdv, sender_positions=tuple(positions[i] for i in group),
+                              sender_ids=tuple(group), addressed_to=(), cooperative=True)
+        fresh = NeighbourIndex(positions, r).within(air.sender_positions,
+                                                    ct_prune_radius(r, len(group)))
+        assert list(index.may_hear(air)) == [i for i in fresh if i not in group]
