@@ -1,9 +1,16 @@
 """Deterministic discrete-event core for the cooperative duty-cycle MAC.
 
-Single-threaded event loop over a (time, sequence) heap; time is kept in
-integer microseconds so ordering and trace equality are exact. Idle and
-sleep power draws are accounted lazily by integrating each node's duty
-schedule (plus reservation wake-ups) between the events that touch it,
+Single-threaded event loop over a heap of ``(t_us, seq, kind, args)``
+entries; ``_HANDLERS[kind](sim, *args)`` handles one, and ``args`` are the
+handler's own arguments (node objects, not ids). Time is kept in integer
+microseconds and ``seq`` breaks ties, so ordering and trace equality are
+exact. ``perfbench/layers.py`` unpacks heap entries in this shape and patches
+this module's ``heapq``, ``json``, ``distance``, ``in_reach``, ``ct_reach``,
+``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
+so both must stay.
+
+Idle and sleep power draws are accounted lazily by integrating each node's
+duty schedule (plus reservation wake-ups) between the events that touch it,
 with an exact binary search for the moment a battery empties. Trace details
 are encoded by one prebuilt JSON encoder, and the encoded ``energy_account``
 details are memoised per run, keyed by the drawn joules.
@@ -97,19 +104,6 @@ class Metrics:
 
 
 @dataclass
-class SimNode:
-    id: int
-    pos: tuple
-    battery: Battery
-    schedule: DutySchedule
-    mac: MacState
-    next_hop: int = None          # type: ignore[assignment]
-    depth: int = 0
-    last_accounted_us: int = 0
-    death_us: int = None          # type: ignore[assignment]
-
-
-@dataclass
 class _Transfer:
     """Engine-side bookkeeping for one node's in-flight batch."""
     batch: list = field(default_factory=list)
@@ -122,6 +116,19 @@ class _Transfer:
     retries: int = 0
     active: bool = False
     hop_scheduled: bool = False
+
+
+@dataclass
+class SimNode:
+    id: int
+    pos: tuple
+    battery: Battery
+    schedule: DutySchedule
+    mac: MacState
+    next_hop: int = None          # type: ignore[assignment]
+    depth: int = 0
+    last_accounted_us: int = 0
+    xfer: _Transfer = field(default_factory=_Transfer)  # the hop in progress
 
 
 @dataclass(eq=False, kw_only=True)
@@ -159,7 +166,6 @@ class Simulator:
 
         self._build_topology()
         self._build_station()
-        self._transfers = {nid: _Transfer() for nid in self.nodes}
         self._init_traffic()
         self._init_housekeeping()
 
@@ -210,8 +216,7 @@ class Simulator:
             if nid not in depths:
                 depths[nid] = max_depth + 1  # unreachable; still duty-cycles
 
-        schedules = build_schedules(positions, depths, self.base_range,
-                                    self.frame_us, self.active_us)
+        schedules = build_schedules(self.neighbours, depths, self.frame_us, self.active_us)
         for nid in ids:
             nodes[nid] = SimNode(
                 id=nid, pos=positions[nid],
@@ -268,19 +273,19 @@ class Simulator:
                                       source=src, destination=self.fr, kind="data"))
                 seq += 1
             if packets:
-                self._schedule(t0, "traffic", {"node": src, "packets": packets})
+                self._schedule(t0, "traffic", self.nodes[src], packets)
 
     def _init_housekeeping(self):
         period = self.cfg.sim.housekeeping_frames * self.frame_us
         self._schedule(min(period, self.horizon_us), "housekeeping",
-                       {"nodes": sorted(self.nodes)})
+                       [self.nodes[nid] for nid in sorted(self.nodes)])
 
     # ------------------------------------------------------------------
     # event plumbing
 
-    def _schedule(self, t_us, kind, data):
+    def _schedule(self, t_us, kind, *args):
         self._seq += 1
-        heapq.heappush(self.heap, (t_us, self._seq, kind, data))
+        heapq.heappush(self.heap, (t_us, self._seq, kind, args))
 
     def _emit(self, node, event, detail):
         self.rows.append((self.now, len(self.rows), node, event, _encode(detail),
@@ -341,7 +346,6 @@ class Simulator:
         # any residue from float rounding is absorbed as idle draw
         if node.battery.alive:
             idle += node.battery.drain(node.battery.residual, "idle_listen")
-        node.death_us = death
         self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
         self._register_death(node, death)
         return False
@@ -361,8 +365,7 @@ class Simulator:
             return 0.0
         drawn = node.battery.drain(amount, category)
         self._emit(node.id, event, dict(detail, j=drawn, category=category))
-        if not node.battery.alive and node.death_us is None:
-            node.death_us = self.now
+        if not node.battery.alive:
             self._register_death(node, self.now)
         return drawn
 
@@ -370,7 +373,7 @@ class Simulator:
     # wakefulness and reservations
 
     def _is_awake(self, node, t_us):
-        if not node.battery.alive or (node.death_us is not None and t_us >= node.death_us):
+        if not node.battery.alive:
             return False
         if node.schedule.is_awake(t_us):
             return True
@@ -397,14 +400,14 @@ class Simulator:
     def _tx_duration_us(self, bits):
         return max(1, int(math.ceil(bits / self.bitrate * US)))
 
-    def _send(self, sender_specs, addressed, packet, tag, meta, coop=False, rdv=None):
+    def _send(self, sender_specs, addressed, packet, tag, meta, coop=False):
         """Put one transmission on the air.
 
         sender_specs: list of (node_id, nominal_tx_distance). Dead
         senders are dropped; each live sender is charged the two-regime
         transmit energy over its own nominal distance.
         """
-        rdv = self._new_rdv() if rdv is None else rdv
+        rdv = self._new_rdv()
         dur = self._tx_duration_us(packet.size_bits)
         live = []
         for nid, dist in sender_specs:
@@ -421,7 +424,7 @@ class Simulator:
             if node.battery.alive:
                 live.append(nid)
         if not live:
-            return None
+            return
         txn = _Txn(rdv_id=rdv,
                    sender_positions=tuple(self.nodes[n].pos for n in live),
                    sender_ids=tuple(live),
@@ -430,26 +433,20 @@ class Simulator:
                    start_us=self.now, end_us=self.now + dur,
                    packet=packet, tag=tag, meta=meta)
         self.unresolved.append(txn)
-        self._schedule(self.now + dur, "tx_end", {"txn": txn})
-        return txn
+        self._schedule(self.now + dur, "tx_end", txn)
 
-    def _reply(self, node, to, kind, meta):
-        """Answer node ``to`` with a ``kind`` control packet after the
+    def _reply(self, node, target, kind, meta):
+        """Answer ``target`` with a ``kind`` control packet after the
         rx-to-tx turnaround; the heap event is ``send_<kind>``."""
-        self._schedule(self.now + TURNAROUND_US, "send_" + kind,
-                       {"node": node.id, "to": to, "kind": kind, "meta": meta})
+        self._schedule(self.now + TURNAROUND_US, "send_" + kind, node, target, kind, meta)
 
-    def _on_send_reply(self, data):
-        sender = self.nodes[data["node"]]
-        target = self.nodes[data["to"]]
-        kind = data["kind"]
+    def _on_send_reply(self, sender, target, kind, meta):
         pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
                      source=sender.id, destination=target.id, kind=kind)
         self._send([(sender.id, distance(sender.pos, target.pos))], [target.id],
-                   pkt, kind, data["meta"])
+                   pkt, kind, meta)
 
-    def _on_tx_end(self, data):
-        txn = data["txn"]
+    def _on_tx_end(self, txn):
         if txn.resolved:
             return
         cluster = [txn]
@@ -502,7 +499,7 @@ class Simulator:
                              {"rdv": t.rdv_id, "tag": t.tag, "bits": t.packet.size_bits,
                               "packet": t.packet.seq, "pkind": t.packet.kind})
                 if receiver.battery.alive:
-                    getattr(self, self._RX_HANDLERS[t.tag])(receiver, t)
+                    self._RX_HANDLERS[t.tag](self, receiver, t)
             else:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "overhear", "overhear",
@@ -529,9 +526,7 @@ class Simulator:
             return "ct"
         return "noct"
 
-    def _on_traffic(self, data):
-        node = self.nodes[data["node"]]
-        packets = data["packets"]
+    def _on_traffic(self, node, packets):
         self.metrics.packets_offered += len(packets)
         self._emit(node.id, "offered", {"count": len(packets),
                                         "seqs": [p.seq for p in packets]})
@@ -539,7 +534,7 @@ class Simulator:
         self._kick_hop(node)
 
     def _kick_hop(self, node):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         if xfer.active or xfer.hop_scheduled or not node.mac.pending_packets:
             return
         if node.next_hop is None:
@@ -551,11 +546,10 @@ class Simulator:
             return
         t = node.schedule.next_wake(self.now)
         xfer.hop_scheduled = True
-        self._schedule(max(t, self.now), "start_hop", {"node": node.id})
+        self._schedule(max(t, self.now), "start_hop", node)
 
-    def _on_start_hop(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_start_hop(self, node):
+        xfer = node.xfer
         xfer.hop_scheduled = False
         if not self._account(node) or not node.mac.pending_packets or xfer.active:
             return
@@ -567,18 +561,18 @@ class Simulator:
             self._ct_query(node)
 
     def _finish_batch(self, node):
-        xfer = self._transfers[node.id]
-        for p in xfer.batch:
-            if p in node.mac.pending_packets:
-                node.mac.pending_packets.remove(p)
-        self._transfers[node.id] = _Transfer()
-        self._emit(node.id, "batch_done", {"count": len(xfer.batch)})
+        # pending packets only grow by append while a hop is active, so the
+        # batch is still their prefix
+        count = len(node.xfer.batch)
+        del node.mac.pending_packets[:count]
+        node.xfer = _Transfer()
+        self._emit(node.id, "batch_done", {"count": count})
         self._kick_hop(node)
 
     # --- cooperative path -------------------------------------------------
 
     def _ct_query(self, node):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         nxt = self.nodes[node.next_hop]
         neighbors = tuple(n for n in self.neighbours[node.id]
                           if n not in (node.next_hop, self.fr)
@@ -586,7 +580,7 @@ class Simulator:
         xfer.request = CtRequest(
             requester=node.id,
             packet_size_bytes=self.cfg.traffic.packet_size_bytes,
-            packet_count=max(1, len(xfer.batch)),
+            packet_count=len(xfer.batch),
             next_hop_distance=distance(node.pos, nxt.pos),
             neighbor_ids=neighbors)
         ctrl_dur = self._tx_duration_us(self.cfg.mac.ctrl_bits)
@@ -600,12 +594,10 @@ class Simulator:
                       "d": xfer.request.next_hop_distance, "bits": self.cfg.mac.ctrl_bits})
         if not node.battery.alive:
             return
-        self._schedule(self.now + 2 * ctrl_dur + TURNAROUND_US, "station_reply",
-                       {"node": node.id})
+        self._schedule(self.now + 2 * ctrl_dur + TURNAROUND_US, "station_reply", node)
 
-    def _on_station_reply(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_station_reply(self, node):
+        xfer = node.xfer
         if xfer.request is None or not self._account(node):
             return
         # the station meters every battery losslessly and instantly; the
@@ -632,7 +624,7 @@ class Simulator:
                                      self.slot_us, self.frame_us)
         if xfer.sf.continued:
             self._emit(node.id, "superframe_continued",
-                       {"slots": len(xfer.sf.rdv_slots()), "frame_us": self.frame_us})
+                       {"slots": xfer.sf.packet_count, "frame_us": self.frame_us})
         # station-assisted wake bootstrap: elected helpers and the next
         # hop are told (out of band) when to listen for the superframe
         control_end = origin + self.slot_us
@@ -644,45 +636,41 @@ class Simulator:
             if listener.battery.alive:
                 self._add_reservation(listener, origin, control_end, self._new_rdv(),
                                       "sf_listen")
-        self._schedule(origin, "sf_announce", {"node": node.id})
+        self._schedule(origin, "sf_announce", node)
 
-    def _on_sf_announce(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
-        if xfer.sf is None:
+    def _on_sf_announce(self, node):
+        sf = node.xfer.sf
+        if sf is None:
             return
-        sf = xfer.sf
-        addressed = list(sf.helpers)
+        addressed = list(sf.helpers)  # a cooperative hop has at least one helper
         nxt = self.nodes[node.next_hop]
         if in_reach(node.pos, nxt.pos, self.base_range):
             addressed.append(node.next_hop)
-        dists = [distance(node.pos, self.nodes[h].pos) for h in addressed] or [0.0]
+        dist = max(distance(node.pos, self.nodes[h].pos) for h in addressed)
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
                      source=node.id, destination=-1, kind="superframe")
-        self._ensure_awake_for(node, sf.origin_us,
-                               sf.rdv_slots()[-1].end_us if sf.rdv_slots() else sf.origin_us + self.slot_us,
+        self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
         macmod.step(node.mac, "sf_announce", self.now)
-        self._send([(node.id, max(dists))], addressed, pkt, "superframe",
-                   {"origin": node.id})
+        self._send([(node.id, dist)], addressed, pkt, "superframe", {"origin": node.id})
         self._set_timer(node, "ct_ack", self.timeout_us)
 
     def _on_superframe_rx(self, receiver, txn):
         origin = self.nodes[txn.meta["origin"]]
-        sf = self._transfers[origin.id].sf
+        sf = origin.xfer.sf
         if sf is None:
             return
         rdv = self._new_rdv()
         accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
-        for s, ok in zip(sf.rdv_slots(), accepted):
+        for (start, end), ok in zip(sf.rdv_slots(), accepted):
             self._emit(receiver.id, "reserve",
-                       {"start_us": s.start_us, "end_us": s.end_us, "rdv": rdv,
+                       {"start_us": start, "end_us": end, "rdv": rdv,
                         "kind": "ct_rdv", "accepted": ok})
         if is_leader:
-            self._reply(receiver, origin.id, "ct_ack", {"origin": origin.id})
+            self._reply(receiver, origin, "ct_ack", {"origin": origin.id})
 
     def _on_ct_ack_rx(self, node, txn):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         if xfer.sf is None or node.mac.phase is not Phase.AWAITING_CT_ACK:
             return
         macmod.step(node.mac, "ct_ack", self.now)
@@ -690,13 +678,12 @@ class Simulator:
         self._emit(node.id, "ct_reserved", {"leader": txn.sender_ids[0]})
         nxt = self.nodes[node.next_hop]
         if not in_reach(node.pos, nxt.pos, self.base_range):
-            self._schedule(self.now + TURNAROUND_US, "sf_relay", {"node": node.id})
-        for i, slot in enumerate(xfer.sf.rdv_slots()):
-            self._schedule(slot.start_us, "ct_slot", {"node": node.id, "index": i})
+            self._schedule(self.now + TURNAROUND_US, "sf_relay", node)
+        for i, (start, _) in enumerate(xfer.sf.rdv_slots()):
+            self._schedule(start, "ct_slot", node, i)
 
-    def _on_sf_relay(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_sf_relay(self, node):
+        xfer = node.xfer
         if xfer.sf is None:
             return
         nxt = self.nodes[node.next_hop]
@@ -708,12 +695,10 @@ class Simulator:
         self._send(senders, [node.next_hop], pkt, "superframe",
                    {"origin": node.id}, coop=True)
 
-    def _on_ct_slot(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_ct_slot(self, node, i):
+        xfer = node.xfer
         if xfer.sf is None:
             return
-        i = data["index"]
         if not self._account(node):
             self._emit(node.id, "ct_slot_skipped", {"index": i, "reason": "transmitter dead"})
             return
@@ -727,21 +712,16 @@ class Simulator:
             dist = max(distance(node.pos, self.nodes[h].pos) for h in helpers_alive)
             self._send([(node.id, dist)], helpers_alive, packet, "ct_broadcast",
                        {"origin": node.id, "index": i})
-        slot = xfer.sf.rdv_slots()[i]
-        self._schedule(slot.start_us + slot.duration_us // 2, "ct_coop",
-                       {"node": node.id, "index": i})
+        start, _ = xfer.sf.rdv_slots()[i]
+        self._schedule(start + xfer.sf.slot_us // 2, "ct_coop", node, i)
 
     def _on_ct_broadcast_rx(self, receiver, txn):
-        origin = txn.meta["origin"]
-        self._transfers[origin].got_broadcast[txn.meta["index"]].add(receiver.id)
+        origin = self.nodes[txn.meta["origin"]]
+        origin.xfer.got_broadcast[txn.meta["index"]].add(receiver.id)
 
-    def _on_ct_coop(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
-        if xfer.sf is None:
-            return
-        i = data["index"]
-        if i >= len(xfer.batch):
+    def _on_ct_coop(self, node, i):
+        xfer = node.xfer
+        if xfer.sf is None or i >= len(xfer.batch):
             return
         packet = xfer.batch[i]
         nxt = self.nodes[node.next_hop]
@@ -759,33 +739,27 @@ class Simulator:
                        {"origin": node.id, "index": i}, coop=True)
         macmod.step(node.mac, "coop_done", self.now)
         if i == len(xfer.batch) - 1:
-            slot = xfer.sf.rdv_slots()[i]
-            self._schedule(slot.end_us, "ct_batch_done", {"node": node.id})
-
-    def _on_ct_batch_done(self, data):
-        node = self.nodes[data["node"]]
-        self._finish_batch(node)
+            self._schedule(xfer.sf.rdv_slots()[i][1], "ct_batch_done", node)
 
     # --- no-CT path -------------------------------------------------------
 
     def _noct_begin(self, node):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         xfer.mode = "noct"
         xfer.noct_index = 0
         self._emit(node.id, "mode_selected", {"mode": "noct"})
         self._noct_next(node)
 
     def _noct_next(self, node):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         if xfer.noct_index >= len(xfer.batch):
             self._finish_batch(node)
             return
         xfer.attempts = 0
-        self._on_noct_request({"node": node.id})
+        self._on_noct_request(node)
 
-    def _on_noct_request(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_noct_request(self, node):
+        xfer = node.xfer
         if not xfer.active or xfer.noct_index >= len(xfer.batch):
             return
         nxt = self.nodes[node.next_hop]
@@ -795,8 +769,7 @@ class Simulator:
             # the next few frames by a deterministic per-(sender, attempt)
             # draw instead of piling into the same window
             frame_pick = _mix(node.id, xfer.attempts) % _CONTENTION_FRAMES
-            self._schedule(t_req + frame_pick * self.frame_us, "noct_request",
-                           {"node": node.id})
+            self._schedule(t_req + frame_pick * self.frame_us, "noct_request", node)
             return
         if not self._account(node):
             return
@@ -817,14 +790,13 @@ class Simulator:
         self._set_timer(node, "noct_reply", self.timeout_us)
 
     def _on_noct_request_rx(self, receiver, txn):
-        sender_id = txn.meta["origin"]
         start = txn.meta["interval_start"]
         dur = txn.meta["interval_us"]
         accepted = macmod.reserve_noct(receiver.mac, start, dur, txn.meta["rdv"])
         self._emit(receiver.id, "reserve",
                    {"start_us": start, "end_us": start + dur, "rdv": txn.meta["rdv"],
                     "kind": "noct_rdv", "accepted": accepted})
-        self._reply(receiver, sender_id, "noct_reply",
+        self._reply(receiver, self.nodes[txn.meta["origin"]], "noct_reply",
                     {"accepted": accepted, "interval_start": start, "interval_us": dur})
 
     def _on_noct_reply_rx(self, node, txn):
@@ -836,12 +808,12 @@ class Simulator:
             start = txn.meta["interval_start"]
             rdv = self._new_rdv()
             self._add_reservation(node, start, start + txn.meta["interval_us"], rdv, "noct_tx")
-            self._schedule(start, "noct_data", {"node": node.id})
+            self._schedule(start, "noct_data", node)
         else:
             self._noct_retry(node, "reservation rejected")
 
     def _noct_retry(self, node, reason):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         xfer.attempts += 1
         if xfer.attempts > self.cfg.mac.retry_cap:
             packet = xfer.batch[xfer.noct_index]
@@ -856,19 +828,18 @@ class Simulator:
         # backoff only needs to clear the current exchange
         backoff = self.slot_us
         self._emit(node.id, "retry", {"attempt": xfer.attempts, "reason": reason})
-        self._schedule(self.now + backoff, "noct_request", {"node": node.id})
+        self._schedule(self.now + backoff, "noct_request", node)
 
     def _noct_next_packet_after_failure(self, node):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         if xfer.noct_index >= len(xfer.batch):
             self._finish_batch(node)
         else:
             xfer.attempts = 0
-            self._schedule(self.now, "noct_request", {"node": node.id})
+            self._schedule(self.now, "noct_request", node)
 
-    def _on_noct_data(self, data):
-        node = self.nodes[data["node"]]
-        xfer = self._transfers[node.id]
+    def _on_noct_data(self, node):
+        xfer = node.xfer
         if xfer.noct_index >= len(xfer.batch) or not self._account(node):
             return
         packet = xfer.batch[xfer.noct_index]
@@ -881,10 +852,10 @@ class Simulator:
     def _on_data_rx(self, receiver, txn):
         origin = self.nodes[txn.meta["origin"]]
         self._accept_packet(receiver, txn.packet, origin)
-        self._reply(receiver, origin.id, "data_ack", {"packet": txn.packet.seq})
+        self._reply(receiver, origin, "data_ack", {"packet": txn.packet.seq})
 
     def _on_data_ack_rx(self, node, txn):
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         if xfer.mode == "noct" and xfer.active:
             self._cancel_timer(node)
             macmod.step(node.mac, "data_ack", self.now)
@@ -906,18 +877,15 @@ class Simulator:
 
     def _set_timer(self, node, tag, delay_us):
         node.mac.timer_token += 1
-        self._schedule(self.now + delay_us, "timer",
-                       {"node": node.id, "tag": tag, "token": node.mac.timer_token})
+        self._schedule(self.now + delay_us, "timer", node, tag, node.mac.timer_token)
 
     def _cancel_timer(self, node):
         node.mac.timer_token += 1
 
-    def _on_timer(self, data):
-        node = self.nodes[data["node"]]
-        if data["token"] != node.mac.timer_token or not self._account(node):
+    def _on_timer(self, node, tag, token):
+        if token != node.mac.timer_token or not self._account(node):
             return
-        tag = data["tag"]
-        xfer = self._transfers[node.id]
+        xfer = node.xfer
         self._emit(node.id, "timeout", {"tag": tag})
         if tag == "ct_ack":
             macmod.step(node.mac, "timeout", self.now)
@@ -934,7 +902,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # housekeeping and run loop
 
-    def _on_housekeeping(self, data):
+    def _on_housekeeping(self, nodes):
         """Sample the residual of every listed node, in id order, then
         schedule the next sweep over those still alive.
 
@@ -944,53 +912,53 @@ class Simulator:
         t_s = self.now / US
         timeline = self.metrics.energy_timeline
         alive = []
-        for nid in data["nodes"]:
-            node = self.nodes[nid]
+        for node in nodes:
             if self._account(node):
-                alive.append(nid)
-            timeline.append((t_s, nid, node.battery.residual))
+                alive.append(node)
+            timeline.append((t_s, node.id, node.battery.residual))
         nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
         if nxt <= self.horizon_us and alive:
-            self._schedule(nxt, "housekeeping", {"nodes": alive})
+            self._schedule(nxt, "housekeeping", alive)
 
+    # heap kind -> handler, called as handler(self, *args)
     _HANDLERS = {
-        "traffic": "_on_traffic",
-        "start_hop": "_on_start_hop",
-        "station_reply": "_on_station_reply",
-        "sf_announce": "_on_sf_announce",
-        "send_ct_ack": "_on_send_reply",
-        "sf_relay": "_on_sf_relay",
-        "ct_slot": "_on_ct_slot",
-        "ct_coop": "_on_ct_coop",
-        "ct_batch_done": "_on_ct_batch_done",
-        "noct_request": "_on_noct_request",
-        "noct_data": "_on_noct_data",
-        "send_noct_reply": "_on_send_reply",
-        "send_data_ack": "_on_send_reply",
-        "tx_end": "_on_tx_end",
-        "timer": "_on_timer",
-        "housekeeping": "_on_housekeeping",
+        "traffic": _on_traffic,
+        "start_hop": _on_start_hop,
+        "station_reply": _on_station_reply,
+        "sf_announce": _on_sf_announce,
+        "send_ct_ack": _on_send_reply,
+        "sf_relay": _on_sf_relay,
+        "ct_slot": _on_ct_slot,
+        "ct_coop": _on_ct_coop,
+        "ct_batch_done": _finish_batch,
+        "noct_request": _on_noct_request,
+        "noct_data": _on_noct_data,
+        "send_noct_reply": _on_send_reply,
+        "send_data_ack": _on_send_reply,
+        "tx_end": _on_tx_end,
+        "timer": _on_timer,
+        "housekeeping": _on_housekeeping,
     }
 
-    # tag of a received transmission -> handler
+    # tag of a received transmission -> handler(self, receiver, txn)
     _RX_HANDLERS = {
-        "superframe": "_on_superframe_rx",
-        "ct_ack": "_on_ct_ack_rx",
-        "ct_broadcast": "_on_ct_broadcast_rx",
-        "ct_coop": "_on_data_rx",
-        "noct_request": "_on_noct_request_rx",
-        "noct_reply": "_on_noct_reply_rx",
-        "data": "_on_data_rx",
-        "data_ack": "_on_data_ack_rx",
+        "superframe": _on_superframe_rx,
+        "ct_ack": _on_ct_ack_rx,
+        "ct_broadcast": _on_ct_broadcast_rx,
+        "ct_coop": _on_data_rx,
+        "noct_request": _on_noct_request_rx,
+        "noct_reply": _on_noct_reply_rx,
+        "data": _on_data_rx,
+        "data_ack": _on_data_ack_rx,
     }
 
     def run(self) -> Metrics:
         while self.heap:
-            t, _, kind, data = heapq.heappop(self.heap)
+            t, _, kind, args = heapq.heappop(self.heap)
             if t > self.horizon_us:
                 break
             self.now = t
-            getattr(self, self._HANDLERS[kind])(data)
+            self._HANDLERS[kind](self, *args)
         # settle every node's power draw up to the horizon and record it
         self.now = self.horizon_us
         for nid in sorted(self.nodes):

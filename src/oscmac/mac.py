@@ -15,7 +15,6 @@ phase itself.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .channel import NeighbourIndex
 from .config import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -59,20 +58,20 @@ class DutySchedule:
         return total
 
 
-def two_hop_sets(positions, base_range):
-    """Node id -> set of ids within two unit-disk hops (excluding self)."""
-    adj = NeighbourIndex(positions, base_range).neighbours
+def two_hop_sets(neighbours):
+    """Node id -> set of ids within two hops (excluding self), given each
+    node's one-hop ``neighbours`` (as ``channel.NeighbourIndex`` finds them)."""
     two = {}
-    for i in sorted(positions):
-        reach = set(adj[i])
-        for j in adj[i]:
-            reach.update(adj[j])
+    for i in sorted(neighbours):
+        reach = set(neighbours[i])
+        for j in neighbours[i]:
+            reach.update(neighbours[j])
         reach.discard(i)
         two[i] = reach
     return two
 
 
-def build_schedules(positions, depths, base_range, frame_us, active_us):
+def build_schedules(neighbours, depths, frame_us, active_us):
     """Assign pipelined, orthogonal wake offsets.
 
     Base offset is (max_depth - depth) active windows, so a packet can
@@ -85,7 +84,7 @@ def build_schedules(positions, depths, base_range, frame_us, active_us):
         raise ConfigError(f"mac.active_ms gives an active window of {active_us} us, "
                           f"outside (0, {frame_us}] us")
     slots_avail = frame_us // active_us
-    two = two_hop_sets(positions, base_range)
+    two = two_hop_sets(neighbours)
     max_depth = max(depths.values()) if depths else 0
     assigned = {}  # node -> slot index
     order = sorted(depths, key=lambda n: (-depths[n], n))
@@ -124,59 +123,39 @@ class Packet:
 
 
 @dataclass(frozen=True)
-class Slot:
-    kind: str  # free | ct_rdv | noct_rdv | control
-    start_us: int
-    duration_us: int
-    participants: tuple = ()
-
-    @property
-    def end_us(self) -> int:
-        return self.start_us + self.duration_us
-
-
-@dataclass(frozen=True)
 class Superframe:
+    """One control slot at ``origin_us``, then one rendezvous slot per
+    packet, back to back, each ``slot_us`` long."""
     origin_us: int
-    slots: tuple
-    transmitter: int = None          # type: ignore[assignment]
+    slot_us: int
+    packet_count: int
+    participants: tuple              # transmitter, helpers, next hop
     helpers: tuple = ()
     leader: int = None               # type: ignore[assignment]
-    next_hop: int = None             # type: ignore[assignment]
     continued: bool = False          # rendezvous slots spill past one frame
 
     def __post_init__(self):
-        ordered = sorted(self.slots, key=lambda s: s.start_us)
-        for a, b in zip(ordered, ordered[1:]):
-            if a.end_us > b.start_us:
-                raise ValueError("superframe slots overlap")
+        if self.packet_count < 1:
+            raise ValueError("a superframe carries at least one packet")
 
     def rdv_slots(self):
-        return [s for s in self.slots if s.kind == "ct_rdv"]
+        """(start_us, end_us) of each rendezvous slot, in order."""
+        first = self.origin_us + self.slot_us
+        return [(first + i * self.slot_us, first + (i + 1) * self.slot_us)
+                for i in range(self.packet_count)]
 
 
 def compose_superframe(transmitter, elected, next_hop, packet_count,
                        now_us, slot_us, frame_us):
     """One control slot, then one CT rendezvous slot per pending packet.
 
-    Leftover frame time becomes a free slot; if the rendezvous slots do
-    not fit in a single frame the superframe simply continues into the
-    next ones and is flagged ``continued``.
+    If they do not fit in a single frame the superframe simply continues
+    into the next ones and is flagged ``continued``.
     """
-    participants = (transmitter, *elected.helpers, next_hop)
-    slots = []
-    if packet_count > 0:
-        slots.append(Slot("control", now_us, slot_us, participants))
-        for i in range(packet_count):
-            slots.append(Slot("ct_rdv", now_us + (i + 1) * slot_us, slot_us, participants))
-    used = (packet_count + 1) * slot_us if packet_count > 0 else 0
-    continued = used > frame_us
-    if used < frame_us:
-        slots.append(Slot("free", now_us + used, frame_us - used))
-    return Superframe(origin_us=now_us, slots=tuple(slots),
-                      transmitter=transmitter, helpers=elected.helpers,
-                      leader=elected.leader, next_hop=next_hop,
-                      continued=continued)
+    return Superframe(origin_us=now_us, slot_us=slot_us, packet_count=packet_count,
+                      participants=(transmitter, *elected.helpers, next_hop),
+                      helpers=elected.helpers, leader=elected.leader,
+                      continued=(packet_count + 1) * slot_us > frame_us)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +203,9 @@ def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     the ``reserve`` result of each rendezvous slot, in slot order (empty
     for a non-participant), and whether this node is the leader.
     """
-    slots = sf.rdv_slots()
-    if not any(state.node in s.participants for s in slots):
+    if state.node not in sf.participants:
         return [], False
-    accepted = [reserve(state, s.start_us, s.end_us, rdv_id) for s in slots]
+    accepted = [reserve(state, start, end, rdv_id) for start, end in sf.rdv_slots()]
     return accepted, state.node == sf.leader
 
 

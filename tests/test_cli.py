@@ -84,6 +84,20 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_of_zero_seeds_exits_1(tmp_path, capsys):
+    cfg = write_doc(tmp_path, range_extension_doc())
+    assert main(["run", "--config", str(cfg), "--sweep", "0"]) == 1
+    assert "config error: --sweep must be at least 1" in capsys.readouterr().err
+
+
+def test_unwritable_trace_path_exits_2(tmp_path, capsys):
+    cfg = write_doc(tmp_path, range_extension_doc())
+    trace = tmp_path / "missing" / "t.csv"
+    assert main(["run", "--config", str(cfg), "--trace", str(trace)]) == 2
+    assert "runtime failure:" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"topology": {"generator": {}}, "mac": {"warp": 9}}')

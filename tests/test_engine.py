@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmac import engine
+from oscmac import engine, mac
 from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, reserve
@@ -119,10 +119,37 @@ def test_ct_trace_shows_cooperative_slots():
 # conservation and bookkeeping
 
 
+def late_reply_doc():
+    """CT with a timeout far shorter than a handshake: most acks and replies
+    arrive after the sender gave up, so the stale-reply guards of
+    ``_on_ct_ack_rx``, ``_on_noct_reply_rx`` and ``_on_noct_request`` run."""
+    doc = generated_doc(mode="ct")
+    doc["mac"]["timeout_slots"] = 0.05
+    return doc
+
+
+def test_late_replies_are_dropped(monkeypatch):
+    """A ``ct_ack`` or ``noct_reply`` that arrives after its timer fired
+    changes nothing: each one the engine reports to ``mac.step`` matches a
+    row of its table, and some received ``ct_ack``s reserve no slots."""
+    step = mac.step
+
+    def checked_step(state, event, t_us):
+        if event in ("ct_ack", "noct_reply"):
+            assert (state.phase, event) in mac._TRANSITIONS, (state.phase, event)
+        return step(state, event, t_us)
+
+    monkeypatch.setattr(mac, "step", checked_step)
+    _, rows = run(make_config(late_reply_doc()), 3)
+    acks = [r for r in rows_for(rows, event="rx") if detail(r)["tag"] == "ct_ack"]
+    assert len(acks) > len(rows_for(rows, event="ct_reserved"))
+
+
 @pytest.mark.parametrize("doc", [
     two_node_doc(packets=3),
     range_extension_doc(mode="ct"),
     generated_doc(),
+    late_reply_doc(),
 ])
 def test_energy_conservation(doc):
     metrics, rows = run(make_config(doc), 4)
@@ -199,6 +226,7 @@ def scan_radio_rows(sim, rows):
 @pytest.mark.parametrize("doc", [
     range_extension_doc(mode="ct"),
     generated_doc(),
+    late_reply_doc(),
 ])
 def test_no_radio_activity_while_asleep_or_dead(doc):
     cfg = make_config(doc)

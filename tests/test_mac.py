@@ -2,12 +2,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oscmac.config import ConfigError
-from oscmac.mac import (DutySchedule, MacState, Phase, Slot, Superframe,
+from oscmac.channel import NeighbourIndex
+from oscmac.mac import (DutySchedule, MacState, Phase, Superframe,
                         build_schedules, compose_superframe, on_superframe, reserve, reserve_noct, step, two_hop_sets)
 from oscmac.selection import ElectedList
 
 FRAME = 100_000
 ACTIVE = 10_000
+
+
+def neighbours(positions, base_range=90.0):
+    return NeighbourIndex(positions, base_range).neighbours
 
 
 def test_schedule_validation():
@@ -87,7 +92,7 @@ def test_next_wake_matches_pointwise_scan(offset, t):
 
 def test_two_hop_sets_chain():
     pos = {0: (0, 0), 1: (80, 0), 2: (160, 0), 3: (240, 0)}
-    two = two_hop_sets(pos, 90.0)
+    two = two_hop_sets(neighbours(pos))
     assert two[0] == {1, 2}
     assert two[1] == {0, 2, 3}
     assert two[3] == {1, 2}
@@ -96,7 +101,7 @@ def test_two_hop_sets_chain():
 def test_build_schedules_pipelined_chain():
     pos = {0: (0, 0), 1: (80, 0), 2: (160, 0), 3: (240, 0)}
     depths = {0: 0, 1: 1, 2: 2, 3: 3}
-    sched = build_schedules(pos, depths, 90.0, FRAME, ACTIVE)
+    sched = build_schedules(neighbours(pos), depths, FRAME, ACTIVE)
     # deepest node wakes first; each hop downstream wakes one window later
     assert sched[3].wake_offset_us == 0
     assert sched[2].wake_offset_us == ACTIVE
@@ -107,7 +112,7 @@ def test_build_schedules_pipelined_chain():
 def test_build_schedules_orthogonal_within_two_hops():
     pos = {i: (i * 10.0, 0.0) for i in range(6)}  # all mutually in 2-hop range
     depths = {i: 1 for i in range(6)}
-    sched = build_schedules(pos, depths, 90.0, FRAME, ACTIVE)
+    sched = build_schedules(neighbours(pos), depths, FRAME, ACTIVE)
     offsets = [sched[i].wake_offset_us for i in range(6)]
     assert len(set(offsets)) == 6
 
@@ -116,21 +121,18 @@ def test_build_schedules_overcrowded_neighborhood_fails():
     pos = {i: (i * 1.0, 0.0) for i in range(5)}
     depths = {i: 0 for i in range(5)}
     with pytest.raises(ConfigError, match=r"^mac\.active_ms"):
-        build_schedules(pos, depths, 90.0, 4 * ACTIVE, ACTIVE)
+        build_schedules(neighbours(pos), depths, 4 * ACTIVE, ACTIVE)
 
 
 def test_compose_superframe_layout():
     elected = ElectedList(helpers=(2, 3), leader=2)
     sf = compose_superframe(1, elected, 0, packet_count=3,
                             now_us=1_000, slot_us=20_000, frame_us=FRAME)
-    kinds = [s.kind for s in sf.slots]
-    assert kinds == ["control", "ct_rdv", "ct_rdv", "ct_rdv", "free"]
-    assert sf.slots[0].start_us == 1_000
-    assert sf.rdv_slots()[0].start_us == 21_000
-    assert sf.slots[-1].start_us == 81_000
-    assert sf.slots[-1].duration_us == FRAME - 80_000
+    # the control slot is [1_000, 21_000); the rendezvous slots follow it
+    assert sf.rdv_slots() == [(21_000, 41_000), (41_000, 61_000), (61_000, 81_000)]
+    assert sf.participants == (1, 2, 3, 0)
     assert not sf.continued
-    assert sf.leader == 2 and sf.next_hop == 0 and sf.transmitter == 1
+    assert sf.helpers == (2, 3) and sf.leader == 2
 
 
 def test_compose_superframe_continued_flag():
@@ -138,12 +140,16 @@ def test_compose_superframe_continued_flag():
     sf = compose_superframe(1, elected, 0, packet_count=10,
                             now_us=0, slot_us=20_000, frame_us=FRAME)
     assert sf.continued
-    assert len(sf.rdv_slots()) == 10
+    assert sf.rdv_slots() == [(20_000 * (i + 1), 20_000 * (i + 2)) for i in range(10)]
+    assert sf.participants == (1, 2, 0)
+    # four packets fill a frame exactly, so the superframe does not continue
+    assert not compose_superframe(1, elected, 0, packet_count=4,
+                                  now_us=0, slot_us=20_000, frame_us=FRAME).continued
 
 
-def test_superframe_rejects_overlapping_slots():
+def test_superframe_carries_at_least_one_packet():
     with pytest.raises(ValueError):
-        Superframe(origin_us=0, slots=(Slot("free", 0, 100), Slot("free", 50, 100)))
+        Superframe(origin_us=0, slot_us=20_000, packet_count=0, participants=(1, 2, 0))
 
 
 def test_reserve_rejects_overlap():

@@ -66,7 +66,7 @@ def test_two_hop_sets_match_pairwise_scan():
     positions = {i: (37.0 * (i % 7) - 100.0, 53.0 * (i // 7) - 60.0) for i in range(35)}
     adj = brute_neighbours(positions, R)
     expected = {i: (set(adj[i]).union(*(adj[j] for j in adj[i])) - {i}) for i in positions}
-    assert two_hop_sets(positions, R) == expected
+    assert two_hop_sets(NeighbourIndex(positions, R).neighbours) == expected
 
 
 @given(k=st.integers(1, 8),
