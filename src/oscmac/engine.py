@@ -13,7 +13,9 @@ Idle and sleep power draws are accounted lazily by integrating each node's
 duty schedule (plus reservation wake-ups) between the events that touch it,
 with an exact binary search for the moment a battery empties. Trace details
 are encoded by one prebuilt JSON encoder, and the encoded ``energy_account``
-details are memoised per run, keyed by the drawn joules.
+details are memoised per run, keyed by the drawn joules. A trace row is
+``(time_us, seq, node_id, event, detail_json, residual_j)``; ``residual_j`` is
+the battery's own float, which ``trace.render_trace`` writes with ``repr``.
 """
 
 import functools
@@ -288,8 +290,8 @@ class Simulator:
         heapq.heappush(self.heap, (t_us, self._seq, kind, args))
 
     def _emit(self, node, event, detail):
-        self.rows.append((self.now, len(self.rows), node, event, _encode(detail),
-                          repr(self.nodes[node].battery.residual)))
+        self.rows.append((self.now, len(self.rows), node.id, event, _encode(detail),
+                          node.battery.residual))
 
     def _new_rdv(self):
         self._rdv_counter += 1
@@ -334,24 +336,22 @@ class Simulator:
             idle, sleep = self._interval_cost(node, t0, death)
         idle = node.battery.drain(idle, "idle_listen")
         slept = node.battery.drain(sleep, "sleep")
-        node.last_accounted_us = now
-        if death is None:
-            if idle or slept:
-                self.rows.append((now, len(self.rows), node.id, "energy_account",
-                                  self._account_detail(idle, slept),
-                                  repr(node.battery.residual)))
-            if node.mac.reservations:
-                node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
-            return node.battery.alive
-        # any residue from float rounding is absorbed as idle draw
-        if node.battery.alive:
+        if death is not None and node.battery.alive:
+            # any residue from float rounding is absorbed as idle draw
             idle += node.battery.drain(node.battery.residual, "idle_listen")
-        self._emit(node.id, "energy_account", {"idle_j": idle, "sleep_j": slept})
-        self._register_death(node, death)
-        return False
+        node.last_accounted_us = now
+        if idle or slept or death is not None:
+            self.rows.append((now, len(self.rows), node.id, "energy_account",
+                              self._account_detail(idle, slept), node.battery.residual))
+        if death is not None:
+            self._register_death(node, death)
+            return False
+        if node.mac.reservations:
+            node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
+        return node.battery.alive
 
     def _register_death(self, node, death_us):
-        self._emit(node.id, "node_died", {"death_time_us": death_us})
+        self._emit(node, "node_died", {"death_time_us": death_us})
         t = death_us / US
         if (self.metrics.network_lifetime_first_death_s is None
                 or t < self.metrics.network_lifetime_first_death_s):
@@ -361,10 +361,10 @@ class Simulator:
 
     def _charge(self, node, amount, category, event, detail):
         if not self._account(node):
-            self._emit(node.id, "charge_skipped_dead", {"event": event})
+            self._emit(node, "charge_skipped_dead", {"event": event})
             return 0.0
         drawn = node.battery.drain(amount, category)
-        self._emit(node.id, event, dict(detail, j=drawn, category=category))
+        self._emit(node, event, dict(detail, j=drawn, category=category))
         if not node.battery.alive:
             self._register_death(node, self.now)
         return drawn
@@ -384,7 +384,7 @@ class Simulator:
 
     def _add_reservation(self, node, start, end, rdv, kind):
         ok = macmod.reserve(node.mac, start, end, rdv)
-        self._emit(node.id, "reserve",
+        self._emit(node, "reserve",
                    {"start_us": start, "end_us": end, "rdv": rdv, "kind": kind,
                     "accepted": ok})
         return ok
@@ -413,7 +413,7 @@ class Simulator:
         for nid, dist in sender_specs:
             node = self.nodes[nid]
             if not self._account(node):
-                self._emit(nid, "tx_skipped_dead", {"tag": tag})
+                self._emit(node, "tx_skipped_dead", {"tag": tag})
                 continue
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
             self._charge(node, tx_energy(packet.size_bits, dist, self.params),
@@ -482,7 +482,7 @@ class Simulator:
                 self.metrics.collisions += 1
                 lost = [t.packet.seq for t in out.audible if rid in t.addressed_to]
                 self.metrics.collision_losses += len(lost)
-                self._emit(rid, "collision",
+                self._emit(receiver, "collision",
                            {"rdvs": sorted({t.rdv_id for t in out.audible}),
                             "lost_packets": lost})
                 for t in out.audible:
@@ -528,8 +528,8 @@ class Simulator:
 
     def _on_traffic(self, node, packets):
         self.metrics.packets_offered += len(packets)
-        self._emit(node.id, "offered", {"count": len(packets),
-                                        "seqs": [p.seq for p in packets]})
+        self._emit(node, "offered", {"count": len(packets),
+                                     "seqs": [p.seq for p in packets]})
         node.mac.pending_packets.extend(packets)
         self._kick_hop(node)
 
@@ -538,7 +538,7 @@ class Simulator:
         if xfer.active or xfer.hop_scheduled or not node.mac.pending_packets:
             return
         if node.next_hop is None:
-            self._emit(node.id, "delivery_failure",
+            self._emit(node, "delivery_failure",
                        {"reason": "no route to receiver",
                         "seqs": [p.seq for p in node.mac.pending_packets]})
             self.metrics.packets_failed += len(node.mac.pending_packets)
@@ -566,7 +566,7 @@ class Simulator:
         count = len(node.xfer.batch)
         del node.mac.pending_packets[:count]
         node.xfer = _Transfer()
-        self._emit(node.id, "batch_done", {"count": count})
+        self._emit(node, "batch_done", {"count": count})
         self._kick_hop(node)
 
     # --- cooperative path -------------------------------------------------
@@ -605,7 +605,7 @@ class Simulator:
         for nid in xfer.request.neighbor_ids:
             self.station.update_energy(nid, self.nodes[nid].battery.residual)
         elected, skipped = self.station.handle_ct_request(xfer.request, self.params)
-        self._emit(node.id, "candidate_reply",
+        self._emit(node, "candidate_reply",
                    {"helpers": list(elected.helpers), "leader": elected.leader,
                     "skipped": skipped})
         self._charge(node, rx_energy(self.cfg.mac.ctrl_bits, self.params),
@@ -614,7 +614,7 @@ class Simulator:
                       "rdv": None, "packet": None, "pkind": "candidate_reply"})
         macmod.step(node.mac, "candidate_reply", self.now)
         xfer.mode = self._resolve_mode(node, elected)
-        self._emit(node.id, "mode_selected", {"mode": xfer.mode})
+        self._emit(node, "mode_selected", {"mode": xfer.mode})
         if xfer.mode == "noct":
             self._noct_begin(node)
             return
@@ -623,7 +623,7 @@ class Simulator:
                                      len(xfer.batch), origin,
                                      self.slot_us, self.frame_us)
         if xfer.sf.continued:
-            self._emit(node.id, "superframe_continued",
+            self._emit(node, "superframe_continued",
                        {"slots": xfer.sf.packet_count, "frame_us": self.frame_us})
         # station-assisted wake bootstrap: elected helpers and the next
         # hop are told (out of band) when to listen for the superframe
@@ -663,7 +663,7 @@ class Simulator:
         rdv = self._new_rdv()
         accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
-            self._emit(receiver.id, "reserve",
+            self._emit(receiver, "reserve",
                        {"start_us": start, "end_us": end, "rdv": rdv,
                         "kind": "ct_rdv", "accepted": ok})
         if is_leader:
@@ -675,7 +675,7 @@ class Simulator:
             return
         macmod.step(node.mac, "ct_ack", self.now)
         self._cancel_timer(node)
-        self._emit(node.id, "ct_reserved", {"leader": txn.sender_ids[0]})
+        self._emit(node, "ct_reserved", {"leader": txn.sender_ids[0]})
         nxt = self.nodes[node.next_hop]
         if not in_reach(node.pos, nxt.pos, self.base_range):
             self._schedule(self.now + TURNAROUND_US, "sf_relay", node)
@@ -700,7 +700,7 @@ class Simulator:
         if xfer.sf is None:
             return
         if not self._account(node):
-            self._emit(node.id, "ct_slot_skipped", {"index": i, "reason": "transmitter dead"})
+            self._emit(node, "ct_slot_skipped", {"index": i, "reason": "transmitter dead"})
             return
         if i >= len(xfer.batch):
             return
@@ -732,7 +732,7 @@ class Simulator:
             if h in xfer.got_broadcast.get(i, ()) and self.nodes[h].battery.alive:
                 senders.append((h, distance(self.nodes[h].pos, nxt.pos)))
         if not senders:
-            self._emit(node.id, "delivery_failure",
+            self._emit(node, "delivery_failure",
                        {"reason": "no live cooperative senders", "seqs": [packet.seq]})
         else:
             self._send(senders, [node.next_hop], packet, "ct_coop",
@@ -747,7 +747,7 @@ class Simulator:
         xfer = node.xfer
         xfer.mode = "noct"
         xfer.noct_index = 0
-        self._emit(node.id, "mode_selected", {"mode": "noct"})
+        self._emit(node, "mode_selected", {"mode": "noct"})
         self._noct_next(node)
 
     def _noct_next(self, node):
@@ -793,7 +793,7 @@ class Simulator:
         start = txn.meta["interval_start"]
         dur = txn.meta["interval_us"]
         accepted = macmod.reserve_noct(receiver.mac, start, dur, txn.meta["rdv"])
-        self._emit(receiver.id, "reserve",
+        self._emit(receiver, "reserve",
                    {"start_us": start, "end_us": start + dur, "rdv": txn.meta["rdv"],
                     "kind": "noct_rdv", "accepted": accepted})
         self._reply(receiver, self.nodes[txn.meta["origin"]], "noct_reply",
@@ -817,7 +817,7 @@ class Simulator:
         xfer.attempts += 1
         if xfer.attempts > self.cfg.mac.retry_cap:
             packet = xfer.batch[xfer.noct_index]
-            self._emit(node.id, "delivery_failure",
+            self._emit(node, "delivery_failure",
                        {"reason": reason, "seqs": [packet.seq],
                         "attempts": xfer.attempts})
             self.metrics.packets_failed += 1
@@ -827,7 +827,7 @@ class Simulator:
         # the re-request path re-draws its contention frame, so the local
         # backoff only needs to clear the current exchange
         backoff = self.slot_us
-        self._emit(node.id, "retry", {"attempt": xfer.attempts, "reason": reason})
+        self._emit(node, "retry", {"attempt": xfer.attempts, "reason": reason})
         self._schedule(self.now + backoff, "noct_request", node)
 
     def _noct_next_packet_after_failure(self, node):
@@ -865,10 +865,10 @@ class Simulator:
     def _accept_packet(self, receiver, packet, origin):
         if receiver.id == self.fr or receiver.id == packet.destination:
             self.metrics.packets_delivered += 1
-            self._emit(receiver.id, "delivered",
+            self._emit(receiver, "delivered",
                        {"seq": packet.seq, "source": packet.source, "from": origin.id})
         else:
-            self._emit(receiver.id, "forwarding", {"seq": packet.seq, "from": origin.id})
+            self._emit(receiver, "forwarding", {"seq": packet.seq, "from": origin.id})
             receiver.mac.pending_packets.append(packet)
             self._kick_hop(receiver)
 
@@ -886,7 +886,7 @@ class Simulator:
         if token != node.mac.timer_token or not self._account(node):
             return
         xfer = node.xfer
-        self._emit(node.id, "timeout", {"tag": tag})
+        self._emit(node, "timeout", {"tag": tag})
         if tag == "ct_ack":
             macmod.step(node.mac, "timeout", self.now)
             xfer.retries += 1
@@ -977,5 +977,4 @@ class Simulator:
 def run(cfg: ScenarioConfig, seed: int):
     """Execute one scenario; returns (Metrics, trace rows)."""
     sim = Simulator(cfg, seed)
-    metrics = sim.run()
-    return metrics, sim.rows
+    return sim.run(), sim.rows

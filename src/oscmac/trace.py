@@ -1,12 +1,16 @@
-"""Trace and metrics persistence.
+r"""Trace and metrics persistence.
 
 Traces are CSV with one leading ``#`` header line carrying the config
 hash, the seed, and the tool version, so any output file identifies the
 run that produced it. Metrics are a single compact JSON document.
+
+``render_trace`` writes the residual float with ``repr`` and quotes a detail,
+doubling its ``"``, only when it holds ``"`` or ``,``. That is exactly
+``csv.writer``'s minimal quoting: the other columns are ints and plain event
+names, and ASCII-only JSON details never hold the ``\r`` or ``\n`` it quotes.
 """
 
 import csv
-import io
 import json
 
 from . import __version__
@@ -15,13 +19,12 @@ TRACE_COLUMNS = ("time_us", "seq", "node", "event", "detail", "residual_j")
 
 
 def render_trace(rows, config_hash: str, seed: int) -> str:
-    buf = io.StringIO()
-    buf.write(f"# config_hash={config_hash} seed={seed} version={__version__}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    head = (f"# config_hash={config_hash} seed={seed} version={__version__}\n"
+            f"{','.join(TRACE_COLUMNS)}\n")
+    return head + "".join([
+        f"{t},{s},{n},{e},{d},{r!r}\n" if '"' not in d and "," not in d
+        else f'''{t},{s},{n},{e},"{d.replace('"', '""')}",{r!r}\n'''
+        for t, s, n, e, d, r in rows])
 
 
 def write_trace(path, rows, config_hash: str, seed: int) -> None:
@@ -44,11 +47,9 @@ def read_trace(path):
         if not header_line.startswith("# "):
             raise ValueError("trace file lacks the # header line")
         header = dict(part.split("=", 1) for part in header_line[2:].split(" "))
-        reader = csv.DictReader(fh)
-        records = []
-        for rec in reader:
-            rec["time_us"] = int(rec["time_us"])
-            rec["seq"] = int(rec["seq"])
-            rec["detail"] = json.loads(rec["detail"])
-            records.append(rec)
+        records = list(csv.DictReader(fh))
+    for rec in records:
+        rec["time_us"] = int(rec["time_us"])
+        rec["seq"] = int(rec["seq"])
+        rec["detail"] = json.loads(rec["detail"])
     return header, records

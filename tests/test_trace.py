@@ -1,12 +1,16 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oscmac import __version__
-from oscmac.engine import run
+from oscmac.engine import _encode, run
 from oscmac.trace import (TRACE_COLUMNS, read_trace, render_trace,
                           write_metrics, write_trace)
 from conftest import make_config, two_node_doc
+from test_golden import SEED, _auto_doc
 
 
 def test_render_trace_header_and_columns():
@@ -16,21 +20,65 @@ def test_render_trace_header_and_columns():
     assert lines[1] == ",".join(TRACE_COLUMNS)
 
 
-def test_trace_round_trip(tmp_path):
-    cfg = make_config(two_node_doc())
-    metrics, rows = run(cfg, 3)
+def _csv_reference(rows, config_hash, seed):
+    """The trace as ``csv.writer`` renders it, row by row."""
+    buf = io.StringIO()
+    buf.write(f"# config_hash={config_hash} seed={seed} version={__version__}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_TEXT = st.text(st.sampled_from(',"\n\r\\ a\u00e9\u20ac') | st.characters(), max_size=8)
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_ROW = st.tuples(st.integers(), st.integers(), st.integers(),
+                 st.from_regex(r"[a-z][a-z_]*", fullmatch=True),
+                 st.dictionaries(_TEXT, _VALUE, max_size=4).map(_encode),
+                 st.sampled_from([0.0, 5e-324, 1e16])
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(_ROW, max_size=6))
+@example([(0, 0, 0, "energy_account", _encode({}), 5e-324)])
+@example([(1, 2, 3, "tx", _encode({"s": ',"\n\r\\\u00e9'}), 1e16)])
+def test_render_trace_matches_csv_writer(rows):
+    assert render_trace(rows, "abc123", 7) == _csv_reference(rows, "abc123", 7)
+
+
+def _assert_round_trip(tmp_path, cfg, seed):
+    metrics, rows = run(cfg, seed)
     path = tmp_path / "t.csv"
-    write_trace(path, rows, cfg.config_hash(), 3)
+    write_trace(path, rows, cfg.config_hash(), seed)
     header, records = read_trace(path)
     assert header["config_hash"] == cfg.config_hash()
-    assert header["seed"] == "3"
+    assert header["seed"] == str(seed)
     assert header["version"] == __version__
     assert len(records) == len(rows)
     assert len(records) == metrics.events_processed
     for rec, row in zip(records, rows):
         assert rec["time_us"] == row[0]
         assert rec["seq"] == row[1]
+        assert int(rec["node"]) == row[2]
+        assert rec["event"] == row[3]
         assert rec["detail"] == json.loads(row[4])
+        assert type(row[5]) is float
+        assert float(rec["residual_j"]) == row[5]
+    return rows
+
+
+def test_trace_round_trip(tmp_path):
+    _assert_round_trip(tmp_path, make_config(two_node_doc()), 3)
+
+
+def test_trace_round_trip_through_node_deaths(tmp_path):
+    rows = _assert_round_trip(tmp_path, make_config(_auto_doc()), SEED)
+    # the death path: a final energy_account row, then node_died, for one node
+    assert any(prev[3] == "energy_account" and row[3] == "node_died" and prev[2] == row[2]
+               for prev, row in zip(rows, rows[1:]))
 
 
 def test_trace_rows_time_ordered_and_sequenced():
