@@ -7,6 +7,7 @@ the protected transmitter gave out.
 """
 
 import json
+from dataclasses import replace
 
 from oscmac import parse_config, run
 
@@ -19,8 +20,7 @@ doc = {
 cfg = parse_config(json.dumps(doc))
 
 for mode in ("noct", "ct", "auto"):
-    cfg.mac.mode = mode
-    metrics, _ = run(cfg, seed=0)
+    metrics, _ = run(replace(cfg, mac=replace(cfg.mac, mode=mode)), seed=0)
     totals = {}
     for cats in metrics.energy_by_category.values():
         for cat, j in cats.items():

@@ -7,6 +7,7 @@ arrives.
 """
 
 import json
+from dataclasses import replace
 
 from oscmac import parse_config, run
 from oscmac.channel import ct_reach, in_reach
@@ -33,8 +34,7 @@ print(f"  lone transmitter: {in_reach(senders[0], receiver, 90.0)}")
 print(f"  three-sender group: {ct_reach(senders, receiver, 90.0, cfg.radio.d0)}\n")
 
 for mode in ("noct", "ct"):
-    cfg.mac.mode = mode
-    metrics, _ = run(cfg, seed=0)
+    metrics, _ = run(replace(cfg, mac=replace(cfg.mac, mode=mode)), seed=0)
     print(f"mode={mode:<5} delivered {metrics.packets_delivered}"
           f"/{metrics.packets_offered}"
           f"  (failed {metrics.packets_failed})")

@@ -4,6 +4,7 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, parse_config
 from .engine import run as run_simulation
@@ -38,7 +39,7 @@ def _single_run(cfg, seed, trace_path, metrics_path):
 def run_command(args) -> int:
     cfg, path = _load(args.config)
     if args.mode:
-        cfg.mac.mode = args.mode
+        cfg = replace(cfg, mac=replace(cfg.mac, mode=args.mode))
     stem = _stem(path)
     if args.sweep is not None:
         if args.sweep < 1:
@@ -94,10 +95,10 @@ def compare_command(args) -> int:
     for seed in range(args.seeds):
         per_mode = {}
         for mode in ("ct", "noct"):
-            cfg.mac.mode = mode
-            metrics, trace_rows = run_simulation(cfg, seed)
+            mode_cfg = replace(cfg, mac=replace(cfg.mac, mode=mode))
+            metrics, trace_rows = run_simulation(mode_cfg, seed)
             write_trace(f"{stem}.{mode}.seed{seed}.trace.csv", trace_rows,
-                        cfg.config_hash(), seed)
+                        mode_cfg.config_hash(), seed)
             lifetime = metrics.network_lifetime_first_death_s
             per_mode[mode] = {
                 "lifetime_s": lifetime if lifetime is not None else horizon,
@@ -107,7 +108,7 @@ def compare_command(args) -> int:
                 "delivered": metrics.packets_delivered,
                 "offered": metrics.packets_offered,
                 "energy_by_category": _category_totals(metrics),
-                "config_hash_mode_stripped": cfg.config_hash(strip_mode=True),
+                "config_hash_mode_stripped": mode_cfg.config_hash(strip_mode=True),
             }
         assert (per_mode["ct"]["config_hash_mode_stripped"]
                 == per_mode["noct"]["config_hash_mode_stripped"])

@@ -108,3 +108,22 @@ class Battery:
             self.residual = 0.0
             self.alive = False
         return drawn
+
+    def drain_idle(self, idle_j: float, sleep_j: float) -> tuple:
+        """``drain(idle_j, "idle_listen")`` then ``drain(sleep_j, "sleep")``
+        in one call; returns both drawn amounts."""
+        if idle_j < 0 or sleep_j < 0:
+            raise ValueError("drain amount must be non-negative")
+        if not self.alive:
+            return 0.0, 0.0
+        left = self.residual
+        idle = idle_j if idle_j <= left else left  # min(), without the call
+        left -= idle
+        slept = sleep_j if sleep_j <= left else left
+        left -= slept
+        self.consumed_by_category["idle_listen"] += idle
+        self.consumed_by_category["sleep"] += slept
+        self.residual = left
+        if left <= 0.0:
+            self.residual, self.alive = 0.0, False
+        return idle, slept

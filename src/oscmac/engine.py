@@ -11,11 +11,15 @@ so both must stay.
 
 Idle and sleep power draws are accounted lazily by integrating each node's
 duty schedule (plus reservation wake-ups) between the events that touch it,
-with an exact binary search for the moment a battery empties. Trace details
-are encoded by one prebuilt JSON encoder, and the encoded ``energy_account``
-details are memoised per run, keyed by the drawn joules. A trace row is
-``(time_us, seq, node_id, event, detail_json, residual_j)``; ``residual_j`` is
-the battery's own float, which ``trace.render_trace`` writes with ``repr``.
+with an exact binary search for the moment a battery empties. Between two
+housekeeping sweeps a whole number of frames apart, every node untouched and
+unreserved draws the same joules, so a sweep costs that draw once and settles
+it on each such node it leaves charged; the rest are accounted one by one.
+Trace details are encoded by one prebuilt JSON encoder, and the encoded
+``energy_account`` details are memoised per run, keyed by the drawn joules. A
+trace row is ``(time_us, seq, node_id, event, detail_json, residual_j)``;
+``residual_j`` is the battery's own float, which ``trace.render_trace`` writes
+with ``repr``.
 """
 
 import functools
@@ -163,6 +167,7 @@ class Simulator:
         self.now = 0
         self._rdv_counter = 0
         self.unresolved = []
+        self._swept_us = 0  # time of the last housekeeping sweep
         self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
             lambda idle, slept: _encode({"idle_j": idle, "sleep_j": slept}))
 
@@ -322,7 +327,6 @@ class Simulator:
             node.last_accounted_us = max(t0, now)
             return node.battery.alive
         idle, sleep = self._interval_cost(node, t0, now)
-        death = None
         if idle + sleep >= node.battery.residual:
             lo, hi = t0 + 1, now
             while lo < hi:
@@ -332,23 +336,29 @@ class Simulator:
                     hi = mid
                 else:
                     lo = mid + 1
-            death = lo
-            idle, sleep = self._interval_cost(node, t0, death)
-        idle = node.battery.drain(idle, "idle_listen")
-        slept = node.battery.drain(sleep, "sleep")
-        if death is not None and node.battery.alive:
-            # any residue from float rounding is absorbed as idle draw
-            idle += node.battery.drain(node.battery.residual, "idle_listen")
-        node.last_accounted_us = now
-        if idle or slept or death is not None:
-            self.rows.append((now, len(self.rows), node.id, "energy_account",
-                              self._account_detail(idle, slept), node.battery.residual))
-        if death is not None:
-            self._register_death(node, death)
+            self._settle(node, *self._interval_cost(node, t0, lo), dying=True)
+            self._register_death(node, lo)
             return False
-        if node.mac.reservations:
-            node.mac.reservations = [r for r in node.mac.reservations if r[1] > now]
+        self._settle(node, idle, sleep)
+        reservations = node.mac.reservations
+        for _, end, _ in reservations:
+            if end <= now:  # rebuild only when one has expired
+                node.mac.reservations = [r for r in reservations if r[1] > now]
+                break
         return node.battery.alive
+
+    def _settle(self, node, idle, sleep, dying=False):
+        """Draw ``idle`` and ``sleep`` joules from the node's battery, log the
+        draw as an ``energy_account`` row and mark the node accounted up to
+        now; a ``dying`` node's last rounding residue is drawn as idle."""
+        battery = node.battery
+        idle, slept = battery.drain_idle(idle, sleep)
+        if dying and battery.alive:
+            idle += battery.drain(battery.residual, "idle_listen")
+        node.last_accounted_us = self.now
+        if idle or slept or dying:
+            self.rows.append((self.now, len(self.rows), node.id, "energy_account",
+                              self._account_detail(idle, slept), battery.residual))
 
     def _register_death(self, node, death_us):
         self._emit(node, "node_died", {"death_time_us": death_us})
@@ -903,20 +913,40 @@ class Simulator:
     # housekeeping and run loop
 
     def _on_housekeeping(self, nodes):
-        """Sample the residual of every listed node, in id order, then
-        schedule the next sweep over those still alive.
+        """Account and sample every listed node, in id order, then schedule
+        the next sweep over those still alive.
 
         Accounting schedules no event, so the samples of one sweep are
-        exactly those of one back-to-back event per node.
+        exactly those of one back-to-back event per node. Every schedule is
+        awake equally long over a whole number of frames, so when the last
+        sweep lies that far back, the nodes it accounted that nothing touched
+        since and that hold no reservation all draw one ``(idle_j, sleep_j)``:
+        it is costed once and settled on each such node it leaves charged.
+        Every other node goes through ``_account``.
         """
-        t_s = self.now / US
+        now, t0 = self.now, self._swept_us
+        self._swept_us = now
+        draw = math.inf  # idle + sleep of the shared draw; none is settled at inf
+        if (now - t0) % self.frame_us == 0:
+            for node in nodes:
+                if node.last_accounted_us == t0 and not node.mac.reservations:
+                    idle, sleep = self._interval_cost(node, t0, now)
+                    draw = idle + sleep
+                    break
+        t_s = now / US
         timeline = self.metrics.energy_timeline
         alive = []
         for node in nodes:
-            if self._account(node):
+            battery = node.battery
+            if (node.last_accounted_us == t0 and not node.mac.reservations
+                    and draw < battery.residual):
+                self._settle(node, idle, sleep)
+            else:
+                self._account(node)
+            if battery.alive:
                 alive.append(node)
-            timeline.append((t_s, node.id, node.battery.residual))
-        nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
+            timeline.append((t_s, node.id, battery.residual))
+        nxt = now + self.cfg.sim.housekeeping_frames * self.frame_us
         if nxt <= self.horizon_us and alive:
             self._schedule(nxt, "housekeeping", alive)
 
@@ -959,15 +989,14 @@ class Simulator:
                 break
             self.now = t
             self._HANDLERS[kind](self, *args)
-        # settle every node's power draw up to the horizon and record it
+        # settle every node's power draw up to the horizon and record it: a
+        # last sweep, which schedules no other
         self.now = self.horizon_us
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            self._account(node)
-            self.metrics.energy_timeline.append(
-                (self.now / US, nid, node.battery.residual))
-            self.metrics.residual_by_node[nid] = node.battery.residual
-            self.metrics.energy_by_category[nid] = dict(node.battery.consumed_by_category)
+        nodes = [self.nodes[nid] for nid in sorted(self.nodes)]
+        self._on_housekeeping(nodes)
+        for node in nodes:
+            self.metrics.residual_by_node[node.id] = node.battery.residual
+            self.metrics.energy_by_category[node.id] = dict(node.battery.consumed_by_category)
         undeliverable = self.metrics.packets_offered - self.metrics.packets_delivered
         self.metrics.packets_failed = max(self.metrics.packets_failed, undeliverable)
         self.metrics.events_processed = len(self.rows)

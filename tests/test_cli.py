@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from oscmac import cli
 from oscmac.cli import main
-from oscmac.trace import read_trace
-from conftest import generated_doc, range_extension_doc
+from oscmac.engine import run
+from oscmac.trace import read_trace, render_trace
+from conftest import generated_doc, make_config, range_extension_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -77,6 +79,35 @@ def test_compare_runs_both_modes(tmp_path, capsys):
                 == row["noct"]["config_hash_mode_stripped"])
     for mode in ("ct", "noct"):
         assert (tmp_path / f"scenario.{mode}.seed0.trace.csv").exists()
+
+
+def test_compare_runs_each_mode_on_a_copy(tmp_path, monkeypatch):
+    """``compare`` leaves the scenario it loaded as it was, and writes for
+    each mode the trace and summary of the document run in that mode."""
+    doc = generated_doc(mode="auto", horizon_s=20.0)
+    path = write_doc(tmp_path, doc)
+    loaded = []
+    parse = cli.parse_config
+
+    def parse_and_keep(text):
+        loaded.append(parse(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "parse_config", parse_and_keep)
+    assert main(["compare", "--config", str(path), "--seeds", "2"]) == 0
+    [cfg] = loaded
+    assert cfg.to_dict() == make_config(doc).to_dict()
+    summary = json.loads((tmp_path / "scenario.compare.json").read_text())
+    assert summary["config_hash_mode_stripped"] == cfg.config_hash(strip_mode=True)
+    for seed in range(2):
+        for mode in ("ct", "noct"):
+            mode_cfg = make_config(dict(doc, mac=dict(doc["mac"], mode=mode)))
+            metrics, rows = run(mode_cfg, seed)
+            trace = tmp_path / f"scenario.{mode}.seed{seed}.trace.csv"
+            assert trace.read_text() == render_trace(rows, mode_cfg.config_hash(), seed)
+            row = summary["rows"][seed][mode]
+            assert (row["delivered"], row["trn_death_s"]) == (
+                metrics.packets_delivered, metrics.trn_death_time_s)
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

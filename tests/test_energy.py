@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oscmac.energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 
@@ -120,3 +120,35 @@ def test_unknown_category_rejected():
         b.drain(0.1, "warp_drive")
     with pytest.raises(ValueError):
         b.drain(-0.1, "transmit")
+
+
+def _battery_state(b):
+    return b.residual, b.alive, dict(b.consumed_by_category)
+
+
+_joules = st.one_of(st.floats(0, 2e-3), st.sampled_from([0.0, 5e-324, 1e-3]))
+
+
+@given(residual=_joules, spent=_joules, idle=_joules, sleep=_joules)
+@example(residual=1e-3, spent=0.0, idle=1e-3, sleep=1e-9)   # idle alone empties it
+@example(residual=1e-3, spent=0.0, idle=4e-4, sleep=6e-4)   # the sum meets it exactly
+@example(residual=0.0, spent=0.0, idle=1e-4, sleep=1e-8)    # already dead
+def test_drain_idle_is_the_two_drains(residual, spent, idle, sleep):
+    """``drain_idle`` draws, floors and dies exactly as ``drain`` for idle
+    and then ``drain`` for sleep: same amounts, residual, flag and totals."""
+    pair, single = (Battery(initial=1.0, residual=max(residual, 0.0)) for _ in range(2))
+    for b in (pair, single):
+        b.drain(spent, "transmit")  # a battery that has also spent on other work
+        b.alive = b.residual > 0.0
+    drawn = pair.drain_idle(idle, sleep)
+    assert drawn == (single.drain(idle, "idle_listen"), single.drain(sleep, "sleep"))
+    assert _battery_state(pair) == _battery_state(single)
+
+
+def test_drain_idle_rejects_negative_amounts():
+    b = Battery(initial=1.0)
+    for idle, sleep in ((-1e-3, 0.0), (0.0, -1e-9)):
+        with pytest.raises(ValueError):
+            b.drain_idle(idle, sleep)
+    assert _battery_state(b) == (1.0, True, {c: 0.0 for c in b.consumed_by_category})
+

@@ -352,3 +352,66 @@ def test_interval_cost_matches_millisecond_scan(case):
     sim = SimpleNamespace(params=_PARAMS)
     assert Simulator._interval_cost(sim, node, t0, t1) == (
         (awake / US) * _PARAMS.p_rx, ((t1 - t0 - awake) / US) * _PARAMS.p_sleep)
+
+
+# ---------------------------------------------------------------------------
+# one shared idle/sleep draw per housekeeping sweep
+
+
+class _PerNodeSweep(Simulator):
+    """The reference sweep: every listed node goes through ``_account``."""
+
+    def _on_housekeeping(self, nodes):
+        t_s = self.now / US
+        alive = []
+        for node in nodes:
+            if self._account(node):
+                alive.append(node)
+            self.metrics.energy_timeline.append((t_s, node.id, node.battery.residual))
+        nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
+        if nxt <= self.horizon_us and alive:
+            self._schedule(nxt, "housekeeping", alive)
+
+    _HANDLERS = dict(Simulator._HANDLERS, housekeeping=_on_housekeeping)
+
+
+@st.composite
+def _swept_runs(draw):
+    """A generated field in any mode, with a sweep period of 1-5 frames, a
+    horizon that may end mid-frame or inside the first period, batteries
+    that may empty between two sweeps, and wake-ups booked ahead that no
+    event may come to (as for a helper whose broadcast never arrives)."""
+    node_count = draw(st.integers(2, 16))
+    doc = generated_doc(node_count=node_count,
+                        area_m=draw(st.sampled_from([60.0, 150.0, 250.0])),
+                        active_ms=draw(st.sampled_from([1.0, 2.0, 5.0])),
+                        mode=draw(st.sampled_from(["ct", "noct", "auto"])),
+                        horizon_s=(draw(st.integers(0, 60)) * 100
+                                   + draw(st.sampled_from([0, 1, 37, 99]))) / 1000 or 0.001,
+                        sources=draw(st.integers(0, 3)),
+                        packets=draw(st.integers(0, 4)),
+                        topo_seed=draw(st.integers(0, 50)))
+    doc["sim"]["housekeeping_frames"] = draw(st.integers(1, 5))
+    doc["sim"]["battery_j"] = draw(st.sampled_from([2e-6, 1e-5, 4e-5, 2e-4, 2.0]))
+    bookings = draw(st.lists(st.tuples(st.integers(0, node_count - 1), st.integers(0, 6_000),
+                                       st.integers(1, 30)), max_size=3))
+    return doc, [(nid, start * _MS, (start + dur) * _MS) for nid, start, dur in bookings]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_swept_runs(), st.integers(0, 5))
+@example((generated_doc(node_count=12, horizon_s=0.25, sources=2, packets=2), []), 0)  # < a period
+@example((dict(two_node_doc(packets=0), sim={"horizon_s": 1.0, "housekeeping_frames": 1}),
+          [(1, 150 * _MS, 180 * _MS)]), 0)  # a wake-up booked between two quiet sweeps
+def test_shared_draw_sweep_matches_per_node_accounting(run_case, seed):
+    doc, bookings = run_case
+    cfg = make_config(doc)
+    shared, reference = Simulator(cfg, seed), _PerNodeSweep(cfg, seed)
+    for sim in (shared, reference):
+        for rdv, (nid, start, end) in enumerate(bookings):
+            reserve(sim.nodes[nid].mac, start, end, -1 - rdv)
+    metrics, expected = shared.run(), reference.run()
+    assert shared.rows == reference.rows
+    assert metrics.energy_timeline == expected.energy_timeline
+    assert metrics.residual_by_node == expected.residual_by_node
+    assert metrics.to_dict() == expected.to_dict()

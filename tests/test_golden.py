@@ -136,6 +136,39 @@ def test_housekeeping_is_one_sweep_per_period():
     assert sorted(by_time) == list(range(period, max(by_time) + 1, period))
 
 
+def test_sweep_costs_the_shared_draw_once():
+    """A sweep calls ``_interval_cost`` at most once for the nodes that
+    nothing touched since the previous sweep and that hold no reservation,
+    plus once for each other node; over the stretch after the traffic, that
+    is one call for all 120 nodes."""
+    sweeps = []  # (interval-cost calls, nodes touched or reserved, nodes listed)
+
+    class Counting(Simulator):
+        cost_calls = 0
+
+        def _interval_cost(self, node, t0, t1):
+            self.cost_calls += 1
+            return super()._interval_cost(node, t0, t1)
+
+        def _on_housekeeping(self, nodes):
+            before = self.cost_calls
+            others = sum(n.last_accounted_us != self._swept_us or bool(n.mac.reservations)
+                         for n in nodes)
+            super()._on_housekeeping(nodes)
+            sweeps.append((self.cost_calls - before, others, len(nodes)))
+
+        _HANDLERS = dict(Simulator._HANDLERS, housekeeping=_on_housekeeping)
+
+    doc, seed = SCENARIOS["noct"][:2]
+    metrics = Counting(make_config(doc), seed).run()
+    assert metrics.network_lifetime_first_death_s is None  # no death bisection
+    assert len(sweeps) == 7  # six periods, then the horizon
+    for calls, others, _ in sweeps:
+        assert calls <= 1 + others
+    quiet = [(calls, listed) for calls, others, listed in sweeps if others == 0]
+    assert len(quiet) >= 3 and all(calls == 1 and listed == 120 for calls, listed in quiet)
+
+
 def test_engine_phase_changes_are_table_rows(monkeypatch):
     """Every protocol event the engine reports to ``mac.step`` matches a
     row of its table, and the scenarios between them use every row."""
