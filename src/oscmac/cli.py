@@ -88,6 +88,8 @@ def _category_totals(metrics):
 
 
 def compare_command(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be at least 1")
     cfg, path = _load(args.config)
     stem = _stem(path)
     horizon = cfg.sim.horizon_s

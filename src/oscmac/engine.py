@@ -5,7 +5,7 @@ entries; ``_HANDLERS[kind](sim, *args)`` handles one, and ``args`` are the
 handler's own arguments (node objects, not ids). Time is kept in integer
 microseconds and ``seq`` breaks ties, so ordering and trace equality are
 exact. ``perfbench/layers.py`` unpacks heap entries in this shape and patches
-this module's ``heapq``, ``json``, ``distance``, ``in_reach``, ``ct_reach``,
+this module's ``heapq``, ``distance``, ``in_reach``, ``ct_reach``,
 ``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
 so both must stay.
 
@@ -15,16 +15,17 @@ with an exact binary search for the moment a battery empties. Between two
 housekeeping sweeps a whole number of frames apart, every node untouched and
 unreserved draws the same joules, so a sweep costs that draw once and settles
 it on each such node it leaves charged; the rest are accounted one by one.
-Trace details are encoded by one prebuilt JSON encoder, and the encoded
-``energy_account`` details are memoised per run, keyed by the drawn joules. A
-trace row is ``(time_us, seq, node_id, event, detail_json, residual_j)``;
-``residual_j`` is the battery's own float, which ``trace.render_trace`` writes
-with ``repr``.
+Rows go into the ``trace.TraceRows`` that ``run`` returns. Each emit site
+formats its detail as ``json.dumps(detail, sort_keys=True)`` would (sorted
+keys, ``repr`` of finite numbers, ``true``/``false``/``null``, ``str`` of int
+lists, fixed ASCII names) in a third of the JSON encoder's time; ``_charge``
+takes it as a function of the drawn joules, and ``energy_account`` details are
+memoised per run. ``perfbench/layers.py`` still assigns ``engine.json``, which
+nothing here reads.
 """
 
 import functools
 import heapq
-import json
 import math
 import random
 from collections import defaultdict
@@ -38,29 +39,14 @@ from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 from .mac import (DutySchedule, MacState, Packet, Phase, Superframe, build_schedules,
                   compose_superframe)
 from .selection import CtRequest, WiLemStation
+from .trace import TraceRows
 
 US = 1_000_000  # microseconds per second
 TURNAROUND_US = 1000  # rx-to-tx turnaround before replies
 _CONTENTION_FRAMES = 8  # frames a reservation attempt may be deferred over
 # sequence number of each turnaround reply's control packet
 _REPLY_SEQ = {"ct_ack": -2, "noct_reply": -4, "data_ack": -5}
-
-# json.dumps(detail, sort_keys=True) through one C encoder built once from a
-# JSONEncoder(sort_keys=True)'s own settings; its markers make a cycle raise
-_ENCODER = json.JSONEncoder(sort_keys=True)
-_MARKERS = {}
-_iterencode = json.encoder.c_make_encoder(
-    _MARKERS, _ENCODER.default, json.encoder.encode_basestring_ascii, _ENCODER.indent,
-    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
-    _ENCODER.skipkeys, _ENCODER.allow_nan)
-
-
-def _encode(detail):
-    try:
-        return "".join(_iterencode(detail, 0))
-    except BaseException:
-        _MARKERS.clear()  # a failed call leaves its open containers marked
-        raise
+_JSON_BOOL = ("false", "true")  # a bool's JSON spelling, indexed by the bool
 
 
 def _mix(a: int, b: int) -> int:
@@ -162,14 +148,14 @@ class Simulator:
 
         self.heap = []
         self._seq = 0
-        self.rows = []          # trace rows
+        self.rows = TraceRows()
         self.metrics = Metrics()
         self.now = 0
         self._rdv_counter = 0
         self.unresolved = []
         self._swept_us = 0  # time of the last housekeeping sweep
         self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
-            lambda idle, slept: _encode({"idle_j": idle, "sleep_j": slept}))
+            lambda idle, slept: f'{{"idle_j": {idle!r}, "sleep_j": {slept!r}}}')
 
         self._build_topology()
         self._build_station()
@@ -295,8 +281,7 @@ class Simulator:
         heapq.heappush(self.heap, (t_us, self._seq, kind, args))
 
     def _emit(self, node, event, detail):
-        self.rows.append((self.now, len(self.rows), node.id, event, _encode(detail),
-                          node.battery.residual))
+        self.rows.add(self.now, node.id, event, detail, node.battery.residual)
 
     def _new_rdv(self):
         self._rdv_counter += 1
@@ -357,11 +342,11 @@ class Simulator:
             idle += battery.drain(battery.residual, "idle_listen")
         node.last_accounted_us = self.now
         if idle or slept or dying:
-            self.rows.append((self.now, len(self.rows), node.id, "energy_account",
-                              self._account_detail(idle, slept), battery.residual))
+            self.rows.add(self.now, node.id, "energy_account",
+                          self._account_detail(idle, slept), battery.residual)
 
     def _register_death(self, node, death_us):
-        self._emit(node, "node_died", {"death_time_us": death_us})
+        self._emit(node, "node_died", f'{{"death_time_us": {death_us}}}')
         t = death_us / US
         if (self.metrics.network_lifetime_first_death_s is None
                 or t < self.metrics.network_lifetime_first_death_s):
@@ -370,11 +355,12 @@ class Simulator:
             self.metrics.trn_death_time_s = t
 
     def _charge(self, node, amount, category, event, detail):
+        """Drain ``amount`` J of ``category``; ``detail(j)`` is the row text for ``j`` J drawn."""
         if not self._account(node):
-            self._emit(node, "charge_skipped_dead", {"event": event})
+            self._emit(node, "charge_skipped_dead", f'{{"event": "{event}"}}')
             return 0.0
         drawn = node.battery.drain(amount, category)
-        self._emit(node, event, dict(detail, j=drawn, category=category))
+        self._emit(node, event, detail(drawn))
         if not node.battery.alive:
             self._register_death(node, self.now)
         return drawn
@@ -395,8 +381,8 @@ class Simulator:
     def _add_reservation(self, node, start, end, rdv, kind):
         ok = macmod.reserve(node.mac, start, end, rdv)
         self._emit(node, "reserve",
-                   {"start_us": start, "end_us": end, "rdv": rdv, "kind": kind,
-                    "accepted": ok})
+                   f'{{"accepted": {_JSON_BOOL[ok]}, "end_us": {end}, "kind": "{kind}", '
+                   f'"rdv": {rdv}, "start_us": {start}}}')
         return ok
 
     def _ensure_awake_for(self, node, start, end, rdv, kind):
@@ -423,14 +409,16 @@ class Simulator:
         for nid, dist in sender_specs:
             node = self.nodes[nid]
             if not self._account(node):
-                self._emit(node, "tx_skipped_dead", {"tag": tag})
+                self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
                 continue
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
             self._charge(node, tx_energy(packet.size_bits, dist, self.params),
                          "transmit", "tx",
-                         {"tag": tag, "rdv": rdv, "bits": packet.size_bits,
-                          "distance_m": dist, "end_us": self.now + dur,
-                          "coop": coop, "packet": packet.seq, "pkind": packet.kind})
+                         lambda j: f'{{"bits": {packet.size_bits}, "category": "transmit", '
+                                   f'"coop": {_JSON_BOOL[coop]}, "distance_m": {dist!r}, '
+                                   f'"end_us": {self.now + dur}, "j": {j!r}, '
+                                   f'"packet": {packet.seq}, "pkind": "{packet.kind}", '
+                                   f'"rdv": {rdv}, "tag": "{tag}"}}')
             if node.battery.alive:
                 live.append(nid)
         if not live:
@@ -493,28 +481,32 @@ class Simulator:
                 lost = [t.packet.seq for t in out.audible if rid in t.addressed_to]
                 self.metrics.collision_losses += len(lost)
                 self._emit(receiver, "collision",
-                           {"rdvs": sorted({t.rdv_id for t in out.audible}),
-                            "lost_packets": lost})
+                           f'{{"lost_packets": {lost}, '
+                           f'"rdvs": {sorted({t.rdv_id for t in out.audible})}}}')
                 for t in out.audible:
                     cat = "receive" if rid in t.addressed_to else "overhear"
                     self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                                  cat, "rx_corrupt",
-                                 {"rdv": t.rdv_id, "bits": t.packet.size_bits,
-                                  "packet": t.packet.seq})
+                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "{cat}", '
+                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
+                                           f'"rdv": {t.rdv_id}}}')
                 continue
             t = out.decoded
             if rid in t.addressed_to:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "receive", "rx",
-                             {"rdv": t.rdv_id, "tag": t.tag, "bits": t.packet.size_bits,
-                              "packet": t.packet.seq, "pkind": t.packet.kind})
+                             lambda j: f'{{"bits": {t.packet.size_bits}, "category": "receive", '
+                                       f'"j": {j!r}, "packet": {t.packet.seq}, '
+                                       f'"pkind": "{t.packet.kind}", "rdv": {t.rdv_id}, '
+                                       f'"tag": "{t.tag}"}}')
                 if receiver.battery.alive:
                     self._RX_HANDLERS[t.tag](self, receiver, t)
             else:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "overhear", "overhear",
-                             {"rdv": t.rdv_id, "tag": t.tag,
-                              "bits": t.packet.size_bits, "packet": t.packet.seq})
+                             lambda j: f'{{"bits": {t.packet.size_bits}, "category": "overhear", '
+                                       f'"j": {j!r}, "packet": {t.packet.seq}, '
+                                       f'"rdv": {t.rdv_id}, "tag": "{t.tag}"}}')
 
     # ------------------------------------------------------------------
     # protocol: hop orchestration
@@ -538,8 +530,8 @@ class Simulator:
 
     def _on_traffic(self, node, packets):
         self.metrics.packets_offered += len(packets)
-        self._emit(node, "offered", {"count": len(packets),
-                                     "seqs": [p.seq for p in packets]})
+        self._emit(node, "offered",
+                   f'{{"count": {len(packets)}, "seqs": {[p.seq for p in packets]}}}')
         node.mac.pending_packets.extend(packets)
         self._kick_hop(node)
 
@@ -549,8 +541,8 @@ class Simulator:
             return
         if node.next_hop is None:
             self._emit(node, "delivery_failure",
-                       {"reason": "no route to receiver",
-                        "seqs": [p.seq for p in node.mac.pending_packets]})
+                       f'{{"reason": "no route to receiver", '
+                       f'"seqs": {[p.seq for p in node.mac.pending_packets]}}}')
             self.metrics.packets_failed += len(node.mac.pending_packets)
             node.mac.pending_packets.clear()
             return
@@ -576,7 +568,7 @@ class Simulator:
         count = len(node.xfer.batch)
         del node.mac.pending_packets[:count]
         node.xfer = _Transfer()
-        self._emit(node, "batch_done", {"count": count})
+        self._emit(node, "batch_done", f'{{"count": {count}}}')
         self._kick_hop(node)
 
     # --- cooperative path -------------------------------------------------
@@ -600,8 +592,10 @@ class Simulator:
         d_station = distance(node.pos, self.station_pos)
         self._charge(node, tx_energy(self.cfg.mac.ctrl_bits, d_station, self.params),
                      "transmit", "ct_request",
-                     {"neighbors": list(neighbors), "n": xfer.request.packet_count,
-                      "d": xfer.request.next_hop_distance, "bits": self.cfg.mac.ctrl_bits})
+                     lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "transmit", '
+                               f'"d": {xfer.request.next_hop_distance!r}, "j": {j!r}, '
+                               f'"n": {xfer.request.packet_count}, '
+                               f'"neighbors": {list(neighbors)}}}')
         if not node.battery.alive:
             return
         self._schedule(self.now + 2 * ctrl_dur + TURNAROUND_US, "station_reply", node)
@@ -615,16 +609,18 @@ class Simulator:
         for nid in xfer.request.neighbor_ids:
             self.station.update_energy(nid, self.nodes[nid].battery.residual)
         elected, skipped = self.station.handle_ct_request(xfer.request, self.params)
+        leader = "null" if elected.leader is None else elected.leader
         self._emit(node, "candidate_reply",
-                   {"helpers": list(elected.helpers), "leader": elected.leader,
-                    "skipped": skipped})
+                   f'{{"helpers": {list(elected.helpers)}, "leader": {leader}, '
+                   f'"skipped": {skipped}}}')
         self._charge(node, rx_energy(self.cfg.mac.ctrl_bits, self.params),
                      "receive", "rx",
-                     {"tag": "candidate_reply", "bits": self.cfg.mac.ctrl_bits,
-                      "rdv": None, "packet": None, "pkind": "candidate_reply"})
+                     lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "receive", '
+                               f'"j": {j!r}, "packet": null, "pkind": "candidate_reply", '
+                               f'"rdv": null, "tag": "candidate_reply"}}')
         macmod.step(node.mac, "candidate_reply", self.now)
         xfer.mode = self._resolve_mode(node, elected)
-        self._emit(node, "mode_selected", {"mode": xfer.mode})
+        self._emit(node, "mode_selected", f'{{"mode": "{xfer.mode}"}}')
         if xfer.mode == "noct":
             self._noct_begin(node)
             return
@@ -634,15 +630,16 @@ class Simulator:
                                      self.slot_us, self.frame_us)
         if xfer.sf.continued:
             self._emit(node, "superframe_continued",
-                       {"slots": xfer.sf.packet_count, "frame_us": self.frame_us})
+                       f'{{"frame_us": {self.frame_us}, "slots": {xfer.sf.packet_count}}}')
         # station-assisted wake bootstrap: elected helpers and the next
         # hop are told (out of band) when to listen for the superframe
         control_end = origin + self.slot_us
         for nid in (*elected.helpers, node.next_hop):
             listener = self.nodes[nid]
             self._charge(listener, rx_energy(self.cfg.mac.ctrl_bits, self.params),
-                         "receive", "station_notify", {"listen_from_us": origin,
-                                                       "listen_until_us": control_end})
+                         "receive", "station_notify",
+                         lambda j: f'{{"category": "receive", "j": {j!r}, "listen_from_us": '
+                                   f'{origin}, "listen_until_us": {control_end}}}')
             if listener.battery.alive:
                 self._add_reservation(listener, origin, control_end, self._new_rdv(),
                                       "sf_listen")
@@ -674,8 +671,8 @@ class Simulator:
         accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
             self._emit(receiver, "reserve",
-                       {"start_us": start, "end_us": end, "rdv": rdv,
-                        "kind": "ct_rdv", "accepted": ok})
+                       f'{{"accepted": {_JSON_BOOL[ok]}, "end_us": {end}, "kind": "ct_rdv", '
+                       f'"rdv": {rdv}, "start_us": {start}}}')
         if is_leader:
             self._reply(receiver, origin, "ct_ack", {"origin": origin.id})
 
@@ -685,7 +682,7 @@ class Simulator:
             return
         macmod.step(node.mac, "ct_ack", self.now)
         self._cancel_timer(node)
-        self._emit(node, "ct_reserved", {"leader": txn.sender_ids[0]})
+        self._emit(node, "ct_reserved", f'{{"leader": {txn.sender_ids[0]}}}')
         nxt = self.nodes[node.next_hop]
         if not in_reach(node.pos, nxt.pos, self.base_range):
             self._schedule(self.now + TURNAROUND_US, "sf_relay", node)
@@ -710,7 +707,7 @@ class Simulator:
         if xfer.sf is None:
             return
         if not self._account(node):
-            self._emit(node, "ct_slot_skipped", {"index": i, "reason": "transmitter dead"})
+            self._emit(node, "ct_slot_skipped", f'{{"index": {i}, "reason": "transmitter dead"}}')
             return
         if i >= len(xfer.batch):
             return
@@ -743,7 +740,7 @@ class Simulator:
                 senders.append((h, distance(self.nodes[h].pos, nxt.pos)))
         if not senders:
             self._emit(node, "delivery_failure",
-                       {"reason": "no live cooperative senders", "seqs": [packet.seq]})
+                       f'{{"reason": "no live cooperative senders", "seqs": [{packet.seq}]}}')
         else:
             self._send(senders, [node.next_hop], packet, "ct_coop",
                        {"origin": node.id, "index": i}, coop=True)
@@ -757,7 +754,7 @@ class Simulator:
         xfer = node.xfer
         xfer.mode = "noct"
         xfer.noct_index = 0
-        self._emit(node, "mode_selected", {"mode": "noct"})
+        self._emit(node, "mode_selected", '{"mode": "noct"}')
         self._noct_next(node)
 
     def _noct_next(self, node):
@@ -804,8 +801,8 @@ class Simulator:
         dur = txn.meta["interval_us"]
         accepted = macmod.reserve_noct(receiver.mac, start, dur, txn.meta["rdv"])
         self._emit(receiver, "reserve",
-                   {"start_us": start, "end_us": start + dur, "rdv": txn.meta["rdv"],
-                    "kind": "noct_rdv", "accepted": accepted})
+                   f'{{"accepted": {_JSON_BOOL[accepted]}, "end_us": {start + dur}, '
+                   f'"kind": "noct_rdv", "rdv": {txn.meta["rdv"]}, "start_us": {start}}}')
         self._reply(receiver, self.nodes[txn.meta["origin"]], "noct_reply",
                     {"accepted": accepted, "interval_start": start, "interval_us": dur})
 
@@ -828,8 +825,8 @@ class Simulator:
         if xfer.attempts > self.cfg.mac.retry_cap:
             packet = xfer.batch[xfer.noct_index]
             self._emit(node, "delivery_failure",
-                       {"reason": reason, "seqs": [packet.seq],
-                        "attempts": xfer.attempts})
+                       f'{{"attempts": {xfer.attempts}, "reason": "{reason}", '
+                       f'"seqs": [{packet.seq}]}}')
             self.metrics.packets_failed += 1
             xfer.noct_index += 1
             self._noct_next_packet_after_failure(node)
@@ -837,7 +834,7 @@ class Simulator:
         # the re-request path re-draws its contention frame, so the local
         # backoff only needs to clear the current exchange
         backoff = self.slot_us
-        self._emit(node, "retry", {"attempt": xfer.attempts, "reason": reason})
+        self._emit(node, "retry", f'{{"attempt": {xfer.attempts}, "reason": "{reason}"}}')
         self._schedule(self.now + backoff, "noct_request", node)
 
     def _noct_next_packet_after_failure(self, node):
@@ -876,9 +873,9 @@ class Simulator:
         if receiver.id == self.fr or receiver.id == packet.destination:
             self.metrics.packets_delivered += 1
             self._emit(receiver, "delivered",
-                       {"seq": packet.seq, "source": packet.source, "from": origin.id})
+                       f'{{"from": {origin.id}, "seq": {packet.seq}, "source": {packet.source}}}')
         else:
-            self._emit(receiver, "forwarding", {"seq": packet.seq, "from": origin.id})
+            self._emit(receiver, "forwarding", f'{{"from": {origin.id}, "seq": {packet.seq}}}')
             receiver.mac.pending_packets.append(packet)
             self._kick_hop(receiver)
 
@@ -896,7 +893,7 @@ class Simulator:
         if token != node.mac.timer_token or not self._account(node):
             return
         xfer = node.xfer
-        self._emit(node, "timeout", {"tag": tag})
+        self._emit(node, "timeout", f'{{"tag": "{tag}"}}')
         if tag == "ct_ack":
             macmod.step(node.mac, "timeout", self.now)
             xfer.retries += 1

@@ -121,6 +121,16 @@ def test_sweep_of_zero_seeds_exits_1(tmp_path, capsys):
     assert "config error: --sweep must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_of_no_seeds_exits_1(tmp_path, capsys, seeds):
+    cfg = write_doc(tmp_path, range_extension_doc())
+    assert main(["compare", "--config", str(cfg), "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert "config error: --seeds must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "scenario.compare.json").exists()
+
+
 def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, range_extension_doc())
     trace = tmp_path / "missing" / "t.csv"

@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmac import engine, mac
+from oscmac import mac
 from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, reserve
 from oscmac.trace import render_trace
 from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
+from test_golden import SCENARIOS
 
 
 def rows_for(rows, event=None, node=None):
@@ -284,33 +285,39 @@ def test_cost_memo_does_not_leak_between_runs():
 
 
 # ---------------------------------------------------------------------------
-# the prebuilt trace encoder
+# details formatted at their emit sites
 
-_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([-0.0, 1e-300, 1e308, 5e-324]))
-_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
-_flat = st.dictionaries(_text, st.one_of(
-    st.integers(), _finite, st.booleans(), st.none(), _text, st.lists(st.integers())))
-
-
-@given(_flat)
-@example({"é": "ñ€😀", "k": -0.0, "z": [1, -2], "a": None, "t": True, "f": 1e-300, "g": 1e308})
-def test_encode_matches_json_dumps(detail):
-    assert engine._encode(detail) == json.dumps(detail, sort_keys=True)
+def _dying_sender_doc():
+    # a battery at which a cooperative sender is found empty when its slot
+    # comes (tx_skipped_dead) and a receiver empties while it listens
+    # (charge_skipped_dead)
+    doc = generated_doc(mode="ct", horizon_s=120.0, packets=20, topo_seed=3)
+    doc["sim"]["battery_j"] = 0.004182
+    return doc
 
 
-def test_encode_rejects_circular_reference_and_recovers():
-    loop = {"a": 1}
-    loop["self"] = loop
-    with pytest.raises(ValueError, match="Circular"):
-        engine._encode({"outer": loop})
-    del loop["self"]  # a failed call must leave no container marked as open
-    assert engine._encode({"outer": loop}) == '{"outer": {"a": 1}}'
-    holder = {"a": [1], "b": object()}
-    with pytest.raises(TypeError):
-        engine._encode(holder)
-    holder["b"] = 2.5
-    assert engine._encode(holder) == json.dumps(holder, sort_keys=True)
+# every event kind the engine writes; the runs below reach them all
+_EVENT_KINDS = {
+    "batch_done", "candidate_reply", "charge_skipped_dead", "collision", "ct_request",
+    "ct_reserved", "ct_slot_skipped", "delivered", "delivery_failure", "energy_account",
+    "forwarding", "mode_selected", "node_died", "offered", "overhear", "reserve", "retry",
+    "rx", "rx_corrupt", "station_notify", "superframe_continued", "timeout", "tx",
+    "tx_skipped_dead",
+}
+
+
+def test_details_are_canonical_sorted_key_json():
+    """Each site's detail text is what ``json.dumps(detail, sort_keys=True)``
+    gives for the detail it holds, over runs that reach every event kind."""
+    runs = [(doc, seed) for doc, seed, _, _ in SCENARIOS.values()]
+    runs += [(late_reply_doc(), 3), (_dying_sender_doc(), 0)]
+    kinds = set()
+    for doc, seed in runs:
+        _, rows = run(make_config(doc), seed)
+        for _, _, _, event, text, _ in rows:
+            assert json.dumps(json.loads(text), sort_keys=True) == text, (event, text)
+            kinds.add(event)
+    assert kinds == _EVENT_KINDS
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oscmac import __version__
-from oscmac.engine import _encode, run
-from oscmac.trace import (TRACE_COLUMNS, read_trace, render_trace,
-                          write_metrics, write_trace)
+from oscmac.engine import run
+from oscmac.trace import (_BLOCK_ROWS, TRACE_COLUMNS, TraceRows, read_trace,
+                          render_trace, write_metrics, write_trace)
 from conftest import make_config, two_node_doc
 from test_golden import SEED, _auto_doc
 
@@ -30,6 +30,10 @@ def _csv_reference(rows, config_hash, seed):
     return buf.getvalue()
 
 
+def _canonical(detail):
+    return json.dumps(detail, sort_keys=True)
+
+
 _TEXT = st.text(st.sampled_from(',"\n\r\\ a\u00e9\u20ac') | st.characters(), max_size=8)
 _VALUE = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -37,16 +41,58 @@ _VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=3), max_leaves=6)
 _ROW = st.tuples(st.integers(), st.integers(), st.integers(),
                  st.from_regex(r"[a-z][a-z_]*", fullmatch=True),
-                 st.dictionaries(_TEXT, _VALUE, max_size=4).map(_encode),
+                 st.dictionaries(_TEXT, _VALUE, max_size=4).map(_canonical),
                  st.sampled_from([0.0, 5e-324, 1e16])
                  | st.floats(allow_nan=False, allow_infinity=False))
 
 
 @given(st.lists(_ROW, max_size=6))
-@example([(0, 0, 0, "energy_account", _encode({}), 5e-324)])
-@example([(1, 2, 3, "tx", _encode({"s": ',"\n\r\\\u00e9'}), 1e16)])
+@example([(0, 0, 0, "energy_account", _canonical({}), 5e-324)])
+@example([(1, 2, 3, "tx", _canonical({"s": ',"\n\r\\\u00e9'}), 1e16)])
 def test_render_trace_matches_csv_writer(rows):
     assert render_trace(rows, "abc123", 7) == _csv_reference(rows, "abc123", 7)
+
+
+def _filled(columns):
+    """A ``TraceRows`` holding ``columns``' rows, and the same rows as tuples."""
+    rows = TraceRows()
+    for row in columns:
+        rows.add(*row)
+    return rows, [(t, seq, n, e, d, r) for seq, (t, n, e, d, r) in enumerate(columns)]
+
+
+_STORED = st.tuples(st.integers(), st.integers(), st.sampled_from(["tx", "rx"]),
+                    st.sampled_from(["{}", '{"a": 1}']),
+                    st.integers(0, 3) | st.floats(allow_nan=False))
+
+
+@given(st.lists(_STORED, max_size=8), st.data())
+def test_trace_rows_read_as_a_list_of_tuples(columns, data):
+    rows, expected = _filled(columns)
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+    for i in range(-len(expected), len(expected)):
+        assert rows[i] == expected[i]
+    for i in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    cut = data.draw(st.slices(len(expected) + 2))
+    assert rows[cut] == expected[cut]
+    assert rows == expected and rows == _filled(columns)[0]
+    assert rows != expected + [(0, len(expected), 0, "tx", "{}", 0.0)]
+    if expected:
+        assert rows != expected[:-1]
+        assert rows != [(expected[0][0] + 1, *expected[0][1:])] + expected[1:]
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_render_trace_across_block_edges(tmp_path, count):
+    details = ["{}", '{"a": [1, 2]}', '{"s": "x"}']
+    rows, expected = _filled([(i * 7, i % 5, "tx", details[i % 3], i / 3) for i in range(count)])
+    text = render_trace(rows, "abc123", 7)
+    assert text == _csv_reference(expected, "abc123", 7)
+    write_trace(tmp_path / "t.csv", rows, "abc123", 7)
+    assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
 def _assert_round_trip(tmp_path, cfg, seed):
