@@ -1,22 +1,18 @@
 """Helper selection as the metering station performs it.
 
 A transmitter 100 m from its next hop asks for cooperation. The station
-screens its neighbours against a one-packet energy threshold, keeps the
-ones that can afford the whole burst, and names the richest survivor
-the leader.
+reads each neighbour's residual from its registry and, in one pass,
+elects every neighbour that can afford the whole burst, richest first;
+the first helper is the leader.
 """
 
 from oscmac import CtRequest, RadioEnergyParams, WiLemStation, tx_energy
 
 params = RadioEnergyParams()
 
-station = WiLemStation(
-    positions={1: (0.0, 0.0), 2: (8.0, 6.0), 3: (8.0, -6.0),
-               4: (-10.0, 0.0), 5: (0.0, 12.0)},
-    registry={2: 1.50, 3: 0.90, 4: 0.0004, 5: 1.50},
-)
+station = WiLemStation(registry={2: 1.50, 3: 0.90, 4: 0.0004, 5: 1.50})
 
-request = CtRequest(requester=1, packet_size_bytes=100, packet_count=5,
+request = CtRequest(packet_size_bytes=100, packet_count=5,
                     next_hop_distance=100.0, neighbor_ids=(2, 3, 4, 5, 6))
 
 per_packet = tx_energy(8 * 100, 100.0, params)

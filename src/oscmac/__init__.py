@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
-from .selection import (CandidateRecord, CtRequest, ElectedList, WiLemStation,
-                        elect_helpers, filter_candidates, leader_helper)
+from .selection import CtRequest, ElectedList, WiLemStation, elect_helpers
 from .channel import AirTransmission, ct_reach, in_reach, resolve_slot
 from .mac import (DutySchedule, MacState, Packet, Phase, Superframe,
                   build_schedules, compose_superframe, on_superframe,
@@ -14,8 +13,7 @@ from .engine import Metrics, Simulator, run
 
 __all__ = [
     "Battery", "RadioEnergyParams", "rx_energy", "tx_energy",
-    "CandidateRecord", "CtRequest", "ElectedList", "WiLemStation",
-    "elect_helpers", "filter_candidates", "leader_helper",
+    "CtRequest", "ElectedList", "WiLemStation", "elect_helpers",
     "AirTransmission", "ct_reach", "in_reach", "resolve_slot",
     "DutySchedule", "MacState", "Packet", "Phase", "Superframe",
     "build_schedules", "compose_superframe", "on_superframe", "reserve_noct", "step",

@@ -85,7 +85,7 @@ class ScenarioConfig:
     sim: SimSpec
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "radio": asdict(self.radio),
             "topology": {
                 "nodes": [asdict(n) for n in self.topology.nodes] if self.topology.nodes else None,
@@ -99,18 +99,15 @@ class ScenarioConfig:
             "mac": asdict(self.mac),
             "sim": asdict(self.sim),
         }
-        return d
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def config_hash(self, strip_mode: bool = False) -> str:
+    def canonical_json(self, strip_mode: bool = False) -> str:
         d = self.to_dict()
         if strip_mode:
-            d["mac"] = dict(d["mac"])
             d["mac"].pop("mode")
-        text = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+    def config_hash(self, strip_mode: bool = False) -> str:
+        return hashlib.sha256(self.canonical_json(strip_mode).encode()).hexdigest()
 
 
 # Every number in a scenario must be strictly positive except these.
@@ -163,9 +160,10 @@ def _fields(cls) -> dict:
     return {f.name: f for f in fields(cls)}
 
 
-def _build(cls, given, path: str):
-    """``cls(**given)`` once every given key is a field of ``cls`` holding a
-    value of its type and bound, and every field without a default is given."""
+def _build(cls, given, path: str, **defaults):
+    """``cls(**defaults, **given)``, given keys winning, once every given key is
+    a field of ``cls`` holding a value of its type and bound, and every field
+    without a default is given."""
     given = _object(given, path)
     spec = _fields(cls)
     _reject_unknown(given, spec, path)
@@ -174,11 +172,12 @@ def _build(cls, given, path: str):
     for name, f in spec.items():
         if name not in given and f.default is MISSING:
             raise ConfigError(f"{path}.{name} is required")
-    return cls(**given)
+    return cls(**{**defaults, **given})
 
 
-def _topology(raw) -> tuple:
-    """The topology section and the ids of its sensor nodes (all but the sink)."""
+def _topology(raw, battery_j) -> tuple:
+    """The topology section and the ids of its sensor nodes (all but the sink).
+    An explicit node without ``initial_j`` starts with ``battery_j``."""
     raw = _object(raw, "topology")
     _reject_unknown(raw, _fields(TopologySpec), "topology")
     nodes, gen = raw.get("nodes"), raw.get("generator")
@@ -198,7 +197,8 @@ def _topology(raw) -> tuple:
     else:
         if not isinstance(nodes, list):
             raise ConfigError(f"topology.nodes must be a list of nodes, got {nodes!r}")
-        topo.nodes = [_build(NodeSpec, n, f"topology.nodes[{i}]") for i, n in enumerate(nodes)]
+        topo.nodes = [_build(NodeSpec, n, f"topology.nodes[{i}]", initial_j=battery_j)
+                      for i, n in enumerate(nodes)]
         seen = set()
         for i, n in enumerate(topo.nodes):
             if n.id in seen:
@@ -256,7 +256,7 @@ def parse_config(document: str) -> ScenarioConfig:
     _reject_unknown(raw, ("topology", *_SECTIONS), "config")
     radio, traffic, mac, sim = (_build(cls, raw.get(name), name)
                                 for name, cls in _SECTIONS.items())
-    topo, sensors = _topology(raw.get("topology"))
+    topo, sensors = _topology(raw.get("topology"), sim.battery_j)
 
     sources = traffic.sources
     if isinstance(sources, list):

@@ -238,7 +238,7 @@ class Simulator:
 
     def _build_station(self):
         pos = self.cfg.topology.wilem or self.positions[self.fr]
-        self.station = WiLemStation(positions=dict(self.positions))
+        self.station = WiLemStation()
         self.station_pos = tuple(pos)
 
     def _resolve_sources(self):
@@ -513,7 +513,7 @@ class Simulator:
 
     def _resolve_mode(self, node, elected):
         mode = self.cfg.mac.mode
-        if not elected or not elected.helpers:
+        if not elected.helpers:
             return "noct"
         if mode == "ct":
             return "ct"
@@ -580,7 +580,6 @@ class Simulator:
                           if n not in (node.next_hop, self.fr)
                           and self.nodes[n].battery.alive)
         xfer.request = CtRequest(
-            requester=node.id,
             packet_size_bytes=self.cfg.traffic.packet_size_bytes,
             packet_count=len(xfer.batch),
             next_hop_distance=distance(node.pos, nxt.pos),

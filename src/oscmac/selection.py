@@ -1,10 +1,9 @@
-"""Base-station helper selection for cooperative transmission.
+"""Base-station helper election for cooperative transmission.
 
 The metering station keeps an always-current registry of node energies.
-When a transmitter asks for cooperation it runs two stages: an energy
-threshold filter over the neighbour list, then an election keeping only
-nodes whose residual covers the whole N-packet cooperative burst. The
-elected helper with the highest energy is the leader.
+When a transmitter asks for cooperation, the station reads its
+neighbours' residuals from the registry and, in one pass, elects every
+neighbour whose residual covers the whole N-packet cooperative burst.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +15,6 @@ from .energy import RadioEnergyParams, tx_energy
 class CtRequest:
     """Cooperation request sent by a transmitter to the station."""
 
-    requester: int
     packet_size_bytes: int    # S, octets per packet
     packet_count: int         # N, packets in the burst
     next_hop_distance: float  # D, metres to the next hop
@@ -29,22 +27,6 @@ class CtRequest:
             raise ValueError("packet_count must be positive")
         if self.next_hop_distance < 0:
             raise ValueError("next_hop_distance must be non-negative")
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    """One neighbour as seen by the station's energy registry."""
-
-    node: int
-    energy: float                 # residual energy, J
-    per_packet_tx_energy: float   # cost to transmit one packet in the CT phase, J
-    distance_to_requester: float
-
-    def __post_init__(self):
-        if self.energy < 0:
-            raise ValueError("candidate energy must be non-negative")
-        if self.per_packet_tx_energy <= 0:
-            raise ValueError("per_packet_tx_energy must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,91 +45,41 @@ class ElectedList:
             raise ValueError("empty election carries no leader")
 
 
-def _check_sorted(candidates) -> None:
-    for a, b in zip(candidates, candidates[1:]):
-        if a.energy < b.energy:
-            raise ValueError("candidate list must be sorted by descending energy")
+def elect_helpers(energies: dict, packet_count: int, per_packet: float) -> ElectedList:
+    """Elect every node whose residual covers the whole N-packet burst.
 
-
-def filter_candidates(neighbors, request: CtRequest, params: RadioEnergyParams):
-    """Keep neighbours whose energy covers one packet at the hop distance.
-
-    Threshold: e_elec*S_bits + e_fs*S_bits*D^2 with S_bits = 8*S. The
-    free-space coefficient is used regardless of D (the filter is a
-    coarse screen; actual transmissions use the two-regime model).
-    Input must already be sorted by descending energy.
+    ``energies`` maps node id -> residual J; ``per_packet`` is one CT-phase
+    packet's cost. A node is elected iff energy / (N * per_packet) >= 1,
+    boundary inclusive. Helpers come in (-energy, id) order, so the first
+    one, the richest with ties to the lowest id, is the leader.
     """
-    _check_sorted(neighbors)
-    s_bits = 8 * request.packet_size_bytes
-    d = request.next_hop_distance
-    threshold = params.e_elec * s_bits + params.e_fs * s_bits * d * d
-    return [c for c in neighbors if c.energy >= threshold]
-
-
-def leader_helper(elected) -> int:
-    """Id of the highest-energy candidate; ties go to the smallest id."""
-    if not elected:
-        raise ValueError("cannot pick a leader from an empty list")
-    best = max(elected, key=lambda c: (c.energy, -c.node))
-    return best.node
-
-
-def elect_helpers(candidates, packet_count: int) -> ElectedList:
-    """Keep candidates that can afford the whole N-packet burst.
-
-    A candidate is elected iff energy / (N * per_packet_tx_energy) >= 1,
-    boundary inclusive. Order is preserved (descending energy).
-    """
-    if packet_count < 1:
-        raise ValueError("packet_count must be at least 1")
-    chosen = [c for c in candidates
-              if c.energy / (packet_count * c.per_packet_tx_energy) >= 1.0]
-    if not chosen:
-        return ElectedList(helpers=(), leader=None)
-    return ElectedList(helpers=tuple(c.node for c in chosen),
-                       leader=leader_helper(chosen))
+    if packet_count < 1 or per_packet <= 0:
+        raise ValueError("packet_count must be at least 1 and per_packet positive")
+    burst = packet_count * per_packet
+    helpers = tuple(nid for _, nid in sorted((-e, nid) for nid, e in energies.items()
+                                             if e / burst >= 1.0))
+    return ElectedList(helpers=helpers, leader=helpers[0] if helpers else None)
 
 
 @dataclass
 class WiLemStation:
-    """Idealized energy-metering station.
+    """Idealized energy-metering station with no power budget of its own;
+    the registry mirrors every node's residual losslessly and instantly."""
 
-    The registry mirrors every node's residual energy losslessly and
-    instantly; positions are known so candidate distances can be
-    derived. The station itself has no power budget.
-    """
-
-    positions: dict = field(default_factory=dict)   # node id -> (x, y)
     registry: dict = field(default_factory=dict)    # node id -> residual J
 
     def update_energy(self, node: int, residual: float) -> None:
         self.registry[node] = residual
 
     def handle_ct_request(self, request: CtRequest, params: RadioEnergyParams):
-        """Filter then elect; returns (ElectedList, skipped ids).
+        """Elect from the registry; returns (ElectedList, skipped ids).
 
         Neighbours missing from the registry are skipped (the station
         cannot rank what it cannot measure). Helpers are assumed to
         transmit over the requester's hop distance in the CT phase, so
-        every candidate shares the same per-packet cost.
+        every neighbour shares the same per-packet cost.
         """
-        s_bits = 8 * request.packet_size_bytes
-        per_packet = tx_energy(s_bits, request.next_hop_distance, params)
-        skipped = []
-        candidates = []
-        rx, ry = self.positions[request.requester]
-        for nid in request.neighbor_ids:
-            if nid not in self.registry or nid not in self.positions:
-                skipped.append(nid)
-                continue
-            x, y = self.positions[nid]
-            candidates.append(CandidateRecord(
-                node=nid,
-                energy=self.registry[nid],
-                per_packet_tx_energy=per_packet,
-                distance_to_requester=((x - rx) ** 2 + (y - ry) ** 2) ** 0.5,
-            ))
-        # station sorts by descending energy, ties by id, before filtering
-        candidates.sort(key=lambda c: (-c.energy, c.node))
-        filtered = filter_candidates(candidates, request, params)
-        return elect_helpers(filtered, request.packet_count), skipped
+        energies = {n: self.registry[n] for n in request.neighbor_ids if n in self.registry}
+        skipped = [n for n in request.neighbor_ids if n not in self.registry]
+        per_packet = tx_energy(8 * request.packet_size_bytes, request.next_hop_distance, params)
+        return elect_helpers(energies, request.packet_count, per_packet), skipped

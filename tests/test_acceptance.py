@@ -19,7 +19,7 @@ import pytest
 from oscmac.cli import main
 from oscmac.energy import RadioEnergyParams, tx_energy
 from oscmac.engine import Simulator, run
-from oscmac.selection import CandidateRecord, CtRequest, elect_helpers, filter_candidates
+from oscmac.selection import CtRequest, WiLemStation, elect_helpers
 from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 from test_engine import scan_radio_rows
 
@@ -80,28 +80,22 @@ def test_c03_selection_oracle():
         s = rng.randint(1, 400)
         d = rng.uniform(0.0, 150.0)
         per_packet = tx_energy(8 * s, d, PARAMS)
-        cands = sorted(
-            (CandidateRecord(node=i, energy=rng.uniform(0.0, 5e-3),
-                             per_packet_tx_energy=per_packet,
-                             distance_to_requester=rng.uniform(1.0, 90.0))
-             for i in range(rng.randint(0, 20))),
-            key=lambda c: (-c.energy, c.node))
-        req = CtRequest(requester=99, packet_size_bytes=s, packet_count=n,
-                        next_hop_distance=d, neighbor_ids=())
-        elected = elect_helpers(filter_candidates(cands, req, PARAMS), n)
+        station = WiLemStation(registry={i: rng.uniform(0.0, 5e-3)
+                                         for i in range(rng.randint(0, 20))})
+        req = CtRequest(packet_size_bytes=s, packet_count=n,
+                        next_hop_distance=d, neighbor_ids=tuple(station.registry))
+        elected, _ = station.handle_ct_request(req, PARAMS)
         bits = 8 * s
         thr = PARAMS.e_elec * bits + PARAMS.e_fs * bits * d * d
-        expect = tuple(c.node for c in cands
-                       if c.energy >= thr
-                       and c.energy / (n * c.per_packet_tx_energy) >= 1.0)
+        ranked = sorted((-e, i) for i, e in station.registry.items())
+        expect = tuple(i for neg, i in ranked
+                       if -neg >= thr and -neg / (n * per_packet) >= 1.0)
         ok = ok and elected.helpers == expect
     # boundary: energy exactly N * per-packet cost is elected (inclusive)
-    boundary = elect_helpers(
-        [CandidateRecord(node=1, energy=5 * 1e-4, per_packet_tx_energy=1e-4,
-                         distance_to_requester=10.0)], 5)
+    boundary = elect_helpers({1: 5 * 1e-4}, 5, 1e-4)
     ok = ok and boundary.helpers == (1,)
     elapsed = time.perf_counter() - t0
-    report(3, "filter and election brute-force oracle",
+    report(3, "station election brute-force oracle",
            ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
 
@@ -112,18 +106,10 @@ def test_c04_election_scale_invariance():
         n = rng.randint(1, 8)
         per_packet = rng.uniform(1e-5, 1e-3)
         c = rng.uniform(1e-3, 1e3)
-        cands = sorted(
-            (CandidateRecord(node=i, energy=rng.uniform(0.0, 5e-2),
-                             per_packet_tx_energy=per_packet,
-                             distance_to_requester=1.0)
-             for i in range(rng.randint(1, 15))),
-            key=lambda x: (-x.energy, x.node))
-        scaled = [CandidateRecord(node=x.node, energy=x.energy * c,
-                                  per_packet_tx_energy=x.per_packet_tx_energy * c,
-                                  distance_to_requester=1.0)
-                  for x in cands]
-        a = elect_helpers(cands, n)
-        b = elect_helpers(scaled, n)
+        energies = {i: rng.uniform(0.0, 5e-2) for i in range(rng.randint(1, 15))}
+        scaled = {i: e * c for i, e in energies.items()}
+        a = elect_helpers(energies, n, per_packet)
+        b = elect_helpers(scaled, n, per_packet * c)
         ok = ok and a.helpers == b.helpers and a.leader == b.leader
     report(4, "election invariant under energy rescaling", ok)
 

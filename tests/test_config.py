@@ -201,6 +201,34 @@ def test_canonical_json_round_trips():
     assert again.config_hash() == cfg.config_hash()
 
 
+def _with_battery(doc, battery_j=0.0005):
+    doc["sim"]["battery_j"] = battery_j
+    return doc
+
+
+def test_battery_j_starts_every_explicit_node():
+    cfg = make_config(_with_battery(range_extension_doc()))
+    assert [n.initial_j for n in cfg.topology.nodes] == [0.0005] * 4
+    assert Simulator(cfg, 0).metrics.initial_by_node == {0: 0.0005, 1: 0.0005, 2: 0.0005, 3: 0.0005}
+
+
+def test_explicit_initial_j_wins_over_battery_j():
+    doc = _with_battery(range_extension_doc())
+    doc["topology"]["nodes"][2]["initial_j"] = 1.5
+    cfg = make_config(doc)
+    assert [n.initial_j for n in cfg.topology.nodes] == [0.0005, 0.0005, 1.5, 0.0005]
+
+
+def test_battery_j_with_explicit_nodes_round_trips():
+    doc = _with_battery(range_extension_doc())
+    doc["topology"]["nodes"][2]["initial_j"] = 1.5
+    cfg = make_config(doc)
+    again = parse_config(cfg.canonical_json())
+    assert again.canonical_json() == cfg.canonical_json()
+    assert again.config_hash() == cfg.config_hash()
+    assert again.topology.nodes == cfg.topology.nodes
+
+
 def test_hash_is_sensitive_to_content():
     a = make_config(range_extension_doc(mode="ct"))
     b = make_config(range_extension_doc(mode="noct"))

@@ -1,80 +1,71 @@
+import math
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from oscmac.energy import RadioEnergyParams, tx_energy
-from oscmac.selection import (CandidateRecord, CtRequest, ElectedList,
-                              WiLemStation, elect_helpers, filter_candidates,
-                              leader_helper)
+from oscmac.selection import CtRequest, ElectedList, WiLemStation, elect_helpers
 
 PARAMS = RadioEnergyParams()
 
 
-def cand(node, energy, per_packet=1e-4, dist=10.0):
-    return CandidateRecord(node=node, energy=energy,
-                           per_packet_tx_energy=per_packet,
-                           distance_to_requester=dist)
-
-
 def request(s=100, n=5, d=50.0, neighbors=()):
-    return CtRequest(requester=0, packet_size_bytes=s, packet_count=n,
+    return CtRequest(packet_size_bytes=s, packet_count=n,
                      next_hop_distance=d, neighbor_ids=tuple(neighbors))
 
 
 def threshold(s, d, params=PARAMS):
+    """The one-packet free-space screen the station once applied before electing."""
     bits = 8 * s
     return params.e_elec * bits + params.e_fs * bits * d * d
 
 
-def test_filter_threshold_value():
-    # S=100 bytes, D=50 m: 800*50e-9 + 800*10e-12*2500 = 6.0e-5 J
-    assert threshold(100, 50.0) == pytest.approx(6.0e-5, rel=1e-12)
+def test_elect_keeps_at_and_above_burst_cost():
+    burst = 5 * 1e-4
+    e = elect_helpers({1: burst * 2, 2: burst, 3: burst * 0.999}, 5, 1e-4)
+    assert e.helpers == (1, 2)
 
 
-def test_filter_keeps_at_and_above_threshold():
-    t = threshold(100, 50.0)
-    cs = [cand(1, t * 2), cand(2, t), cand(3, t * 0.999)]
-    kept = filter_candidates(cs, request(), PARAMS)
-    assert [c.node for c in kept] == [1, 2]
-
-
-def test_filter_rejects_unsorted_input():
-    cs = [cand(1, 0.5), cand(2, 0.9)]
-    with pytest.raises(ValueError):
-        filter_candidates(cs, request(), PARAMS)
-
-
-def test_filter_accepts_equal_energies():
-    cs = [cand(1, 0.5), cand(2, 0.5)]
-    assert len(filter_candidates(cs, request(), PARAMS)) == 2
+def test_elect_accepts_equal_energies():
+    assert elect_helpers({1: 0.5, 2: 0.5}, 5, 1e-4).helpers == (1, 2)
 
 
 def test_elect_boundary_inclusive():
     # energy exactly N * per_packet is elected
-    e = elect_helpers([cand(7, 5e-4, per_packet=1e-4)], packet_count=5)
+    e = elect_helpers({7: 5e-4}, 5, 1e-4)
     assert e.helpers == (7,)
     assert e.leader == 7
 
 
 def test_elect_below_boundary_excluded():
-    e = elect_helpers([cand(7, 4.999e-4, per_packet=1e-4)], packet_count=5)
+    e = elect_helpers({7: 4.999e-4}, 5, 1e-4)
     assert e.helpers == ()
     assert e.leader is None
 
 
 def test_elect_preserves_order_and_picks_leader():
-    cs = [cand(3, 0.9), cand(1, 0.6), cand(5, 0.4)]
-    e = elect_helpers(cs, packet_count=2)
+    e = elect_helpers({3: 0.9, 1: 0.6, 5: 0.4}, 2, 1e-4)
+    assert e.helpers == (3, 1, 5)
+    assert e.leader == 3
+
+
+def test_elect_orders_unsorted_input():
+    e = elect_helpers({5: 0.4, 1: 0.6, 3: 0.9}, 2, 1e-4)
     assert e.helpers == (3, 1, 5)
     assert e.leader == 3
 
 
 def test_leader_tie_breaks_to_lowest_id():
-    assert leader_helper([cand(9, 0.5), cand(2, 0.5), cand(4, 0.5)]) == 2
+    e = elect_helpers({9: 0.5, 2: 0.5, 4: 0.5, 1: 0.1}, 1, 1e-4)
+    assert e.helpers == (2, 4, 9, 1)
+    assert e.leader == 2
 
 
-def test_leader_empty_raises():
+def test_elect_rejects_bad_burst():
     with pytest.raises(ValueError):
-        leader_helper([])
+        elect_helpers({1: 0.5}, 0, 1e-4)
+    with pytest.raises(ValueError):
+        elect_helpers({1: 0.5}, 1, 0.0)
 
 
 def test_elected_list_invariants():
@@ -96,8 +87,7 @@ def test_request_validation():
 
 
 def test_station_skips_unknown_neighbors():
-    st_ = WiLemStation(positions={0: (0.0, 0.0), 1: (10.0, 0.0)},
-                       registry={0: 2.0, 1: 2.0})
+    st_ = WiLemStation(registry={0: 2.0, 1: 2.0})
     elected, skipped = st_.handle_ct_request(
         request(neighbors=(1, 42)), PARAMS)
     assert skipped == [42]
@@ -105,8 +95,7 @@ def test_station_skips_unknown_neighbors():
 
 
 def test_station_per_packet_cost_uses_hop_distance():
-    st_ = WiLemStation(positions={0: (0.0, 0.0), 1: (5.0, 0.0)},
-                       registry={0: 2.0, 1: 2.0})
+    st_ = WiLemStation(registry={0: 2.0, 1: 2.0})
     n = 4
     per_packet = tx_energy(800, 50.0, PARAMS)
     # just below affordability for the burst -> not elected
@@ -118,28 +107,55 @@ def test_station_per_packet_cost_uses_hop_distance():
     assert elected.helpers == (1,)
 
 
+def test_station_elects_single_packet_boundary_below_d0():
+    """A residual of exactly one packet's cost is elected for N = 1.
+
+    At S = 100 and D = 12.25 m the one-packet free-space screen rounds to
+    4.12005e-05 J, one ulp above tx_energy's 4.120049999999999e-05 J, so a
+    screen ahead of the election would reject this boundary residual."""
+    cost = tx_energy(800, 12.25, PARAMS)
+    assert cost < threshold(100, 12.25)
+    st_ = WiLemStation(registry={1: cost})
+    elected, skipped = st_.handle_ct_request(request(s=100, n=1, d=12.25, neighbors=(1,)),
+                                             PARAMS)
+    assert (elected.helpers, elected.leader, skipped) == ((1,), 1, [])
+
+
 @given(energies=st.lists(st.floats(0, 1e-2), min_size=0, max_size=12),
        n=st.integers(1, 8),
        d=st.floats(0, 150),
        s=st.integers(1, 500))
 def test_pipeline_matches_bruteforce(energies, n, d, s):
-    """Sorted filter + election must equal the direct set comprehension."""
-    cs = sorted((cand(i, e, per_packet=tx_energy(8 * s, d, PARAMS))
-                 for i, e in enumerate(energies)),
-                key=lambda c: (-c.energy, c.node))
-    req = request(s=s, n=n, d=d)
-    elected = elect_helpers(filter_candidates(cs, req, PARAMS), n)
+    """Request -> registry -> election equals the direct set comprehension, and no
+    elected node falls below the one-packet screen by more than rounding."""
+    st_ = WiLemStation(registry=dict(enumerate(energies)))
+    elected, skipped = st_.handle_ct_request(
+        request(s=s, n=n, d=d, neighbors=range(len(energies) + 1)), PARAMS)
 
+    per_packet = tx_energy(8 * s, d, PARAMS)
+    ranked = sorted((-e, i) for i, e in enumerate(energies))
+    expect = [i for neg, i in ranked if -neg / (n * per_packet) >= 1.0]
+    assert skipped == [len(energies)]
+    assert elected.helpers == tuple(expect)
+    assert elected.leader == (expect[0] if expect else None)
     thr = threshold(s, d)
-    expect = [c for c in cs
-              if c.energy >= thr
-              and c.energy / (n * c.per_packet_tx_energy) >= 1.0]
-    assert elected.helpers == tuple(c.node for c in expect)
-    if expect:
-        best = max(expect, key=lambda c: (c.energy, -c.node))
-        assert elected.leader == best.node
-    else:
-        assert elected.leader is None
+    assert all(energies[i] >= thr * (1 - 1e-15) for i in expect)
+
+
+@given(ks=st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+       n=st.integers(1, 8),
+       d=st.floats(0, 150),
+       s=st.integers(1, 500))
+def test_election_at_the_boundary_ulp_by_ulp(ks, n, d, s):
+    """Residuals within 3 ulps of N * per_packet: elected iff at or above it."""
+    per_packet = tx_energy(8 * s, d, PARAMS)
+    burst = n * per_packet
+    energies = {i: burst + k * math.ulp(burst) for i, k in enumerate(ks)}
+    elected = elect_helpers(energies, n, per_packet)
+    expect = tuple(i for _, i in sorted((-e, i) for i, e in energies.items()
+                                        if e / (n * per_packet) >= 1.0))
+    assert elected.helpers == expect
+    assert set(expect) == {i for i, k in enumerate(ks) if k >= 0}
 
 
 @given(energies=st.lists(st.floats(1e-6, 1e-2), min_size=1, max_size=10),
@@ -150,8 +166,6 @@ def test_election_scale_invariance(energies, scale, n):
     # keep clear of the affordability boundary; an ulp of rounding there
     # would legitimately flip the decision
     assume(all(abs(e / (n * 1e-4) - 1.0) > 1e-9 for e in energies))
-    base = sorted((cand(i, e, per_packet=1e-4) for i, e in enumerate(energies)),
-                  key=lambda c: (-c.energy, c.node))
-    scaled = [cand(c.node, c.energy * scale, per_packet=1e-4 * scale)
-              for c in base]
-    assert elect_helpers(base, n).helpers == elect_helpers(scaled, n).helpers
+    base = dict(enumerate(energies))
+    scaled = {i: e * scale for i, e in base.items()}
+    assert elect_helpers(base, n, 1e-4).helpers == elect_helpers(scaled, n, 1e-4 * scale).helpers
