@@ -85,20 +85,11 @@ class ScenarioConfig:
     sim: SimSpec
 
     def to_dict(self) -> dict:
-        return {
-            "radio": asdict(self.radio),
-            "topology": {
-                "nodes": [asdict(n) for n in self.topology.nodes] if self.topology.nodes else None,
-                "fr": self.topology.fr,
-                "wilem": list(self.topology.wilem) if self.topology.wilem else None,
-                "routes": ({str(k): v for k, v in self.topology.routes.items()}
-                           if self.topology.routes else None),
-                "generator": self.topology.generator,
-            },
-            "traffic": asdict(self.traffic),
-            "mac": asdict(self.mac),
-            "sim": asdict(self.sim),
-        }
+        d = asdict(self)
+        routes = self.topology.routes
+        if routes is not None:  # JSON object keys are strings; {} stays {}
+            d["topology"]["routes"] = {str(k): v for k, v in routes.items()}
+        return d
 
     def canonical_json(self, strip_mode: bool = False) -> str:
         d = self.to_dict()
@@ -203,6 +194,9 @@ def _topology(raw, battery_j) -> tuple:
         for i, n in enumerate(topo.nodes):
             if n.id in seen:
                 raise ConfigError(f"topology.nodes[{i}].id duplicates id {n.id}")
+            if n.role not in ("fr", "trn", "relay"):
+                raise ConfigError(f"topology.nodes[{i}].role must be fr, trn or relay, "
+                                  f"got {n.role!r}")
             seen.add(n.id)
         if raw.get("fr") is None:
             fr_roles = [n.id for n in topo.nodes if n.role == "fr"]

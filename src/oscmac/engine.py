@@ -7,7 +7,11 @@ microseconds and ``seq`` breaks ties, so ordering and trace equality are
 exact. ``perfbench/layers.py`` unpacks heap entries in this shape and patches
 this module's ``heapq``, ``distance``, ``in_reach``, ``ct_reach``,
 ``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
-so both must stay.
+so the entry shape and these names must stay.
+
+Each routed node holds its next-hop node, the hop's length and whether it
+reaches the hop alone (by the neighbour index), all fixed at build; ``_send``
+alone picks how far a sender transmits: to its farthest addressee.
 
 Idle and sleep power draws are accounted lazily by integrating each node's
 duty schedule (plus reservation wake-ups) between the events that touch it,
@@ -110,14 +114,16 @@ class _Transfer:
     hop_scheduled: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class SimNode:
     id: int
     pos: tuple
     battery: Battery
     schedule: DutySchedule
     mac: MacState
-    next_hop: int = None          # type: ignore[assignment]
+    next_hop: "SimNode" = None    # type: ignore[assignment]  # None: no route
+    hop_m: float = None           # type: ignore[assignment]  # distance to next_hop
+    hop_direct: bool = False      # whether it reaches next_hop alone
     depth: int = 0
     last_accounted_us: int = 0
     xfer: _Transfer = field(default_factory=_Transfer)  # the hop in progress
@@ -215,8 +221,11 @@ class Simulator:
                 id=nid, pos=positions[nid],
                 battery=Battery(initial=initial[nid]),
                 schedule=schedules[nid],
-                mac=MacState(node=nid),
-                next_hop=routes.get(nid), depth=depths[nid])
+                mac=MacState(node=nid), depth=depths[nid])
+        for nid, hop in routes.items():
+            node, nxt = nodes[nid], nodes[hop]
+            node.next_hop, node.hop_m = nxt, distance(node.pos, nxt.pos)
+            node.hop_direct = hop in self.neighbours[nid]
         self.nodes = nodes
         self.positions = positions
         self.metrics.initial_by_node = {nid: nodes[nid].battery.initial for nid in ids}
@@ -396,21 +405,22 @@ class Simulator:
     def _tx_duration_us(self, bits):
         return max(1, int(math.ceil(bits / self.bitrate * US)))
 
-    def _send(self, sender_specs, addressed, packet, tag, meta, coop=False):
-        """Put one transmission on the air.
+    def _send(self, senders, addressed, packet, tag, meta, coop=False):
+        """Put one transmission from the ``senders`` nodes to the
+        ``addressed`` nodes on the air.
 
-        sender_specs: list of (node_id, nominal_tx_distance). Dead
-        senders are dropped; each live sender is charged the two-regime
-        transmit energy over its own nominal distance.
+        Dead senders are dropped. Each live sender transmits as far as its
+        farthest addressee and is charged the two-regime transmit energy
+        over that distance: the one rule for how far any sender transmits.
         """
         rdv = self._new_rdv()
         dur = self._tx_duration_us(packet.size_bits)
-        live = []
-        for nid, dist in sender_specs:
-            node = self.nodes[nid]
+        ids, positions = [], []  # of the senders alive after transmitting
+        for node in senders:
             if not self._account(node):
                 self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
                 continue
+            dist = max(distance(node.pos, a.pos) for a in addressed)
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
             self._charge(node, tx_energy(packet.size_bits, dist, self.params),
                          "transmit", "tx",
@@ -420,13 +430,14 @@ class Simulator:
                                    f'"packet": {packet.seq}, "pkind": "{packet.kind}", '
                                    f'"rdv": {rdv}, "tag": "{tag}"}}')
             if node.battery.alive:
-                live.append(nid)
-        if not live:
+                ids.append(node.id)
+                positions.append(node.pos)
+        if not ids:
             return
         txn = _Txn(rdv_id=rdv,
-                   sender_positions=tuple(self.nodes[n].pos for n in live),
-                   sender_ids=tuple(live),
-                   addressed_to=tuple(addressed),
+                   sender_positions=tuple(positions),
+                   sender_ids=tuple(ids),
+                   addressed_to=tuple(a.id for a in addressed),
                    cooperative=coop,
                    start_us=self.now, end_us=self.now + dur,
                    packet=packet, tag=tag, meta=meta)
@@ -441,8 +452,7 @@ class Simulator:
     def _on_send_reply(self, sender, target, kind, meta):
         pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
                      source=sender.id, destination=target.id, kind=kind)
-        self._send([(sender.id, distance(sender.pos, target.pos))], [target.id],
-                   pkt, kind, meta)
+        self._send([sender], [target], pkt, kind, meta)
 
     def _on_tx_end(self, txn):
         if txn.resolved:
@@ -519,8 +529,7 @@ class Simulator:
             return "ct"
         # auto: cooperate when the hop is out of direct reach or the
         # sender has fallen well below its neighbourhood's mean energy
-        nxt = self.nodes[node.next_hop]
-        if not in_reach(node.pos, nxt.pos, self.base_range):
+        if not node.hop_direct:
             return "ct"
         neigh = [self.nodes[n].battery.residual for n in self.neighbours[node.id]
                  if self.nodes[n].battery.alive]
@@ -575,14 +584,13 @@ class Simulator:
 
     def _ct_query(self, node):
         xfer = node.xfer
-        nxt = self.nodes[node.next_hop]
         neighbors = tuple(n for n in self.neighbours[node.id]
-                          if n not in (node.next_hop, self.fr)
+                          if n not in (node.next_hop.id, self.fr)
                           and self.nodes[n].battery.alive)
         xfer.request = CtRequest(
             packet_size_bytes=self.cfg.traffic.packet_size_bytes,
             packet_count=len(xfer.batch),
-            next_hop_distance=distance(node.pos, nxt.pos),
+            next_hop_distance=node.hop_m,
             neighbor_ids=neighbors)
         ctrl_dur = self._tx_duration_us(self.cfg.mac.ctrl_bits)
         macmod.step(node.mac, "ct_query", self.now)
@@ -624,7 +632,7 @@ class Simulator:
             self._noct_begin(node)
             return
         origin = self.now + TURNAROUND_US
-        xfer.sf = compose_superframe(node.id, elected, node.next_hop,
+        xfer.sf = compose_superframe(node.id, elected, node.next_hop.id,
                                      len(xfer.batch), origin,
                                      self.slot_us, self.frame_us)
         if xfer.sf.continued:
@@ -633,8 +641,7 @@ class Simulator:
         # station-assisted wake bootstrap: elected helpers and the next
         # hop are told (out of band) when to listen for the superframe
         control_end = origin + self.slot_us
-        for nid in (*elected.helpers, node.next_hop):
-            listener = self.nodes[nid]
+        for listener in (*(self.nodes[h] for h in elected.helpers), node.next_hop):
             self._charge(listener, rx_energy(self.cfg.mac.ctrl_bits, self.params),
                          "receive", "station_notify",
                          lambda j: f'{{"category": "receive", "j": {j!r}, "listen_from_us": '
@@ -648,17 +655,16 @@ class Simulator:
         sf = node.xfer.sf
         if sf is None:
             return
-        addressed = list(sf.helpers)  # a cooperative hop has at least one helper
-        nxt = self.nodes[node.next_hop]
-        if in_reach(node.pos, nxt.pos, self.base_range):
+        # a cooperative hop has at least one helper
+        addressed = [self.nodes[h] for h in sf.helpers]
+        if node.hop_direct:
             addressed.append(node.next_hop)
-        dist = max(distance(node.pos, self.nodes[h].pos) for h in addressed)
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
                      source=node.id, destination=-1, kind="superframe")
         self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
         macmod.step(node.mac, "sf_announce", self.now)
-        self._send([(node.id, dist)], addressed, pkt, "superframe", {"origin": node.id})
+        self._send([node], addressed, pkt, "superframe", {"origin": node.id})
         self._set_timer(node, "ct_ack", self.timeout_us)
 
     def _on_superframe_rx(self, receiver, txn):
@@ -682,8 +688,7 @@ class Simulator:
         macmod.step(node.mac, "ct_ack", self.now)
         self._cancel_timer(node)
         self._emit(node, "ct_reserved", f'{{"leader": {txn.sender_ids[0]}}}')
-        nxt = self.nodes[node.next_hop]
-        if not in_reach(node.pos, nxt.pos, self.base_range):
+        if not node.hop_direct:
             self._schedule(self.now + TURNAROUND_US, "sf_relay", node)
         for i, (start, _) in enumerate(xfer.sf.rdv_slots()):
             self._schedule(start, "ct_slot", node, i)
@@ -692,12 +697,9 @@ class Simulator:
         xfer = node.xfer
         if xfer.sf is None:
             return
-        nxt = self.nodes[node.next_hop]
-        senders = [(node.id, distance(node.pos, nxt.pos))]
-        for h in xfer.sf.helpers:
-            senders.append((h, distance(self.nodes[h].pos, nxt.pos)))
+        senders = [node, *(self.nodes[h] for h in xfer.sf.helpers)]
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
-                     source=node.id, destination=node.next_hop, kind="superframe")
+                     source=node.id, destination=node.next_hop.id, kind="superframe")
         self._send(senders, [node.next_hop], pkt, "superframe",
                    {"origin": node.id}, coop=True)
 
@@ -712,11 +714,11 @@ class Simulator:
             return
         macmod.step(node.mac, "slot_start", self.now)
         packet = xfer.batch[i]
-        helpers_alive = [h for h in xfer.sf.helpers if self.nodes[h].battery.alive]
+        helpers_alive = [self.nodes[h] for h in xfer.sf.helpers
+                         if self.nodes[h].battery.alive]
         xfer.got_broadcast[i] = set()
         if helpers_alive:
-            dist = max(distance(node.pos, self.nodes[h].pos) for h in helpers_alive)
-            self._send([(node.id, dist)], helpers_alive, packet, "ct_broadcast",
+            self._send([node], helpers_alive, packet, "ct_broadcast",
                        {"origin": node.id, "index": i})
         start, _ = xfer.sf.rdv_slots()[i]
         self._schedule(start + xfer.sf.slot_us // 2, "ct_coop", node, i)
@@ -730,13 +732,10 @@ class Simulator:
         if xfer.sf is None or i >= len(xfer.batch):
             return
         packet = xfer.batch[i]
-        nxt = self.nodes[node.next_hop]
-        senders = []
-        if self._account(node):
-            senders.append((node.id, distance(node.pos, nxt.pos)))
+        senders = [node] if self._account(node) else []
         for h in xfer.sf.helpers:
             if h in xfer.got_broadcast.get(i, ()) and self.nodes[h].battery.alive:
-                senders.append((h, distance(self.nodes[h].pos, nxt.pos)))
+                senders.append(self.nodes[h])
         if not senders:
             self._emit(node, "delivery_failure",
                        f'{{"reason": "no live cooperative senders", "seqs": [{packet.seq}]}}')
@@ -768,7 +767,7 @@ class Simulator:
         xfer = node.xfer
         if not xfer.active or xfer.noct_index >= len(xfer.batch):
             return
-        nxt = self.nodes[node.next_hop]
+        nxt = node.next_hop
         t_req = nxt.schedule.next_wake(self.now)
         if t_req > self.now:
             # one handshake fits per wake window, so contenders spread over
@@ -787,10 +786,9 @@ class Simulator:
         rdv = self._new_rdv()
         self._ensure_awake_for(node, self.now, self.now + self.timeout_us, rdv, "noct_wait")
         pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id,
-                     destination=node.next_hop, kind="noct_request")
+                     destination=nxt.id, kind="noct_request")
         macmod.step(node.mac, "noct_request", self.now)
-        self._send([(node.id, distance(node.pos, nxt.pos))], [node.next_hop], pkt,
-                   "noct_request",
+        self._send([node], [nxt], pkt, "noct_request",
                    {"origin": node.id, "interval_start": interval_start,
                     "interval_us": interval_us, "rdv": rdv})
         self._set_timer(node, "noct_reply", self.timeout_us)
@@ -849,9 +847,7 @@ class Simulator:
         if xfer.noct_index >= len(xfer.batch) or not self._account(node):
             return
         packet = xfer.batch[xfer.noct_index]
-        nxt = self.nodes[node.next_hop]
-        self._send([(node.id, distance(node.pos, nxt.pos))], [node.next_hop], packet,
-                   "data", {"origin": node.id, "mode": "noct"})
+        self._send([node], [node.next_hop], packet, "data", {"origin": node.id, "mode": "noct"})
         macmod.step(node.mac, "noct_data", self.now)  # now waiting for the data ack
         self._set_timer(node, "data_ack", self.timeout_us)
 

@@ -10,7 +10,7 @@ from oscmac.config import (ConfigError, GeneratorSpec, MacSpec, NodeSpec, SimSpe
 from oscmac.energy import RadioEnergyParams
 from oscmac.engine import Simulator
 from oscmac.trace import read_trace, write_trace
-from conftest import generated_doc, make_config, range_extension_doc
+from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 from test_acceptance import trace_summed_charges
 
 
@@ -50,6 +50,13 @@ def test_unknown_node_key_rejected():
     doc = range_extension_doc()
     doc["topology"]["nodes"][0]["z"] = 1.0
     with pytest.raises(ConfigError, match="unknown key"):
+        make_config(doc)
+
+
+def test_unknown_role_rejected():
+    doc = range_extension_doc()
+    doc["topology"]["nodes"][2]["role"] = "banana"
+    with pytest.raises(ConfigError, match=r"topology\.nodes\[2\]\.role must be fr, trn or relay"):
         make_config(doc)
 
 
@@ -197,8 +204,20 @@ def test_value_validation():
 def test_canonical_json_round_trips():
     cfg = make_config(range_extension_doc())
     again = parse_config(cfg.canonical_json())
+    assert again == cfg
     assert again.canonical_json() == cfg.canonical_json()
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_empty_routes_are_not_bfs_routes():
+    doc = two_node_doc()
+    doc["topology"]["routes"] = {}  # no node has a route: nothing is forwarded
+    routeless, bfs = make_config(doc), make_config(two_node_doc())
+    assert parse_config(routeless.canonical_json()) == routeless
+    assert routeless.topology.routes == {} and bfs.topology.routes is None
+    assert routeless.config_hash() != bfs.config_hash()
+    assert Simulator(routeless, 0).run().packets_delivered == 0
+    assert Simulator(bfs, 0).run().packets_delivered == 1
 
 
 def _with_battery(doc, battery_j=0.0005):
@@ -306,6 +325,7 @@ def test_fuzzed_document_is_rejected_or_runs_cleanly(case, tmp_path_factory):
         sim = Simulator(cfg, _FUZZ_SEED)
     except ConfigError:
         return
+    assert parse_config(cfg.canonical_json()) == cfg
     metrics = sim.run()
     spent = sum(metrics.initial_by_node[n] - metrics.residual_by_node[n]
                 for n in metrics.initial_by_node)

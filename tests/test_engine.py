@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oscmac import mac
+from oscmac.channel import distance
 from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, reserve
@@ -114,6 +115,41 @@ def test_ct_trace_shows_cooperative_slots():
     for r in coop:
         senders_by_rdv.setdefault(detail(r)["rdv"], set()).add(r[2])
     assert any(len(s) >= 3 for s in senders_by_rdv.values())
+
+
+@pytest.mark.parametrize("fr_x, relayed", [(120.0, True), (80.0, False)])
+def test_each_sender_transmits_to_its_farthest_addressee(fr_x, relayed):
+    """Every ``tx`` row's distance is its sender's distance to the farthest
+    node it addresses: the farthest helper (or the next hop, when the
+    transmitter reaches it alone) for the announce and the broadcast, the
+    next hop for each sender of a cooperative copy, and the requester for
+    a reply. The helpers sit 10 m and 13 m from the transmitter, and the
+    receiver ``fr_x`` metres from it."""
+    doc = range_extension_doc(mode="ct")
+    doc["topology"]["nodes"][0]["x"] = fr_x
+    doc["topology"]["nodes"][3].update(x=5.0, y=-12.0)
+    pos = {n["id"]: (n["x"], n["y"]) for n in doc["topology"]["nodes"]}
+    _, rows = run(make_config(doc), 0)
+    (reply,) = rows_for(rows, event="candidate_reply")
+    helpers = detail(reply)["helpers"]
+    assert sorted(helpers) == [2, 3]
+    addressees = {  # (tag, cooperative) -> the nodes a transmission addresses
+        ("superframe", False): helpers if relayed else [*helpers, 0],
+        ("superframe", True): [0],
+        ("ct_broadcast", False): helpers,
+        ("ct_coop", True): [0],
+        ("ct_ack", False): [1],
+        ("data_ack", False): [1],
+    }
+    seen = set()
+    for r in rows_for(rows, event="tx"):
+        d = detail(r)
+        key = (d["tag"], d["coop"])
+        seen.add(key)
+        expected = max(distance(pos[r[2]], pos[a]) for a in addressees[key])
+        assert d["distance_m"] == expected, (r, expected)
+    assert (("superframe", True) in seen) == relayed
+    assert {("superframe", False), ("ct_broadcast", False), ("ct_coop", True)} <= seen
 
 
 # ---------------------------------------------------------------------------

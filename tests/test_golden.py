@@ -17,7 +17,7 @@ from oscmac import mac
 from oscmac.engine import Simulator
 from oscmac.trace import render_trace, write_metrics
 
-from conftest import generated_doc, make_config
+from conftest import generated_doc, make_config, range_extension_doc
 
 SEED = 3
 
@@ -61,6 +61,12 @@ SCENARIOS = {
                   0,
                   "4b4cd7420c797fd6ebd0395e3530b39e6c68bc4e0ccf26d08b245b9a888e5caf",
                   "c201885f306c1c6def40ce2d37667287f56889db1ffb48a7c8a5711d04c397a3"),
+    # explicit topology and route: the 120 m hop closes only through the
+    # cooperative superframe relay, and 20 slots continue the superframe
+    "explicit": (range_extension_doc(mode="ct", packets=20),
+                 0,
+                 "f2c9479cbf898f70845754dbd5be464d03b0c56d0c1f675a0be18c0785784e5c",
+                 "6d27f97275951b43c0c5191dcac480fd0507aa0ebb1e28fc2bde83459d56fc28"),
 }
 
 
