@@ -223,12 +223,15 @@ def _topology(raw, battery_j) -> tuple:
 
 
 def _routes(topo: TopologySpec, given: dict, ids: set) -> None:
-    """Set ``topo.routes`` from ``given``; every chain must reach the sink."""
+    """Set ``topo.routes`` from ``given``; every chain must reach the sink,
+    which has no route of its own."""
     topo.routes = {}
     for k, v in given.items():
         nid = int(k) if k.removeprefix("-").isdecimal() else None
         if nid not in ids or type(v) is not int or v not in ids:
             raise ConfigError(f"topology.routes entry {k}->{v!r} names unknown node")
+        if nid == topo.fr:
+            raise ConfigError(f"topology.routes entry {k}->{v} routes the sink fr")
         topo.routes[nid] = v
     for start in topo.routes:
         chain, cur = set(), start

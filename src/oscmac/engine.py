@@ -40,7 +40,7 @@ from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_re
                       resolve_slot)
 from .config import ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
-from .mac import (DutySchedule, MacState, Packet, Phase, Superframe, build_schedules,
+from .mac import (DutySchedule, MacState, Packet, Superframe, build_schedules,
                   compose_superframe)
 from .selection import CtRequest, WiLemStation
 from .trace import TraceRows
@@ -110,7 +110,6 @@ class _Transfer:
     noct_index: int = 0
     attempts: int = 0
     retries: int = 0
-    active: bool = False
     hop_scheduled: bool = False
 
 
@@ -198,9 +197,7 @@ class Simulator:
         if cfg.topology.routes is not None:
             routes = dict(cfg.topology.routes)
             depths = {self.fr: 0}
-            for nid in ids:
-                if nid == self.fr or nid not in routes:
-                    continue  # routeless nodes never originate or forward
+            for nid in sorted(routes):  # routeless nodes never originate or forward
                 chain, cur = [], nid
                 while cur != self.fr:  # parse_config checked that it ends there
                     chain.append(cur)
@@ -546,7 +543,7 @@ class Simulator:
 
     def _kick_hop(self, node):
         xfer = node.xfer
-        if xfer.active or xfer.hop_scheduled or not node.mac.pending_packets:
+        if xfer.batch or xfer.hop_scheduled or not node.mac.pending_packets:
             return
         if node.next_hop is None:
             self._emit(node, "delivery_failure",
@@ -562,9 +559,8 @@ class Simulator:
     def _on_start_hop(self, node):
         xfer = node.xfer
         xfer.hop_scheduled = False
-        if not self._account(node) or not node.mac.pending_packets or xfer.active:
+        if not self._account(node) or not node.mac.pending_packets or xfer.batch:
             return
-        xfer.active = True
         xfer.batch = list(node.mac.pending_packets)
         if self.cfg.mac.mode == "noct":
             self._noct_begin(node)
@@ -593,7 +589,6 @@ class Simulator:
             next_hop_distance=node.hop_m,
             neighbor_ids=neighbors)
         ctrl_dur = self._tx_duration_us(self.cfg.mac.ctrl_bits)
-        macmod.step(node.mac, "ct_query", self.now)
         self._ensure_awake_for(node, self.now, self.now + 2 * ctrl_dur + TURNAROUND_US,
                                self._new_rdv(), "station_exchange")
         d_station = distance(node.pos, self.station_pos)
@@ -625,7 +620,6 @@ class Simulator:
                      lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "receive", '
                                f'"j": {j!r}, "packet": null, "pkind": "candidate_reply", '
                                f'"rdv": null, "tag": "candidate_reply"}}')
-        macmod.step(node.mac, "candidate_reply", self.now)
         xfer.mode = self._resolve_mode(node, elected)
         self._emit(node, "mode_selected", f'{{"mode": "{xfer.mode}"}}')
         if xfer.mode == "noct":
@@ -663,9 +657,8 @@ class Simulator:
                      source=node.id, destination=-1, kind="superframe")
         self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
-        macmod.step(node.mac, "sf_announce", self.now)
         self._send([node], addressed, pkt, "superframe", {"origin": node.id})
-        self._set_timer(node, "ct_ack", self.timeout_us)
+        self._await(node, "sf_announce")
 
     def _on_superframe_rx(self, receiver, txn):
         origin = self.nodes[txn.meta["origin"]]
@@ -682,15 +675,13 @@ class Simulator:
             self._reply(receiver, origin, "ct_ack", {"origin": origin.id})
 
     def _on_ct_ack_rx(self, node, txn):
-        xfer = node.xfer
-        if xfer.sf is None or node.mac.phase is not Phase.AWAITING_CT_ACK:
+        if node.mac.awaiting != "ct_ack":  # awaited only while its superframe is set
             return
-        macmod.step(node.mac, "ct_ack", self.now)
-        self._cancel_timer(node)
+        self._await(node, "ct_ack")
         self._emit(node, "ct_reserved", f'{{"leader": {txn.sender_ids[0]}}}')
         if not node.hop_direct:
             self._schedule(self.now + TURNAROUND_US, "sf_relay", node)
-        for i, (start, _) in enumerate(xfer.sf.rdv_slots()):
+        for i, (start, _) in enumerate(node.xfer.sf.rdv_slots()):
             self._schedule(start, "ct_slot", node, i)
 
     def _on_sf_relay(self, node):
@@ -712,7 +703,6 @@ class Simulator:
             return
         if i >= len(xfer.batch):
             return
-        macmod.step(node.mac, "slot_start", self.now)
         packet = xfer.batch[i]
         helpers_alive = [self.nodes[h] for h in xfer.sf.helpers
                          if self.nodes[h].battery.alive]
@@ -742,7 +732,6 @@ class Simulator:
         else:
             self._send(senders, [node.next_hop], packet, "ct_coop",
                        {"origin": node.id, "index": i}, coop=True)
-        macmod.step(node.mac, "coop_done", self.now)
         if i == len(xfer.batch) - 1:
             self._schedule(xfer.sf.rdv_slots()[i][1], "ct_batch_done", node)
 
@@ -765,7 +754,7 @@ class Simulator:
 
     def _on_noct_request(self, node):
         xfer = node.xfer
-        if not xfer.active or xfer.noct_index >= len(xfer.batch):
+        if xfer.noct_index >= len(xfer.batch):
             return
         nxt = node.next_hop
         t_req = nxt.schedule.next_wake(self.now)
@@ -787,11 +776,10 @@ class Simulator:
         self._ensure_awake_for(node, self.now, self.now + self.timeout_us, rdv, "noct_wait")
         pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id,
                      destination=nxt.id, kind="noct_request")
-        macmod.step(node.mac, "noct_request", self.now)
         self._send([node], [nxt], pkt, "noct_request",
                    {"origin": node.id, "interval_start": interval_start,
                     "interval_us": interval_us, "rdv": rdv})
-        self._set_timer(node, "noct_reply", self.timeout_us)
+        self._await(node, "noct_request")
 
     def _on_noct_request_rx(self, receiver, txn):
         start = txn.meta["interval_start"]
@@ -804,10 +792,9 @@ class Simulator:
                     {"accepted": accepted, "interval_start": start, "interval_us": dur})
 
     def _on_noct_reply_rx(self, node, txn):
-        if node.mac.phase is not Phase.AWAITING_NOCT_REPLY:
+        if node.mac.awaiting not in ("noct_reply", "data_ack"):
             return
-        macmod.step(node.mac, "noct_reply", self.now)
-        self._cancel_timer(node)
+        self._await(node, "noct_reply")
         if txn.meta["accepted"]:
             start = txn.meta["interval_start"]
             rdv = self._new_rdv()
@@ -848,8 +835,7 @@ class Simulator:
             return
         packet = xfer.batch[xfer.noct_index]
         self._send([node], [node.next_hop], packet, "data", {"origin": node.id, "mode": "noct"})
-        macmod.step(node.mac, "noct_data", self.now)  # now waiting for the data ack
-        self._set_timer(node, "data_ack", self.timeout_us)
+        self._await(node, "noct_data")
 
     def _on_data_rx(self, receiver, txn):
         origin = self.nodes[txn.meta["origin"]]
@@ -858,9 +844,8 @@ class Simulator:
 
     def _on_data_ack_rx(self, node, txn):
         xfer = node.xfer
-        if xfer.mode == "noct" and xfer.active:
-            self._cancel_timer(node)
-            macmod.step(node.mac, "data_ack", self.now)
+        if xfer.mode == "noct" and xfer.batch:
+            self._await(node, "data_ack")
             xfer.noct_index += 1
             self._noct_next(node)
 
@@ -877,29 +862,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # timers
 
-    def _set_timer(self, node, tag, delay_us):
-        node.mac.timer_token += 1
-        self._schedule(self.now + delay_us, "timer", node, tag, node.mac.timer_token)
+    def _await(self, node, event):
+        """Report ``event`` to ``mac.step`` and time out the reply it awaits, if any."""
+        token = macmod.step(node.mac, event, self.now)
+        if node.mac.awaiting is not None:
+            self._schedule(self.now + self.timeout_us, "timer", node, token)
 
-    def _cancel_timer(self, node):
-        node.mac.timer_token += 1
-
-    def _on_timer(self, node, tag, token):
+    def _on_timer(self, node, token):
         if token != node.mac.timer_token or not self._account(node):
             return
-        xfer = node.xfer
+        tag = node.mac.awaiting
         self._emit(node, "timeout", f'{{"tag": "{tag}"}}')
-        if tag == "ct_ack":
-            macmod.step(node.mac, "timeout", self.now)
-            xfer.retries += 1
-            xfer.sf = None
-            if xfer.retries <= self.cfg.mac.retry_cap:
-                self._ct_query(node)
-            else:
-                self._noct_begin(node)
-        elif tag in ("noct_reply", "data_ack"):
-            macmod.step(node.mac, "timeout", self.now)
+        self._await(node, "timeout")
+        if tag != "ct_ack":
             self._noct_retry(node, f"{tag} timeout")
+            return
+        xfer = node.xfer
+        xfer.retries += 1
+        xfer.sf = None
+        if xfer.retries <= self.cfg.mac.retry_cap:
+            self._ct_query(node)
+        else:
+            self._noct_begin(node)
 
     # ------------------------------------------------------------------
     # housekeeping and run loop

@@ -1,4 +1,4 @@
-"""Duty-cycle schedules, superframes, reservations, and the node state machine.
+"""Duty-cycle schedules, superframes, reservations, and what a node awaits.
 
 Schedules are pipelined (a node wakes one active window after its
 downstream hop) and orthogonalized (nodes within two hops never share a
@@ -7,13 +7,14 @@ range). Time is integer microseconds throughout.
 
 The MAC picks who listens: schedules and reservations say when a node
 is awake, and the channel (``channel.resolve_slot``) decides what each
-listener hears. A node's protocol phase changes only through ``step``:
-the engine reports each protocol event of a node there and never sets a
-phase itself.
+listener hears. In either handshake a node awaits at most one reply under
+one timeout, as an IEEE 802.15.4 ack wait does: ``MacState.awaiting`` names
+that reply (None: the node awaits nothing) and ``timer_token`` its live
+timer. Only ``step`` writes them: the engine reports each protocol event of
+a node there, and a timer whose token is no longer the node's is stale.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .config import ConfigError
 
@@ -159,21 +160,13 @@ def compose_superframe(transmitter, elected, next_hop, packet_count,
 
 
 # ---------------------------------------------------------------------------
-# node state machine
-
-
-class Phase(Enum):
-    IDLE_LISTENING = "IdleListening"
-    AWAITING_CANDIDATES = "AwaitingCandidates"
-    AWAITING_CT_ACK = "AwaitingCtAck"
-    AWAITING_NOCT_REPLY = "AwaitingNoCtReply"  # also the wait for a data ack
-    CT_BROADCAST = "CtBroadcast"
+# what a node awaits
 
 
 @dataclass
 class MacState:
     node: int
-    phase: Phase = Phase.IDLE_LISTENING
+    awaiting: str = None  # type: ignore[assignment]  # the awaited reply's kind, if any
     pending_packets: list = field(default_factory=list)
     reservations: list = field(default_factory=list)  # (start_us, end_us, rdv_id)
     timer_token: int = 0
@@ -209,28 +202,17 @@ def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     return accepted, state.node == sf.leader
 
 
-# (phase, event) -> next phase, one row per transition the engine makes;
-# any other pair leaves the phase as it is
-_TRANSITIONS = {
-    (Phase.IDLE_LISTENING, "ct_query"): Phase.AWAITING_CANDIDATES,
-    (Phase.AWAITING_CANDIDATES, "candidate_reply"): Phase.IDLE_LISTENING,
-    (Phase.IDLE_LISTENING, "sf_announce"): Phase.AWAITING_CT_ACK,
-    (Phase.AWAITING_CT_ACK, "ct_ack"): Phase.IDLE_LISTENING,
-    (Phase.AWAITING_CT_ACK, "timeout"): Phase.IDLE_LISTENING,
-    (Phase.IDLE_LISTENING, "slot_start"): Phase.CT_BROADCAST,
-    (Phase.CT_BROADCAST, "coop_done"): Phase.IDLE_LISTENING,
-    (Phase.IDLE_LISTENING, "noct_request"): Phase.AWAITING_NOCT_REPLY,
-    (Phase.AWAITING_NOCT_REPLY, "noct_reply"): Phase.IDLE_LISTENING,
-    (Phase.AWAITING_NOCT_REPLY, "timeout"): Phase.IDLE_LISTENING,
-    (Phase.IDLE_LISTENING, "noct_data"): Phase.AWAITING_NOCT_REPLY,
-    (Phase.AWAITING_NOCT_REPLY, "data_ack"): Phase.IDLE_LISTENING,
-}
+# event a node sends -> the reply it then awaits; any other event (a reply,
+# a timeout) leaves it awaiting nothing
+_AWAITS = {"sf_announce": "ct_ack", "noct_request": "noct_reply", "noct_data": "data_ack"}
 
 
-def step(state: MacState, event_kind: str, t_us: int) -> Phase:
-    """Apply one protocol event at ``t_us``; returns the new phase."""
+def step(state: MacState, event_kind: str, t_us: int) -> int:
+    """Apply one protocol event at ``t_us``: set the awaited reply and
+    start a new timer token, which is returned."""
     if t_us < state.last_event_us:
         raise ValueError("events must arrive in non-decreasing time order")
     state.last_event_us = t_us
-    state.phase = _TRANSITIONS.get((state.phase, event_kind), state.phase)
-    return state.phase
+    state.awaiting = _AWAITS.get(event_kind)
+    state.timer_token += 1
+    return state.timer_token

@@ -57,3 +57,12 @@ def generated_doc(node_count=20, area_m=200.0, active_ms=4.0, mode="auto",
         "mac": {"mode": mode, "active_ms": active_ms},
         "sim": {"horizon_s": horizon_s},
     }
+
+
+def late_reply_doc():
+    """CT with a timeout far shorter than a handshake: most acks and replies
+    arrive after the sender gave up, so the stale-reply guards of
+    ``_on_ct_ack_rx``, ``_on_noct_reply_rx`` and ``_on_noct_request`` run."""
+    doc = generated_doc(mode="ct")
+    doc["mac"]["timeout_slots"] = 0.05
+    return doc

@@ -123,6 +123,16 @@ def test_route_chains_to_the_sink_accepted():
     assert make_config(doc).topology.routes == {1: 2, 2: 3, 3: 0}
 
 
+@pytest.mark.parametrize("routes", [{"1": 0, "0": 2}, {"0": 0}])
+def test_sink_route_rejected(routes):
+    """The sink forwards nothing: a route of its own is a config error, not
+    an entry that nothing reads yet that changes ``config_hash``."""
+    doc = range_extension_doc()
+    doc["topology"]["routes"] = routes
+    with pytest.raises(ConfigError, match=r"^topology\.routes entry 0->\d+ routes the sink"):
+        make_config(doc)
+
+
 @pytest.mark.parametrize("doc, sources, msg", [
     (range_extension_doc(), [1, 99], "id 99 is not"),   # unknown id
     (range_extension_doc(), [0], "id 0 is not"),        # the sink

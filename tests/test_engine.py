@@ -9,14 +9,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmac import mac
 from oscmac.channel import distance
 from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, reserve
 from oscmac.trace import render_trace
-from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
-from test_golden import SCENARIOS
+from conftest import (generated_doc, late_reply_doc, make_config, range_extension_doc,
+                      two_node_doc)
+from test_golden import SCENARIOS, record_awaits, unawaited_replies
 
 
 def rows_for(rows, event=None, node=None):
@@ -156,28 +156,14 @@ def test_each_sender_transmits_to_its_farthest_addressee(fr_x, relayed):
 # conservation and bookkeeping
 
 
-def late_reply_doc():
-    """CT with a timeout far shorter than a handshake: most acks and replies
-    arrive after the sender gave up, so the stale-reply guards of
-    ``_on_ct_ack_rx``, ``_on_noct_reply_rx`` and ``_on_noct_request`` run."""
-    doc = generated_doc(mode="ct")
-    doc["mac"]["timeout_slots"] = 0.05
-    return doc
-
-
 def test_late_replies_are_dropped(monkeypatch):
     """A ``ct_ack`` or ``noct_reply`` that arrives after its timer fired
-    changes nothing: each one the engine reports to ``mac.step`` matches a
-    row of its table, and some received ``ct_ack``s reserve no slots."""
-    step = mac.step
-
-    def checked_step(state, event, t_us):
-        if event in ("ct_ack", "noct_reply"):
-            assert (state.phase, event) in mac._TRANSITIONS, (state.phase, event)
-        return step(state, event, t_us)
-
-    monkeypatch.setattr(mac, "step", checked_step)
+    changes nothing: the engine acts only on those the node awaits, and
+    some received ``ct_ack``s reserve no slots."""
+    calls = record_awaits(monkeypatch)
     _, rows = run(make_config(late_reply_doc()), 3)
+    assert ("ct_ack", "timeout") in calls and ("noct_reply", "timeout") in calls
+    assert not unawaited_replies(calls)
     acks = [r for r in rows_for(rows, event="rx") if detail(r)["tag"] == "ct_ack"]
     assert len(acks) > len(rows_for(rows, event="ct_reserved"))
 
@@ -346,7 +332,7 @@ def test_details_are_canonical_sorted_key_json():
     """Each site's detail text is what ``json.dumps(detail, sort_keys=True)``
     gives for the detail it holds, over runs that reach every event kind."""
     runs = [(doc, seed) for doc, seed, _, _ in SCENARIOS.values()]
-    runs += [(late_reply_doc(), 3), (_dying_sender_doc(), 0)]
+    runs.append((_dying_sender_doc(), 0))
     kinds = set()
     for doc, seed in runs:
         _, rows = run(make_config(doc), seed)

@@ -5,7 +5,8 @@ trace bytes and the metrics document (energy timeline included)
 themselves, so an optimisation that alters behaviour (event order, a
 float sum, a skipped receiver, a missed residual sample) fails here. A
 change that is meant to alter either output updates the digest and says
-why.
+why; ``python tests/test_golden.py`` prints every scenario's current
+digests for that.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from oscmac import mac
 from oscmac.engine import Simulator
 from oscmac.trace import render_trace, write_metrics
 
-from conftest import generated_doc, make_config, range_extension_doc
+from conftest import generated_doc, late_reply_doc, make_config, range_extension_doc
 
 SEED = 3
 
@@ -67,6 +68,13 @@ SCENARIOS = {
                  0,
                  "f2c9479cbf898f70845754dbd5be464d03b0c56d0c1f675a0be18c0785784e5c",
                  "6d27f97275951b43c0c5191dcac480fd0507aa0ebb1e28fc2bde83459d56fc28"),
+    # the one scenario whose replies arrive late: every ct_ack times out, and
+    # late data_acks and repeated requests reach mac.step while the node
+    # awaits something else
+    "late_reply": (late_reply_doc(),
+                   SEED,
+                   "812bbab6e46492893160107d8ad3d48a3701878ee661c54d1d84b6b17394df07",
+                   "92484cf408aa61058d7a48602ee9555adb925362f74a6b89693e772e16551868"),
 }
 
 
@@ -175,22 +183,39 @@ def test_sweep_costs_the_shared_draw_once():
     assert len(quiet) >= 3 and all(calls == 1 and listed == 120 for calls, listed in quiet)
 
 
-def test_engine_phase_changes_are_table_rows(monkeypatch):
-    """Every protocol event the engine reports to ``mac.step`` matches a
-    row of its table, and the scenarios between them use every row."""
-    used = set()
+def record_awaits(monkeypatch):
+    """Wrap ``mac.step``; returns the list it fills with one
+    ``(reply the node awaited, event)`` pair per call."""
+    calls = []
     step = mac.step
 
-    def checked_step(state, event, t_us):
-        key = (state.phase, event)
-        assert key in mac._TRANSITIONS, key
-        used.add(key)
+    def recorded_step(state, event, t_us):
+        calls.append((state.awaiting, event))
         return step(state, event, t_us)
 
-    monkeypatch.setattr(mac, "step", checked_step)
+    monkeypatch.setattr(mac, "step", recorded_step)
+    return calls
+
+
+def unawaited_replies(calls):
+    """The ``ct_ack`` and ``noct_reply`` calls made while the node awaited
+    something else: each is a late reply the engine acted on."""
+    return [(awaited, event) for awaited, event in calls
+            if event in ("ct_ack", "noct_reply") and event != awaited]
+
+
+def test_engine_awaits_every_table_row(monkeypatch):
+    """The scenarios send every event of ``mac._AWAITS`` and see each
+    awaited reply both answered and timed out, and the engine acts on a
+    ``ct_ack`` or ``noct_reply`` only while the node awaits it."""
+    calls = record_awaits(monkeypatch)
     for doc, seed, _, _ in SCENARIOS.values():
         Simulator(make_config(doc), seed).run()
-    assert used == set(mac._TRANSITIONS)
+    assert set(mac._AWAITS) <= {event for _, event in calls}
+    replies = set(mac._AWAITS.values())
+    assert {event for awaited, event in calls if event == awaited} == replies
+    assert {awaited for awaited, event in calls if event == "timeout"} == replies
+    assert not unawaited_replies(calls)
 
 
 @pytest.mark.parametrize("name", ["ct", "auto"])
@@ -212,3 +237,15 @@ def test_reserve_rows_log_the_booking_result(name, monkeypatch):
               if event == "reserve"]
     assert [row["accepted"] for row in logged] == results
     assert any(not row["accepted"] for row in logged if row["kind"] == "ct_rdv")
+
+
+if __name__ == "__main__":
+    # print each scenario's current digests, to re-pin SCENARIOS after a
+    # change that is meant to alter the trace or the metrics
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (doc, seed, *pinned) in SCENARIOS.items():
+            current = digests(doc, Path(tmp) / "metrics.json", seed)
+            print(name, *current, "pinned" if list(current) == pinned else "CHANGED")

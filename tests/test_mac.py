@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from oscmac.config import ConfigError
 from oscmac.channel import NeighbourIndex
-from oscmac.mac import (DutySchedule, MacState, Phase, Superframe,
+from oscmac.mac import (_AWAITS, DutySchedule, MacState, Superframe,
                         build_schedules, compose_superframe, on_superframe, reserve, reserve_noct, step, two_hop_sets)
 from oscmac.selection import ElectedList
 
@@ -195,52 +195,57 @@ def test_on_superframe_participant_reserves_and_leader_acks():
 
 
 def test_step_known_transitions():
+    """Each event a node sends sets the reply it awaits, any other event
+    clears it, and every step starts a strictly later timer token."""
     s = MacState(node=1)
-    assert s.phase is Phase.IDLE_LISTENING
-    # the cooperative path
-    assert step(s, "ct_query", 10) is Phase.AWAITING_CANDIDATES
-    assert step(s, "candidate_reply", 15) is Phase.IDLE_LISTENING
-    assert step(s, "sf_announce", 20) is Phase.AWAITING_CT_ACK
-    assert step(s, "ct_ack", 25) is Phase.IDLE_LISTENING
-    assert step(s, "slot_start", 30) is Phase.CT_BROADCAST
-    assert step(s, "coop_done", 40) is Phase.IDLE_LISTENING
-    # the no-CT handshake, then the data and its ack
-    assert step(s, "noct_request", 50) is Phase.AWAITING_NOCT_REPLY
-    assert step(s, "noct_reply", 55) is Phase.IDLE_LISTENING
-    assert step(s, "noct_data", 60) is Phase.AWAITING_NOCT_REPLY
-    assert step(s, "data_ack", 65) is Phase.IDLE_LISTENING
-    assert s.phase is Phase.IDLE_LISTENING
+    assert s.awaiting is None
+    tokens = [s.timer_token]
+    for t, (event, awaited) in enumerate([
+            ("sf_announce", "ct_ack"), ("ct_ack", None),
+            ("noct_request", "noct_reply"), ("noct_reply", None),
+            ("noct_data", "data_ack"), ("data_ack", None),
+            # a later send replaces the awaited reply
+            ("noct_request", "noct_reply"), ("noct_data", "data_ack")]):
+        tokens.append(step(s, event, 10 * t))
+        assert s.awaiting == awaited, event
+        assert s.timer_token == tokens[-1] > tokens[-2]
 
 
 def test_step_timeouts_return_to_idle_listening():
-    for waiting in (Phase.AWAITING_NOCT_REPLY, Phase.AWAITING_CT_ACK):
-        s = MacState(node=1, phase=waiting)
-        assert step(s, "timeout", 5) is Phase.IDLE_LISTENING
+    """A timeout leaves the node awaiting nothing, whatever it awaited."""
+    for event in _AWAITS:
+        s = MacState(node=1)
+        step(s, event, 5)
+        step(s, "timeout", 5)
+        assert s.awaiting is None
 
 
 def test_step_unknown_combo_is_recorded_noop():
+    """A reply that nothing awaits leaves the node awaiting nothing; the
+    event's time is recorded and a token started all the same."""
     s = MacState(node=1)
-    assert step(s, "ct_ack", 5) is Phase.IDLE_LISTENING
-    assert s.last_event_us == 5  # the event's time is recorded all the same
+    assert step(s, "ct_ack", 5) == 1
+    assert s.awaiting is None
+    assert s.last_event_us == 5
 
 
 def test_step_rejects_time_regression():
     s = MacState(node=1)
-    step(s, "ct_query", 100)
+    step(s, "noct_request", 100)
     with pytest.raises(ValueError):
-        step(s, "candidate_reply", 99)
+        step(s, "noct_reply", 99)
+    assert (s.awaiting, s.timer_token, s.last_event_us) == ("noct_reply", 1, 100)
 
 
-@given(st.lists(st.sampled_from(["ct_query", "candidate_reply", "sf_announce", "ct_ack",
-                                 "timeout", "slot_start", "coop_done", "noct_request",
-                                 "noct_reply", "noct_data", "data_ack", "wake"]),
+@given(st.lists(st.sampled_from([*_AWAITS, *_AWAITS.values(), "timeout", "wake"]),
                 max_size=40))
 def test_step_total_over_event_sequences(events):
-    """Any event sequence leaves the machine in a defined phase."""
+    """After any event sequence the node awaits the reply to its last event,
+    if that was a send, under a token that counts the steps."""
     s = MacState(node=1)
     for t, ev in enumerate(events):
-        assert step(s, ev, t) is s.phase
-        assert isinstance(s.phase, Phase)
+        assert step(s, ev, t) == t + 1 == s.timer_token
+        assert s.awaiting == _AWAITS.get(ev)
 
 
 @given(frame=st.integers(1, 40), data=st.data())
