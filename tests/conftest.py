@@ -59,6 +59,27 @@ def generated_doc(node_count=20, area_m=200.0, active_ms=4.0, mode="auto",
     }
 
 
+def lifetime_doc(mode="auto", topo_seed=1):
+    """``demos/lifetime_compare.py``'s document: a 20-node field whose small
+    batteries empty inside the horizon, on generator topology ``topo_seed``."""
+    doc = generated_doc(node_count=20, area_m=200.0, active_ms=4.0, mode=mode,
+                        horizon_s=600.0, sources=3, packets=40, jitter_ms=50.0,
+                        topo_seed=topo_seed)
+    doc["sim"]["battery_j"] = 0.003
+    return doc
+
+
+def ct200_doc(mode="ct"):
+    """The ct-200 benchmark field at benchmark seed 0: 200 generated nodes on
+    generator topology 1, 5 sources x 10 packets, 2 J batteries."""
+    doc = generated_doc(node_count=200, area_m=600.0, active_ms=1.0, mode=mode,
+                        horizon_s=1000.0, sources=5, packets=10, jitter_ms=200.0)
+    doc["traffic"]["start_s"] = 0.0
+    doc["mac"]["frame_ms"] = 100.0
+    doc["sim"]["battery_j"] = 2.0
+    return doc
+
+
 def late_reply_doc():
     """CT with a timeout far shorter than a handshake: most acks and replies
     arrive after the sender gave up, so the stale-reply guards of
