@@ -13,6 +13,13 @@ Each routed node holds its next-hop node, the hop's length and whether it
 reaches the hop alone (by the neighbour index), all fixed at build; ``_send``
 alone picks how far a sender transmits: to its farthest addressee.
 
+Two event orders hold by construction, so no handler re-checks them. A node's
+superframe is set from its ``station_reply`` until its batch is done (only a
+``ct_ack`` timeout clears it, and accepting the ``ct_ack`` makes that timer
+stale), so its announce, relay, slot and coop events find it, each slot index
+inside the batch. A ``start_hop`` is scheduled only for pending packets and no
+batch, and ``hop_scheduled`` blocks a second one.
+
 Idle and sleep power draws are accounted lazily by integrating each node's
 duty schedule (plus reservation wake-ups) between the events that touch it,
 with an exact binary search for the moment a battery empties. Between two
@@ -33,7 +40,7 @@ import heapq
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import mac as macmod
 from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
@@ -82,21 +89,13 @@ class Metrics:
         return self.packets_delivered / self.packets_offered if self.packets_offered else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "network_lifetime_first_death_s": self.network_lifetime_first_death_s,
-            "trn_death_time_s": self.trn_death_time_s,
-            "packets_offered": self.packets_offered,
-            "packets_delivered": self.packets_delivered,
-            "packets_failed": self.packets_failed,
-            "delivery_ratio": self.delivery_ratio,
-            "collisions": self.collisions,
-            "collision_losses": self.collision_losses,
-            "events_processed": self.events_processed,
-            "energy_by_category": {str(k): v for k, v in sorted(self.energy_by_category.items())},
-            "initial_by_node": {str(k): v for k, v in sorted(self.initial_by_node.items())},
-            "residual_by_node": {str(k): v for k, v in sorted(self.residual_by_node.items())},
-            "energy_timeline": self.energy_timeline,
-        }
+        """Every field, node-keyed maps with str keys, and ``delivery_ratio``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in doc.items():
+            if isinstance(value, dict):
+                doc[name] = {str(k): v for k, v in value.items()}
+        doc["delivery_ratio"] = self.delivery_ratio
+        return doc
 
 
 @dataclass
@@ -104,7 +103,6 @@ class _Transfer:
     """Engine-side bookkeeping for one node's in-flight batch."""
     batch: list = field(default_factory=list)
     mode: str = None              # type: ignore[assignment]
-    request: CtRequest = None     # type: ignore[assignment]
     sf: Superframe = None         # type: ignore[assignment]
     got_broadcast: dict = field(default_factory=dict)  # slot index -> set of helper ids
     noct_index: int = 0
@@ -134,7 +132,6 @@ class _Txn(AirTransmission):
     packet: Packet
     tag: str            # superframe | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
     meta: dict
-    resolved: bool = False
 
 
 class Simulator:
@@ -157,7 +154,7 @@ class Simulator:
         self.metrics = Metrics()
         self.now = 0
         self._rdv_counter = 0
-        self.unresolved = []
+        self.unresolved = {}  # transmissions on the air, as dict keys in start order
         self._swept_us = 0  # time of the last housekeeping sweep
         self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
             lambda idle, slept: f'{{"idle_j": {idle!r}, "sleep_j": {slept!r}}}')
@@ -192,25 +189,19 @@ class Simulator:
         self.index = NeighbourIndex(positions, self.base_range)
         self.neighbours = self.index.neighbours
 
-        # routes and hop depths toward the final receiver
+        # routes toward the final receiver, and each routed node's hop count
+        # along them; routeless nodes never originate or forward
         ids = sorted(positions)
-        if cfg.topology.routes is not None:
-            routes = dict(cfg.topology.routes)
-            depths = {self.fr: 0}
-            for nid in sorted(routes):  # routeless nodes never originate or forward
-                chain, cur = [], nid
-                while cur != self.fr:  # parse_config checked that it ends there
-                    chain.append(cur)
-                    cur = routes[cur]
-                for hop_up, member in enumerate(reversed(chain), start=1):
-                    depths[member] = hop_up
-        else:
-            routes, depths = self._bfs_routes()
+        routes = self._bfs_routes() if cfg.topology.routes is None else cfg.topology.routes
+        depths = {self.fr: 0}
+        for nid in routes:
+            depth, hop = 1, routes[nid]
+            while hop != self.fr:  # parse_config checked that every chain ends at fr
+                depth, hop = depth + 1, routes[hop]
+            depths[nid] = depth
 
-        max_depth = max(depths.values()) if depths else 0
-        for nid in ids:
-            if nid not in depths:
-                depths[nid] = max_depth + 1  # unreachable; still duty-cycles
+        unreachable = max(depths.values()) + 1  # routeless nodes still duty-cycle
+        depths = {nid: depths.get(nid, unreachable) for nid in ids}
 
         schedules = build_schedules(self.neighbours, depths, self.frame_us, self.active_us)
         for nid in ids:
@@ -228,19 +219,17 @@ class Simulator:
         self.metrics.initial_by_node = {nid: nodes[nid].battery.initial for nid in ids}
 
     def _bfs_routes(self):
-        depths = {self.fr: 0}
         routes = {}
         frontier = [self.fr]
         while frontier:
             nxt = []
             for cur in sorted(frontier):
                 for nb in self.neighbours[cur]:
-                    if nb not in depths:
-                        depths[nb] = depths[cur] + 1
+                    if nb not in routes and nb != self.fr:
                         routes[nb] = cur
                         nxt.append(nb)
             frontier = nxt
-        return routes, depths
+        return routes
 
     def _build_station(self):
         pos = self.cfg.topology.wilem or self.positions[self.fr]
@@ -385,11 +374,14 @@ class Simulator:
         return False
 
     def _add_reservation(self, node, start, end, rdv, kind):
-        ok = macmod.reserve(node.mac, start, end, rdv)
+        self._log_reservation(node, macmod.reserve(node.mac, start, end, rdv),
+                              start, end, rdv, kind)
+
+    def _log_reservation(self, node, accepted, start, end, rdv, kind):
+        """The ``reserve`` row of one booking and whether ``mac`` accepted it."""
         self._emit(node, "reserve",
-                   f'{{"accepted": {_JSON_BOOL[ok]}, "end_us": {end}, "kind": "{kind}", '
+                   f'{{"accepted": {_JSON_BOOL[accepted]}, "end_us": {end}, "kind": "{kind}", '
                    f'"rdv": {rdv}, "start_us": {start}}}')
-        return ok
 
     def _ensure_awake_for(self, node, start, end, rdv, kind):
         # reservation-based wake-up: nodes force-wake for their own actions
@@ -438,7 +430,7 @@ class Simulator:
                    cooperative=coop,
                    start_us=self.now, end_us=self.now + dur,
                    packet=packet, tag=tag, meta=meta)
-        self.unresolved.append(txn)
+        self.unresolved[txn] = None
         self._schedule(self.now + dur, "tx_end", txn)
 
     def _reply(self, node, target, kind, meta):
@@ -452,14 +444,14 @@ class Simulator:
         self._send([sender], [target], pkt, kind, meta)
 
     def _on_tx_end(self, txn):
-        if txn.resolved:
-            return
+        if txn not in self.unresolved:
+            return  # resolved with an earlier-ending cluster member
         cluster = [txn]
         changed = True
         while changed:
             changed = False
-            for other in self.unresolved:
-                if other in cluster or other.resolved:
+            for other in self.unresolved:  # in start order, which orders collision rows
+                if other in cluster:
                     continue
                 if any(other.start_us < t.end_us and t.start_us < other.end_us
                        for t in cluster):
@@ -468,8 +460,7 @@ class Simulator:
         if any(t.end_us > self.now for t in cluster):
             return  # a later-ending member of the cluster resolves it
         for t in cluster:
-            t.resolved = True
-        self.unresolved = [t for t in self.unresolved if not t.resolved]
+            del self.unresolved[t]
         self._resolve_cluster(cluster)
 
     def _resolve_cluster(self, cluster):
@@ -559,7 +550,7 @@ class Simulator:
     def _on_start_hop(self, node):
         xfer = node.xfer
         xfer.hop_scheduled = False
-        if not self._account(node) or not node.mac.pending_packets or xfer.batch:
+        if not self._account(node):
             return
         xfer.batch = list(node.mac.pending_packets)
         if self.cfg.mac.mode == "noct":
@@ -583,7 +574,7 @@ class Simulator:
         neighbors = tuple(n for n in self.neighbours[node.id]
                           if n not in (node.next_hop.id, self.fr)
                           and self.nodes[n].battery.alive)
-        xfer.request = CtRequest(
+        request = CtRequest(
             packet_size_bytes=self.cfg.traffic.packet_size_bytes,
             packet_count=len(xfer.batch),
             next_hop_distance=node.hop_m,
@@ -595,22 +586,21 @@ class Simulator:
         self._charge(node, tx_energy(self.cfg.mac.ctrl_bits, d_station, self.params),
                      "transmit", "ct_request",
                      lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "transmit", '
-                               f'"d": {xfer.request.next_hop_distance!r}, "j": {j!r}, '
-                               f'"n": {xfer.request.packet_count}, '
+                               f'"d": {node.hop_m!r}, "j": {j!r}, "n": {len(xfer.batch)}, '
                                f'"neighbors": {list(neighbors)}}}')
         if not node.battery.alive:
             return
-        self._schedule(self.now + 2 * ctrl_dur + TURNAROUND_US, "station_reply", node)
+        self._schedule(self.now + 2 * ctrl_dur + TURNAROUND_US, "station_reply", node, request)
 
-    def _on_station_reply(self, node):
+    def _on_station_reply(self, node, request):
         xfer = node.xfer
-        if xfer.request is None or not self._account(node):
+        if not self._account(node):
             return
         # the station meters every battery losslessly and instantly; the
         # election reads only the requester's neighbours
-        for nid in xfer.request.neighbor_ids:
+        for nid in request.neighbor_ids:
             self.station.update_energy(nid, self.nodes[nid].battery.residual)
-        elected, skipped = self.station.handle_ct_request(xfer.request, self.params)
+        elected, skipped = self.station.handle_ct_request(request, self.params)
         leader = "null" if elected.leader is None else elected.leader
         self._emit(node, "candidate_reply",
                    f'{{"helpers": {list(elected.helpers)}, "leader": {leader}, '
@@ -647,8 +637,6 @@ class Simulator:
 
     def _on_sf_announce(self, node):
         sf = node.xfer.sf
-        if sf is None:
-            return
         # a cooperative hop has at least one helper
         addressed = [self.nodes[h] for h in sf.helpers]
         if node.hop_direct:
@@ -668,9 +656,7 @@ class Simulator:
         rdv = self._new_rdv()
         accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
-            self._emit(receiver, "reserve",
-                       f'{{"accepted": {_JSON_BOOL[ok]}, "end_us": {end}, "kind": "ct_rdv", '
-                       f'"rdv": {rdv}, "start_us": {start}}}')
+            self._log_reservation(receiver, ok, start, end, rdv, "ct_rdv")
         if is_leader:
             self._reply(receiver, origin, "ct_ack", {"origin": origin.id})
 
@@ -686,8 +672,6 @@ class Simulator:
 
     def _on_sf_relay(self, node):
         xfer = node.xfer
-        if xfer.sf is None:
-            return
         senders = [node, *(self.nodes[h] for h in xfer.sf.helpers)]
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
                      source=node.id, destination=node.next_hop.id, kind="superframe")
@@ -696,12 +680,8 @@ class Simulator:
 
     def _on_ct_slot(self, node, i):
         xfer = node.xfer
-        if xfer.sf is None:
-            return
         if not self._account(node):
             self._emit(node, "ct_slot_skipped", f'{{"index": {i}, "reason": "transmitter dead"}}')
-            return
-        if i >= len(xfer.batch):
             return
         packet = xfer.batch[i]
         helpers_alive = [self.nodes[h] for h in xfer.sf.helpers
@@ -719,8 +699,6 @@ class Simulator:
 
     def _on_ct_coop(self, node, i):
         xfer = node.xfer
-        if xfer.sf is None or i >= len(xfer.batch):
-            return
         packet = xfer.batch[i]
         senders = [node] if self._account(node) else []
         for h in xfer.sf.helpers:
@@ -740,7 +718,6 @@ class Simulator:
     def _noct_begin(self, node):
         xfer = node.xfer
         xfer.mode = "noct"
-        xfer.noct_index = 0
         self._emit(node, "mode_selected", '{"mode": "noct"}')
         self._noct_next(node)
 
@@ -785,9 +762,7 @@ class Simulator:
         start = txn.meta["interval_start"]
         dur = txn.meta["interval_us"]
         accepted = macmod.reserve_noct(receiver.mac, start, dur, txn.meta["rdv"])
-        self._emit(receiver, "reserve",
-                   f'{{"accepted": {_JSON_BOOL[accepted]}, "end_us": {start + dur}, '
-                   f'"kind": "noct_rdv", "rdv": {txn.meta["rdv"]}, "start_us": {start}}}')
+        self._log_reservation(receiver, accepted, start, start + dur, txn.meta["rdv"], "noct_rdv")
         self._reply(receiver, self.nodes[txn.meta["origin"]], "noct_reply",
                     {"accepted": accepted, "interval_start": start, "interval_us": dur})
 

@@ -115,8 +115,7 @@ class Packet:
     size_bits: int
     source: int
     destination: int
-    kind: str  # data, ct_request, candidate_reply, superframe, ct_ack,
-               # noct_request, noct_reply, data_ack
+    kind: str  # data, superframe, ct_ack, noct_request, noct_reply, data_ack
 
     def __post_init__(self):
         if self.size_bits <= 0:

@@ -153,6 +153,36 @@ def test_each_sender_transmits_to_its_farthest_addressee(fr_x, relayed):
 
 
 # ---------------------------------------------------------------------------
+# routes and hop depths
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([60.0, 150.0, 300.0]), st.integers(0, 50))
+@example(30, 300.0, 1)  # routes six hops deep, and two nodes without one
+def test_explicit_routes_give_the_generated_depths(node_count, area_m, topo_seed):
+    """A generated field's breadth-first routes, entered again as an explicit
+    topology with the same positions and batteries, give every node the same
+    hop depth and wake offset: one walk of the routes sets the depths of
+    both, and nodes without a route sit one past the deepest."""
+    doc = generated_doc(node_count=node_count, area_m=area_m, active_ms=1.0,
+                        topo_seed=topo_seed)
+    generated = Simulator(make_config(doc), 0)
+    doc["topology"] = {
+        "nodes": [{"id": nid, "x": node.pos[0], "y": node.pos[1],
+                   "initial_j": node.battery.initial}
+                  for nid, node in generated.nodes.items()],
+        "fr": generated.fr,
+        "routes": {str(nid): node.next_hop.id for nid, node in generated.nodes.items()
+                   if node.next_hop is not None},
+    }
+    explicit = Simulator(make_config(doc), 0)
+    assert ({nid: (node.depth, node.schedule.wake_offset_us)
+             for nid, node in explicit.nodes.items()}
+            == {nid: (node.depth, node.schedule.wake_offset_us)
+                for nid, node in generated.nodes.items()})
+
+
+# ---------------------------------------------------------------------------
 # conservation and bookkeeping
 
 
@@ -408,8 +438,10 @@ class _PerNodeSweep(Simulator):
 def _swept_runs(draw):
     """A generated field in any mode, with a sweep period of 1-5 frames, a
     horizon that may end mid-frame or inside the first period, batteries
-    that may empty between two sweeps, and wake-ups booked ahead that no
-    event may come to (as for a helper whose broadcast never arrives)."""
+    that may empty between two sweeps, wake-ups booked ahead that no event
+    may come to (as for a helper whose broadcast never arrives), and reply
+    timeouts and retry caps under which replies come late, requests are
+    retried and CT falls back to no-CT."""
     node_count = draw(st.integers(2, 16))
     doc = generated_doc(node_count=node_count,
                         area_m=draw(st.sampled_from([60.0, 150.0, 250.0])),
@@ -421,6 +453,8 @@ def _swept_runs(draw):
                         packets=draw(st.integers(0, 4)),
                         topo_seed=draw(st.integers(0, 50)))
     doc["sim"]["housekeeping_frames"] = draw(st.integers(1, 5))
+    doc["mac"]["timeout_slots"] = draw(st.sampled_from([0.05, 0.3, 2.0]))
+    doc["mac"]["retry_cap"] = draw(st.integers(0, 3))
     doc["sim"]["battery_j"] = draw(st.sampled_from([2e-6, 1e-5, 4e-5, 2e-4, 2.0]))
     bookings = draw(st.lists(st.tuples(st.integers(0, node_count - 1), st.integers(0, 6_000),
                                        st.integers(1, 30)), max_size=3))
