@@ -6,8 +6,9 @@ the non-coherent power sum of k equal transmitters meets the single-link
 threshold: sum_i (base_range / d_i)^alpha >= 1, with alpha picked per
 the farthest sender against the amplifier crossover distance.
 
-Node positions never change, so who can hear whom is computed once:
-``NeighbourIndex`` buckets positions into square cells of side
+Node positions never change. They live in one map, node id -> (x, y), read
+for senders (named by id) and receivers alike; who can hear whom is computed
+once: ``NeighbourIndex`` buckets positions into square cells of side
 ``base_range`` (a cell list) and answers closed-disk radius queries by
 testing only the nodes in the cells a disk overlaps.
 
@@ -143,7 +144,6 @@ class AirTransmission:
     """
 
     rdv_id: int
-    sender_positions: tuple          # ((x, y), ...)
     sender_ids: tuple
     addressed_to: tuple              # node ids meant to decode
     cooperative: bool = False
@@ -165,27 +165,27 @@ class SlotOutcome:
         return None if self.collision else self.audible[0]
 
 
-def audible_to(txn: AirTransmission, receiver_pos, base_range: float, d0: float) -> bool:
+def audible_to(txn: AirTransmission, rid, positions, base_range: float, d0: float) -> bool:
+    """Whether ``txn`` reaches receiver ``rid``, all at their ``positions``."""
     if txn.cooperative:
-        return ct_reach(txn.sender_positions, receiver_pos, base_range, d0)
-    return in_reach(txn.sender_positions[0], receiver_pos, base_range)
+        return ct_reach([positions[s] for s in txn.sender_ids], positions[rid], base_range, d0)
+    return in_reach(positions[txn.sender_ids[0]], positions[rid], base_range)
 
 
 def resolve_slot(listening, positions, base_range: float, d0: float):
     """Resolve overlapping transmissions at each listening receiver.
 
     ``listening`` maps a receiver id to the transmissions it listens to;
-    ``positions`` maps node id -> (x, y). A receiver never hears its own
-    transmission. It decodes iff exactly one rendezvous reaches it; two
-    or more corrupt everything it hears (one collision per receiver).
-    Returns a SlotOutcome for each receiver that something reaches, in
-    ascending receiver id.
+    ``positions`` maps sender and receiver ids -> (x, y). A receiver never
+    hears its own transmission. It decodes iff exactly one rendezvous
+    reaches it; two or more corrupt everything it hears (one collision per
+    receiver). Returns a SlotOutcome for each receiver that something
+    reaches, in ascending receiver id.
     """
     outcomes = []
     for rid in sorted(listening):
-        pos = positions[rid]
         audible = [t for t in listening[rid]
-                   if rid not in t.sender_ids and audible_to(t, pos, base_range, d0)]
+                   if rid not in t.sender_ids and audible_to(t, rid, positions, base_range, d0)]
         if audible:
             rdv = audible[0].rdv_id
             outcomes.append(SlotOutcome(rid, audible, any(t.rdv_id != rdv for t in audible)))

@@ -7,7 +7,9 @@ microseconds and ``seq`` breaks ties, so ordering and trace equality are
 exact. ``perfbench/layers.py`` unpacks heap entries in this shape and patches
 this module's ``heapq``, ``distance``, ``in_reach``, ``ct_reach``,
 ``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
-so the entry shape and these names must stay.
+so the entry shape and these names must stay. A transmission (``_Txn``) carries
+its sender ids and its rx handler's arguments: ``_RX_HANDLERS[tag](sim,
+receiver, txn, *txn.args)``.
 
 Each routed node holds its next-hop node, the hop's length and whether it
 reaches the hop alone (by the neighbour index), all fixed at build; ``_send``
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, fields
 from . import mac as macmod
 from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
                       resolve_slot)
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
 from .mac import (DutySchedule, MacState, Packet, Superframe, build_schedules,
                   compose_superframe)
@@ -131,7 +133,7 @@ class _Txn(AirTransmission):
     """A transmission on the air and the packet it carries."""
     packet: Packet
     tag: str            # superframe | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
-    meta: dict
+    args: tuple         # its rx handler's arguments after (receiver, txn)
 
 
 class Simulator:
@@ -147,6 +149,11 @@ class Simulator:
         self.bitrate = cfg.mac.bit_rate_bps
         self.base_range = cfg.sim.base_range_m
         self.d0 = self.params.d0
+        self.data_us = self._tx_duration_us(8 * cfg.traffic.packet_size_bytes)
+        # a CT slot's broadcast and its cooperative copy each take half of it
+        if cfg.mac.mode != "noct" and self.slot_us // 2 < self.data_us:
+            raise ConfigError(f"mac.slot_ms gives half a slot of {self.slot_us // 2} us, less "
+                              f"than one packet's {self.data_us} us of airtime")
 
         self.heap = []
         self._seq = 0
@@ -187,7 +194,6 @@ class Simulator:
 
         # positions never change, so radio neighbourhoods are computed once
         self.index = NeighbourIndex(positions, self.base_range)
-        self.neighbours = self.index.neighbours
 
         # routes toward the final receiver, and each routed node's hop count
         # along them; routeless nodes never originate or forward
@@ -203,7 +209,7 @@ class Simulator:
         unreachable = max(depths.values()) + 1  # routeless nodes still duty-cycle
         depths = {nid: depths.get(nid, unreachable) for nid in ids}
 
-        schedules = build_schedules(self.neighbours, depths, self.frame_us, self.active_us)
+        schedules = build_schedules(self.index.neighbours, depths, self.frame_us, self.active_us)
         for nid in ids:
             nodes[nid] = SimNode(
                 id=nid, pos=positions[nid],
@@ -213,9 +219,8 @@ class Simulator:
         for nid, hop in routes.items():
             node, nxt = nodes[nid], nodes[hop]
             node.next_hop, node.hop_m = nxt, distance(node.pos, nxt.pos)
-            node.hop_direct = hop in self.neighbours[nid]
+            node.hop_direct = hop in self.index.neighbours[nid]
         self.nodes = nodes
-        self.positions = positions
         self.metrics.initial_by_node = {nid: nodes[nid].battery.initial for nid in ids}
 
     def _bfs_routes(self):
@@ -224,7 +229,7 @@ class Simulator:
         while frontier:
             nxt = []
             for cur in sorted(frontier):
-                for nb in self.neighbours[cur]:
+                for nb in self.index.neighbours[cur]:
                     if nb not in routes and nb != self.fr:
                         routes[nb] = cur
                         nxt.append(nb)
@@ -232,7 +237,7 @@ class Simulator:
         return routes
 
     def _build_station(self):
-        pos = self.cfg.topology.wilem or self.positions[self.fr]
+        pos = self.cfg.topology.wilem or self.index.positions[self.fr]
         self.station = WiLemStation()
         self.station_pos = tuple(pos)
 
@@ -242,7 +247,7 @@ class Simulator:
         if isinstance(spec, int):
             ranked = sorted(candidates,
                             key=lambda n: (-self.nodes[n].depth,
-                                           -distance(self.positions[n], self.positions[self.fr]),
+                                           -distance(self.nodes[n].pos, self.nodes[self.fr].pos),
                                            n))
             return ranked[:spec]
         return list(spec)
@@ -394,9 +399,9 @@ class Simulator:
     def _tx_duration_us(self, bits):
         return max(1, int(math.ceil(bits / self.bitrate * US)))
 
-    def _send(self, senders, addressed, packet, tag, meta, coop=False):
+    def _send(self, senders, addressed, packet, tag, args, coop=False):
         """Put one transmission from the ``senders`` nodes to the
-        ``addressed`` nodes on the air.
+        ``addressed`` nodes on the air, carrying its rx handler's ``args``.
 
         Dead senders are dropped. Each live sender transmits as far as its
         farthest addressee and is charged the two-regime transmit energy
@@ -404,7 +409,7 @@ class Simulator:
         """
         rdv = self._new_rdv()
         dur = self._tx_duration_us(packet.size_bits)
-        ids, positions = [], []  # of the senders alive after transmitting
+        ids = []  # of the senders alive after transmitting
         for node in senders:
             if not self._account(node):
                 self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
@@ -420,28 +425,26 @@ class Simulator:
                                    f'"rdv": {rdv}, "tag": "{tag}"}}')
             if node.battery.alive:
                 ids.append(node.id)
-                positions.append(node.pos)
         if not ids:
             return
         txn = _Txn(rdv_id=rdv,
-                   sender_positions=tuple(positions),
                    sender_ids=tuple(ids),
                    addressed_to=tuple(a.id for a in addressed),
                    cooperative=coop,
                    start_us=self.now, end_us=self.now + dur,
-                   packet=packet, tag=tag, meta=meta)
+                   packet=packet, tag=tag, args=args)
         self.unresolved[txn] = None
         self._schedule(self.now + dur, "tx_end", txn)
 
-    def _reply(self, node, target, kind, meta):
-        """Answer ``target`` with a ``kind`` control packet after the
-        rx-to-tx turnaround; the heap event is ``send_<kind>``."""
-        self._schedule(self.now + TURNAROUND_US, "send_" + kind, node, target, kind, meta)
+    def _reply(self, node, target, kind, *args):
+        """Answer ``target`` with a ``kind`` control packet carrying ``args``
+        after the rx-to-tx turnaround; the heap event is ``send_<kind>``."""
+        self._schedule(self.now + TURNAROUND_US, "send_" + kind, node, target, kind, *args)
 
-    def _on_send_reply(self, sender, target, kind, meta):
+    def _on_send_reply(self, sender, target, kind, *args):
         pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
                      source=sender.id, destination=target.id, kind=kind)
-        self._send([sender], [target], pkt, kind, meta)
+        self._send([sender], [target], pkt, kind, args)
 
     def _on_tx_end(self, txn):
         if txn not in self.unresolved:
@@ -471,7 +474,7 @@ class Simulator:
             for rid in self.index.may_hear(t):
                 if self._is_awake(self.nodes[rid], t.start_us):
                     listening[rid].append(t)
-        for out in resolve_slot(listening, self.positions, self.base_range, self.d0):
+        for out in resolve_slot(listening, self.index.positions, self.base_range, self.d0):
             rid = out.receiver
             receiver = self.nodes[rid]
             if out.collision:
@@ -498,7 +501,7 @@ class Simulator:
                                        f'"pkind": "{t.packet.kind}", "rdv": {t.rdv_id}, '
                                        f'"tag": "{t.tag}"}}')
                 if receiver.battery.alive:
-                    self._RX_HANDLERS[t.tag](self, receiver, t)
+                    self._RX_HANDLERS[t.tag](self, receiver, t, *t.args)
             else:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "overhear", "overhear",
@@ -519,7 +522,7 @@ class Simulator:
         # sender has fallen well below its neighbourhood's mean energy
         if not node.hop_direct:
             return "ct"
-        neigh = [self.nodes[n].battery.residual for n in self.neighbours[node.id]
+        neigh = [self.nodes[n].battery.residual for n in self.index.neighbours[node.id]
                  if self.nodes[n].battery.alive]
         if neigh and node.battery.residual < self.cfg.mac.ct_energy_fraction * (sum(neigh) / len(neigh)):
             return "ct"
@@ -571,7 +574,7 @@ class Simulator:
 
     def _ct_query(self, node):
         xfer = node.xfer
-        neighbors = tuple(n for n in self.neighbours[node.id]
+        neighbors = tuple(n for n in self.index.neighbours[node.id]
                           if n not in (node.next_hop.id, self.fr)
                           and self.nodes[n].battery.alive)
         request = CtRequest(
@@ -645,11 +648,10 @@ class Simulator:
                      source=node.id, destination=-1, kind="superframe")
         self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
-        self._send([node], addressed, pkt, "superframe", {"origin": node.id})
+        self._send([node], addressed, pkt, "superframe", (node,))
         self._await(node, "sf_announce")
 
-    def _on_superframe_rx(self, receiver, txn):
-        origin = self.nodes[txn.meta["origin"]]
+    def _on_superframe_rx(self, receiver, txn, origin):
         sf = origin.xfer.sf
         if sf is None:
             return
@@ -658,7 +660,7 @@ class Simulator:
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
             self._log_reservation(receiver, ok, start, end, rdv, "ct_rdv")
         if is_leader:
-            self._reply(receiver, origin, "ct_ack", {"origin": origin.id})
+            self._reply(receiver, origin, "ct_ack")
 
     def _on_ct_ack_rx(self, node, txn):
         if node.mac.awaiting != "ct_ack":  # awaited only while its superframe is set
@@ -675,8 +677,7 @@ class Simulator:
         senders = [node, *(self.nodes[h] for h in xfer.sf.helpers)]
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
                      source=node.id, destination=node.next_hop.id, kind="superframe")
-        self._send(senders, [node.next_hop], pkt, "superframe",
-                   {"origin": node.id}, coop=True)
+        self._send(senders, [node.next_hop], pkt, "superframe", (node,), coop=True)
 
     def _on_ct_slot(self, node, i):
         xfer = node.xfer
@@ -688,14 +689,12 @@ class Simulator:
                          if self.nodes[h].battery.alive]
         xfer.got_broadcast[i] = set()
         if helpers_alive:
-            self._send([node], helpers_alive, packet, "ct_broadcast",
-                       {"origin": node.id, "index": i})
+            self._send([node], helpers_alive, packet, "ct_broadcast", (node, i))
         start, _ = xfer.sf.rdv_slots()[i]
         self._schedule(start + xfer.sf.slot_us // 2, "ct_coop", node, i)
 
-    def _on_ct_broadcast_rx(self, receiver, txn):
-        origin = self.nodes[txn.meta["origin"]]
-        origin.xfer.got_broadcast[txn.meta["index"]].add(receiver.id)
+    def _on_ct_broadcast_rx(self, receiver, txn, origin, i):
+        origin.xfer.got_broadcast[i].add(receiver.id)
 
     def _on_ct_coop(self, node, i):
         xfer = node.xfer
@@ -708,8 +707,7 @@ class Simulator:
             self._emit(node, "delivery_failure",
                        f'{{"reason": "no live cooperative senders", "seqs": [{packet.seq}]}}')
         else:
-            self._send(senders, [node.next_hop], packet, "ct_coop",
-                       {"origin": node.id, "index": i}, coop=True)
+            self._send(senders, [node.next_hop], packet, "ct_coop", (node,), coop=True)
         if i == len(xfer.batch) - 1:
             self._schedule(xfer.sf.rdv_slots()[i][1], "ct_batch_done", node)
 
@@ -745,35 +743,26 @@ class Simulator:
         if not self._account(node):
             return
         interval_start = self.now + self.timeout_us + TURNAROUND_US
-        data_bits = 8 * self.cfg.traffic.packet_size_bytes
-        interval_us = (self._tx_duration_us(data_bits)
-                       + self._tx_duration_us(self.cfg.mac.ctrl_bits)
+        interval_us = (self.data_us + self._tx_duration_us(self.cfg.mac.ctrl_bits)
                        + 3 * TURNAROUND_US)
         rdv = self._new_rdv()
         self._ensure_awake_for(node, self.now, self.now + self.timeout_us, rdv, "noct_wait")
         pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id,
                      destination=nxt.id, kind="noct_request")
-        self._send([node], [nxt], pkt, "noct_request",
-                   {"origin": node.id, "interval_start": interval_start,
-                    "interval_us": interval_us, "rdv": rdv})
+        self._send([node], [nxt], pkt, "noct_request", (node, interval_start, interval_us, rdv))
         self._await(node, "noct_request")
 
-    def _on_noct_request_rx(self, receiver, txn):
-        start = txn.meta["interval_start"]
-        dur = txn.meta["interval_us"]
-        accepted = macmod.reserve_noct(receiver.mac, start, dur, txn.meta["rdv"])
-        self._log_reservation(receiver, accepted, start, start + dur, txn.meta["rdv"], "noct_rdv")
-        self._reply(receiver, self.nodes[txn.meta["origin"]], "noct_reply",
-                    {"accepted": accepted, "interval_start": start, "interval_us": dur})
+    def _on_noct_request_rx(self, receiver, txn, origin, start, dur, rdv):
+        accepted = macmod.reserve_noct(receiver.mac, start, dur, rdv)
+        self._log_reservation(receiver, accepted, start, start + dur, rdv, "noct_rdv")
+        self._reply(receiver, origin, "noct_reply", accepted, start, dur)
 
-    def _on_noct_reply_rx(self, node, txn):
+    def _on_noct_reply_rx(self, node, txn, accepted, start, dur):
         if node.mac.awaiting not in ("noct_reply", "data_ack"):
             return
         self._await(node, "noct_reply")
-        if txn.meta["accepted"]:
-            start = txn.meta["interval_start"]
-            rdv = self._new_rdv()
-            self._add_reservation(node, start, start + txn.meta["interval_us"], rdv, "noct_tx")
+        if accepted:
+            self._add_reservation(node, start, start + dur, self._new_rdv(), "noct_tx")
             self._schedule(start, "noct_data", node)
         else:
             self._noct_retry(node, "reservation rejected")
@@ -809,23 +798,22 @@ class Simulator:
         if xfer.noct_index >= len(xfer.batch) or not self._account(node):
             return
         packet = xfer.batch[xfer.noct_index]
-        self._send([node], [node.next_hop], packet, "data", {"origin": node.id, "mode": "noct"})
+        self._send([node], [node.next_hop], packet, "data", (node,))
         self._await(node, "noct_data")
 
-    def _on_data_rx(self, receiver, txn):
-        origin = self.nodes[txn.meta["origin"]]
+    def _on_data_rx(self, receiver, txn, origin):
         self._accept_packet(receiver, txn.packet, origin)
-        self._reply(receiver, origin, "data_ack", {"packet": txn.packet.seq})
+        self._reply(receiver, origin, "data_ack")
 
     def _on_data_ack_rx(self, node, txn):
         xfer = node.xfer
-        if xfer.mode == "noct" and xfer.batch:
+        if xfer.mode == "noct":  # set only inside a batch
             self._await(node, "data_ack")
             xfer.noct_index += 1
             self._noct_next(node)
 
     def _accept_packet(self, receiver, packet, origin):
-        if receiver.id == self.fr or receiver.id == packet.destination:
+        if receiver.id == self.fr:  # every data packet is addressed to fr
             self.metrics.packets_delivered += 1
             self._emit(receiver, "delivered",
                        f'{{"from": {origin.id}, "seq": {packet.seq}, "source": {packet.source}}}')
@@ -921,7 +909,7 @@ class Simulator:
         "housekeeping": _on_housekeeping,
     }
 
-    # tag of a received transmission -> handler(self, receiver, txn)
+    # tag of a received transmission -> handler(self, receiver, txn, *txn.args)
     _RX_HANDLERS = {
         "superframe": _on_superframe_rx,
         "ct_ack": _on_ct_ack_rx,

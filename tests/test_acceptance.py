@@ -231,7 +231,7 @@ def test_c09_collision_semantics():
     for sender in (1, 2):
         pkt = Packet(seq=sender, size_bits=800, source=sender,
                      destination=0, kind="data")
-        sim._send([sim.nodes[sender]], [sim.nodes[0]], pkt, "data", {"origin": sender})
+        sim._send([sim.nodes[sender]], [sim.nodes[0]], pkt, "data", (sim.nodes[sender],))
     sim.run()
     two_senders_ok = (sim.metrics.collisions == 1
                       and sim.metrics.collision_losses == 2)
@@ -242,7 +242,7 @@ def test_c09_collision_semantics():
     sim2.now = t
     pkt = Packet(seq=7, size_bits=800, source=1, destination=0, kind="data")
     sim2._send([sim2.nodes[n] for n in (1, 2, 3)], [sim2.nodes[0]], pkt, "data",
-               {"origin": 1}, coop=True)
+               (sim2.nodes[1],), coop=True)
     sim2.run()
     rx_rows = [r for r in sim2.rows if r[3] == "rx" and r[2] == 0]
     group_ok = sim2.metrics.collisions == 0 and len(rx_rows) == 1

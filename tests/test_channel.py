@@ -11,16 +11,16 @@ D0 = RadioEnergyParams().d0
 R = 90.0
 
 
-def txn(rdv, senders, ids, addressed=(), coop=False):
-    return AirTransmission(rdv_id=rdv, sender_positions=tuple(senders),
-                           sender_ids=tuple(ids), addressed_to=tuple(addressed),
+def txn(rdv, ids, addressed=(), coop=False):
+    return AirTransmission(rdv_id=rdv, sender_ids=tuple(ids), addressed_to=tuple(addressed),
                            cooperative=coop)
 
 
-def resolve(transmissions, receivers):
-    """Every receiver listening to every transmission; outcomes by receiver id."""
+def resolve(transmissions, receivers, senders):
+    """Every receiver listening to every transmission, with the senders'
+    positions in the same map; outcomes by receiver id."""
     listening = {rid: list(transmissions) for rid in receivers}
-    return {o.receiver: o for o in resolve_slot(listening, receivers, R, D0)}
+    return {o.receiver: o for o in resolve_slot(listening, {**senders, **receivers}, R, D0)}
 
 
 def test_in_reach_closed_disk():
@@ -73,17 +73,17 @@ def test_ct_reach_degenerates_to_in_reach(x, y, sx, sy):
 
 
 def test_resolve_single_transmission_decodes():
-    t = txn(1, [(0, 0)], [10], addressed=(20,))
-    out = resolve([t], {20: (50.0, 0.0), 30: (500.0, 0.0)})
+    t = txn(1, [10], addressed=(20,))
+    out = resolve([t], {20: (50.0, 0.0), 30: (500.0, 0.0)}, {10: (0, 0)})
     assert out[20].decoded is t
     assert not out[20].collision
     assert 30 not in out  # out of reach, nothing audible
 
 
 def test_resolve_two_rendezvous_collide():
-    a = txn(1, [(0, 0)], [10])
-    b = txn(2, [(30, 0)], [11])
-    out = resolve([a, b], {20: (15.0, 0.0)})
+    a = txn(1, [10])
+    b = txn(2, [11])
+    out = resolve([a, b], {20: (15.0, 0.0)}, {10: (0, 0), 11: (30, 0)})
     assert out[20].collision
     assert out[20].decoded is None
     assert len(out[20].audible) == 2
@@ -91,33 +91,33 @@ def test_resolve_two_rendezvous_collide():
 
 def test_resolve_cooperative_group_is_one_signal():
     # three senders, one rendezvous: no self-collision at the receiver
-    g = txn(5, [(0, 0), (8, 6), (8, -6)], [1, 2, 3], addressed=(0,), coop=True)
-    out = resolve([g], {0: (120.0, 0.0)})
+    g = txn(5, [1, 2, 3], addressed=(0,), coop=True)
+    out = resolve([g], {0: (120.0, 0.0)}, {1: (0, 0), 2: (8, 6), 3: (8, -6)})
     assert out[0].decoded is g
     assert not out[0].collision
 
 
 def test_resolve_sender_never_receives_itself():
-    t = txn(1, [(0, 0)], [10])
-    out = resolve([t], {10: (0.0, 0.0)})
+    t = txn(1, [10])
+    out = resolve([t], {10: (0.0, 0.0)}, {})
     assert 10 not in out
 
 
 def test_resolve_collision_is_per_receiver():
-    a = txn(1, [(0, 0)], [10])
-    b = txn(2, [(120, 0)], [11])
+    a = txn(1, [10])
+    b = txn(2, [11])
     receivers = {20: (-40.0, 0.0),   # hears only a
                  21: (60.0, 0.0),    # hears both
                  22: (160.0, 0.0)}   # hears only b
-    out = resolve([a, b], receivers)
+    out = resolve([a, b], receivers, {10: (0, 0), 11: (120, 0)})
     assert out[20].decoded is a and not out[20].collision
     assert out[21].collision
     assert out[22].decoded is b and not out[22].collision
 
 
 def test_resolve_outcomes_ascend_by_receiver():
-    t = txn(1, [(0, 0)], [10])
+    t = txn(1, [10])
     listening = {30: [t], 20: [t], 25: [t]}
-    positions = {20: (10.0, 0.0), 25: (500.0, 0.0), 30: (20.0, 0.0)}
+    positions = {10: (0, 0), 20: (10.0, 0.0), 25: (500.0, 0.0), 30: (20.0, 0.0)}
     out = resolve_slot(listening, positions, R, D0)
     assert [o.receiver for o in out] == [20, 30]

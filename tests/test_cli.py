@@ -174,3 +174,12 @@ def test_unschedulable_topology_exits_1(tmp_path, capsys):
         path = write_doc(tmp_path, doc)
         assert main(["run", "--config", str(path)]) == 1
         assert "config error: mac.active_ms" in capsys.readouterr().err
+
+
+def test_mode_override_to_ct_checks_the_slot_exits_1(tmp_path, capsys):
+    # a 1 ms slot is fine for the document's no-CT, not for CT
+    doc = range_extension_doc(mode="noct")
+    doc["mac"]["slot_ms"] = 1.0
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--mode", "ct"]) == 1
+    assert "config error: mac.slot_ms" in capsys.readouterr().err

@@ -211,6 +211,29 @@ def test_value_validation():
             make_config(doc)
 
 
+@pytest.mark.parametrize("mode, slot_ms", [("ct", 1.0), ("ct", 2.0), ("ct", 5.0), ("auto", 5.0)])
+def test_cooperative_slot_shorter_than_two_packets_rejected(mode, slot_ms):
+    """A CT slot holds the helpers' broadcast, then the cooperative copy from
+    its middle: one 100 B packet's 3.2 ms of airtime each."""
+    doc = range_extension_doc(mode=mode)
+    doc["mac"]["slot_ms"] = slot_ms
+    with pytest.raises(ConfigError, match=r"^mac\.slot_ms gives half a slot of \d+ us, less "
+                                          r"than one packet's 3200 us of airtime"):
+        Simulator(make_config(doc), 0)
+
+
+def test_slot_of_two_packets_closes_the_cooperative_hop():
+    doc = range_extension_doc(mode="ct")
+    doc["mac"]["slot_ms"] = 6.4
+    assert Simulator(make_config(doc), 0).run().packets_delivered == 3
+
+
+def test_short_slot_runs_without_ct():
+    doc = range_extension_doc(mode="noct")
+    doc["mac"]["slot_ms"] = 1.0
+    assert Simulator(make_config(doc), 0).run().packets_offered == 3
+
+
 def test_canonical_json_round_trips():
     cfg = make_config(range_extension_doc())
     again = parse_config(cfg.canonical_json())

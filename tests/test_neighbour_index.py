@@ -98,7 +98,6 @@ def test_resolve_over_may_hear_matches_full_listening(layout, data):
                                      max_size=6 if coop else 1, unique=True))
         transmissions.append(AirTransmission(
             rdv_id=data.draw(st.integers(0, 2)),
-            sender_positions=tuple(positions[i] for i in senders),
             sender_ids=tuple(senders), addressed_to=(), cooperative=coop))
     deaf = data.draw(st.sets(st.sampled_from(ids)))
     listeners = [i for i in ids if i not in deaf]
@@ -119,8 +118,8 @@ def test_cooperative_may_hear_matches_uncached_query(layout, data):
     order = data.draw(st.permutations(groups + groups))  # every group asked twice
     index = NeighbourIndex(positions, r)
     for rdv, group in enumerate(order):
-        air = AirTransmission(rdv_id=rdv, sender_positions=tuple(positions[i] for i in group),
-                              sender_ids=tuple(group), addressed_to=(), cooperative=True)
-        fresh = NeighbourIndex(positions, r).within(air.sender_positions,
+        air = AirTransmission(rdv_id=rdv, sender_ids=tuple(group), addressed_to=(),
+                              cooperative=True)
+        fresh = NeighbourIndex(positions, r).within([positions[i] for i in group],
                                                     ct_prune_radius(r, len(group)))
         assert list(index.may_hear(air)) == [i for i in fresh if i not in group]
