@@ -14,18 +14,19 @@ testing only the nodes in the cells a disk overlaps.
 
 A group of k senders cannot reach a receiver farther than
 ``ct_prune_radius(base_range, k) = base_range * sqrt(k) * (1 + 1e-9)``
-from every sender, so resolving a cooperative transmission only needs
-the nodes within that radius of some sender. The pruning is exact: with
+from every sender, so a group's audience is found among the nodes
+within that radius of some sender. The pruning is exact: with
 every d_i > R*sqrt(k) and alpha in {2, 4},
 sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no sender lies within
 R, so ``ct_reach`` is False. The relative margin of 1e-9 dwarfs the
 float rounding of the distances and of the k-term sum, which keeps the
 bound on the safe side.
 
-The split with the MAC: the engine asks ``NeighbourIndex.may_hear`` which
-nodes a transmission may reach and keeps those awake for it (the MAC
-picks who listens); ``resolve_slot`` then decides what each listener
-hears: reach, and collision between rendezvous.
+Reach depends only on positions, and collision only on time, as in Gupta
+and Kumar's protocol model. ``NeighbourIndex.audience`` decides reach: it
+names exactly the nodes a transmission reaches. The engine keeps those
+awake for it (the MAC picks who listens), and ``resolve_slot`` decides
+collisions between the rendezvous each listener hears.
 """
 
 import math
@@ -65,17 +66,19 @@ def ct_prune_radius(base_range: float, k: int) -> float:
 
 
 class NeighbourIndex:
-    """Cell list over fixed node positions.
+    """Cell list over fixed node positions; the one place reach is decided.
 
     ``neighbours[i]`` is the ascending tuple of the other ids within
     ``base_range`` of node i, by exactly ``in_reach``'s predicate, which
     is symmetric. ``within`` answers closed-disk queries of any radius;
-    ``may_hear`` keeps its answer for each cooperative sender group.
+    ``audience`` names who a transmission reaches, and keeps its answer
+    for each cooperative sender group.
     """
 
-    def __init__(self, positions, base_range: float):
+    def __init__(self, positions, base_range: float, d0: float):
         self.positions = positions
         self.side = base_range
+        self.d0 = d0
         cells = self._cells = defaultdict(list)
         for nid, (x, y) in positions.items():
             cells[math.floor(x / base_range), math.floor(y / base_range)].append(nid)
@@ -90,7 +93,7 @@ class NeighbourIndex:
                             near[i].append(j)
                             near[j].append(i)
         self.neighbours = {nid: tuple(sorted(ids)) for nid, ids in near.items()}
-        self._group_reach = {}  # cooperative sender_ids -> may_hear's answer
+        self._group_reach = {}  # cooperative sender_ids -> audience's answer
 
     def _span(self, v, radius):
         """Cell indices along one axis that a disk of ``radius`` at v overlaps.
@@ -117,20 +120,22 @@ class NeighbourIndex:
         found.sort()
         return found
 
-    def may_hear(self, air):
-        """Ascending ids, other than its senders, that ``air`` may reach.
+    def audience(self, air):
+        """Ascending ids, other than its senders, that ``air`` reaches.
 
-        A lone sender reaches only its neighbours; a cooperative group
-        reaches nothing beyond ``ct_prune_radius`` of all its senders, taken
-        at their indexed positions.
+        A lone sender reaches its neighbours. A cooperative group reaches
+        the nodes that ``ct_reach`` admits among those within
+        ``ct_prune_radius`` of some sender, all at their indexed positions.
         """
         if not air.cooperative:
             return self.neighbours[air.sender_ids[0]]
         group = air.sender_ids
         if group not in self._group_reach:
-            radius = ct_prune_radius(self.side, len(group))
-            found = self.within([self.positions[nid] for nid in group], radius)
-            self._group_reach[group] = tuple(nid for nid in found if nid not in group)
+            senders = [self.positions[nid] for nid in group]
+            found = self.within(senders, ct_prune_radius(self.side, len(group)))
+            self._group_reach[group] = tuple(
+                nid for nid in found
+                if nid not in group and ct_reach(senders, self.positions[nid], self.side, self.d0))
         return self._group_reach[group]
 
 
@@ -151,42 +156,17 @@ class AirTransmission:
     end_us: int = 0
 
 
-@dataclass
-class SlotOutcome:
-    """What one receiver hears of overlapping transmissions."""
+def resolve_slot(listening):
+    """Decide collisions at each listening receiver.
 
-    receiver: int
-    audible: list   # the transmissions that reach it, in input order
-    collision: bool
-
-    @property
-    def decoded(self):
-        """The one transmission decoded, or None after a collision."""
-        return None if self.collision else self.audible[0]
-
-
-def audible_to(txn: AirTransmission, rid, positions, base_range: float, d0: float) -> bool:
-    """Whether ``txn`` reaches receiver ``rid``, all at their ``positions``."""
-    if txn.cooperative:
-        return ct_reach([positions[s] for s in txn.sender_ids], positions[rid], base_range, d0)
-    return in_reach(positions[txn.sender_ids[0]], positions[rid], base_range)
-
-
-def resolve_slot(listening, positions, base_range: float, d0: float):
-    """Resolve overlapping transmissions at each listening receiver.
-
-    ``listening`` maps a receiver id to the transmissions it listens to;
-    ``positions`` maps sender and receiver ids -> (x, y). A receiver never
-    hears its own transmission. It decodes iff exactly one rendezvous
-    reaches it; two or more corrupt everything it hears (one collision per
-    receiver). Returns a SlotOutcome for each receiver that something
-    reaches, in ascending receiver id.
+    ``listening`` maps a receiver id to the non-empty list of transmissions
+    that reach it (as ``NeighbourIndex.audience`` decides) while it listens.
+    A receiver decodes iff they all belong to one rendezvous; two or more
+    rendezvous corrupt everything it hears (one collision per receiver).
+    Yields ``(receiver, heard, collided)`` in ascending receiver id, with
+    ``heard`` the receiver's list as given.
     """
-    outcomes = []
     for rid in sorted(listening):
-        audible = [t for t in listening[rid]
-                   if rid not in t.sender_ids and audible_to(t, rid, positions, base_range, d0)]
-        if audible:
-            rdv = audible[0].rdv_id
-            outcomes.append(SlotOutcome(rid, audible, any(t.rdv_id != rdv for t in audible)))
-    return outcomes
+        heard = listening[rid]
+        rdv = heard[0].rdv_id
+        yield rid, heard, any(t.rdv_id != rdv for t in heard)

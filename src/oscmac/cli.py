@@ -44,6 +44,9 @@ def run_command(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise ConfigError("--sweep must be at least 1")
+        for flag in ("seed", "trace", "metrics"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} does not apply to --sweep")
         per_seed = []
         for seed in range(args.sweep):
             trace = f"{stem}.seed{seed}.trace.csv"
@@ -73,7 +76,7 @@ def run_command(args) -> int:
         return EXIT_OK
     trace = args.trace or f"{stem}.trace.csv"
     metrics_path = args.metrics or f"{stem}.metrics.json"
-    m = _single_run(cfg, args.seed, trace, metrics_path)
+    m = _single_run(cfg, args.seed or 0, trace, metrics_path)
     print(f"delivered {m.packets_delivered}/{m.packets_offered} packets; "
           f"trace: {trace}; metrics: {metrics_path}")
     return EXIT_OK
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario (or a seed sweep)")
     p_run.add_argument("--config", required=True, help="scenario JSON path")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, help="run seed (default 0)")
     p_run.add_argument("--mode", choices=("ct", "noct", "auto"),
                        help="override the configured MAC mode")
     p_run.add_argument("--trace", help="trace CSV output path")

@@ -257,9 +257,11 @@ def parse_config(document: str) -> ScenarioConfig:
 
     sources = traffic.sources
     if isinstance(sources, list):
-        for nid in sources:
+        for n, nid in enumerate(sources):
             if type(nid) is not int or nid not in sensors:
                 raise ConfigError(f"traffic.sources id {nid!r} is not a sensor node")
+            if nid in sources[:n]:
+                raise ConfigError(f"traffic.sources id {nid} is listed twice")
     elif type(sources) is not int or sources < 0:
         raise ConfigError(f"traffic.sources must be a count or a list of node ids, "
                           f"got {sources!r}")

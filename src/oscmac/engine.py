@@ -147,8 +147,6 @@ class Simulator:
         self.timeout_us = int(round(cfg.mac.timeout_slots * self.slot_us))
         self.horizon_us = int(round(cfg.sim.horizon_s * US))
         self.bitrate = cfg.mac.bit_rate_bps
-        self.base_range = cfg.sim.base_range_m
-        self.d0 = self.params.d0
         self.data_us = self._tx_duration_us(8 * cfg.traffic.packet_size_bytes)
         # a CT slot's broadcast and its cooperative copy each take half of it
         if cfg.mac.mode != "noct" and self.slot_us // 2 < self.data_us:
@@ -193,7 +191,7 @@ class Simulator:
             initial = {i: cfg.sim.battery_j for i in positions}
 
         # positions never change, so radio neighbourhoods are computed once
-        self.index = NeighbourIndex(positions, self.base_range)
+        self.index = NeighbourIndex(positions, cfg.sim.base_range_m, self.params.d0)
 
         # routes toward the final receiver, and each routed node's hop count
         # along them; routeless nodes never originate or forward
@@ -468,23 +466,23 @@ class Simulator:
 
     def _resolve_cluster(self, cluster):
         """Charge and dispatch what each receiver hears of overlapping
-        transmissions; the channel decides what that is."""
-        listening = defaultdict(list)  # receiver -> members it is awake for
+        transmissions; the index decides who each reaches, and
+        ``resolve_slot`` which of them collide."""
+        listening = defaultdict(list)  # receiver -> members that reach it while awake
         for t in cluster:
-            for rid in self.index.may_hear(t):
+            for rid in self.index.audience(t):
                 if self._is_awake(self.nodes[rid], t.start_us):
                     listening[rid].append(t)
-        for out in resolve_slot(listening, self.index.positions, self.base_range, self.d0):
-            rid = out.receiver
+        for rid, heard, collided in resolve_slot(listening):
             receiver = self.nodes[rid]
-            if out.collision:
+            if collided:
                 self.metrics.collisions += 1
-                lost = [t.packet.seq for t in out.audible if rid in t.addressed_to]
+                lost = [t.packet.seq for t in heard if rid in t.addressed_to]
                 self.metrics.collision_losses += len(lost)
                 self._emit(receiver, "collision",
                            f'{{"lost_packets": {lost}, '
-                           f'"rdvs": {sorted({t.rdv_id for t in out.audible})}}}')
-                for t in out.audible:
+                           f'"rdvs": {sorted({t.rdv_id for t in heard})}}}')
+                for t in heard:
                     cat = "receive" if rid in t.addressed_to else "overhear"
                     self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                                  cat, "rx_corrupt",
@@ -492,7 +490,7 @@ class Simulator:
                                            f'"j": {j!r}, "packet": {t.packet.seq}, '
                                            f'"rdv": {t.rdv_id}}}')
                 continue
-            t = out.decoded
+            t = heard[0]
             if rid in t.addressed_to:
                 self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                              "receive", "rx",

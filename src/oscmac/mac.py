@@ -6,8 +6,9 @@ wake window unless they are the same pipeline stage out of interference
 range). Time is integer microseconds throughout.
 
 The MAC picks who listens: schedules and reservations say when a node
-is awake, and the channel (``channel.resolve_slot``) decides what each
-listener hears. In either handshake a node awaits at most one reply under
+is awake, and the channel decides what each listener hears (the neighbour
+index who a transmission reaches, ``channel.resolve_slot`` which of those
+collide). In either handshake a node awaits at most one reply under
 one timeout, as an IEEE 802.15.4 ack wait does: ``MacState.awaiting`` names
 that reply (None: the node awaits nothing) and ``timer_token`` its live
 timer. Only ``step`` writes them: the engine reports each protocol event of

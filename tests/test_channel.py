@@ -1,9 +1,7 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from oscmac.channel import (AirTransmission, ct_reach, distance, in_reach,
+from oscmac.channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
                             resolve_slot)
 from oscmac.energy import RadioEnergyParams
 
@@ -16,11 +14,15 @@ def txn(rdv, ids, addressed=(), coop=False):
                            cooperative=coop)
 
 
-def resolve(transmissions, receivers, senders):
-    """Every receiver listening to every transmission, with the senders'
-    positions in the same map; outcomes by receiver id."""
-    listening = {rid: list(transmissions) for rid in receivers}
-    return {o.receiver: o for o in resolve_slot(listening, {**senders, **receivers}, R, D0)}
+def audiences(transmissions, positions):
+    """Each transmission's audience, by an index over ``positions``."""
+    index = NeighbourIndex(positions, R, D0)
+    return [index.audience(t) for t in transmissions]
+
+
+def resolve(listening):
+    """``resolve_slot``'s outcomes as receiver -> (heard, collided)."""
+    return {rid: (heard, collided) for rid, heard, collided in resolve_slot(listening)}
 
 
 def test_in_reach_closed_disk():
@@ -74,50 +76,47 @@ def test_ct_reach_degenerates_to_in_reach(x, y, sx, sy):
 
 def test_resolve_single_transmission_decodes():
     t = txn(1, [10], addressed=(20,))
-    out = resolve([t], {20: (50.0, 0.0), 30: (500.0, 0.0)}, {10: (0, 0)})
-    assert out[20].decoded is t
-    assert not out[20].collision
-    assert 30 not in out  # out of reach, nothing audible
+    # 30 is out of reach, so it hears nothing
+    assert audiences([t], {10: (0, 0), 20: (50.0, 0.0), 30: (500.0, 0.0)}) == [(20,)]
+    assert resolve({20: [t]}) == {20: ([t], False)}
 
 
 def test_resolve_two_rendezvous_collide():
     a = txn(1, [10])
     b = txn(2, [11])
-    out = resolve([a, b], {20: (15.0, 0.0)}, {10: (0, 0), 11: (30, 0)})
-    assert out[20].collision
-    assert out[20].decoded is None
-    assert len(out[20].audible) == 2
+    assert resolve({20: [a, b]}) == {20: ([a, b], True)}
 
 
 def test_resolve_cooperative_group_is_one_signal():
-    # three senders, one rendezvous: no self-collision at the receiver
+    # three senders close the 120 m hop that none of them closes alone
     g = txn(5, [1, 2, 3], addressed=(0,), coop=True)
-    out = resolve([g], {0: (120.0, 0.0)}, {1: (0, 0), 2: (8, 6), 3: (8, -6)})
-    assert out[0].decoded is g
-    assert not out[0].collision
+    positions = {0: (120.0, 0.0), 1: (0, 0), 2: (8, 6), 3: (8, -6)}
+    assert audiences([g, txn(6, [1])], positions) == [(0,), (2, 3)]
+    # one rendezvous is one signal, however many transmissions carry it
+    relay = txn(5, [4], addressed=(0,))
+    assert resolve({0: [g]}) == {0: ([g], False)}
+    assert resolve({0: [g, relay]}) == {0: ([g, relay], False)}
 
 
 def test_resolve_sender_never_receives_itself():
-    t = txn(1, [10])
-    out = resolve([t], {10: (0.0, 0.0)}, {})
-    assert 10 not in out
+    positions = {10: (0.0, 0.0), 11: (5.0, 0.0)}
+    assert audiences([txn(1, [10]), txn(2, [10, 11], coop=True)], positions) == [(11,), ()]
 
 
 def test_resolve_collision_is_per_receiver():
     a = txn(1, [10])
     b = txn(2, [11])
-    receivers = {20: (-40.0, 0.0),   # hears only a
+    positions = {10: (0, 0), 11: (120, 0),
+                 20: (-40.0, 0.0),   # hears only a
                  21: (60.0, 0.0),    # hears both
                  22: (160.0, 0.0)}   # hears only b
-    out = resolve([a, b], receivers, {10: (0, 0), 11: (120, 0)})
-    assert out[20].decoded is a and not out[20].collision
-    assert out[21].collision
-    assert out[22].decoded is b and not out[22].collision
+    assert audiences([a, b], positions) == [(20, 21), (21, 22)]
+    assert resolve({20: [a], 21: [a, b], 22: [b]}) == {
+        20: ([a], False), 21: ([a, b], True), 22: ([b], False)}
 
 
 def test_resolve_outcomes_ascend_by_receiver():
     t = txn(1, [10])
-    listening = {30: [t], 20: [t], 25: [t]}
-    positions = {10: (0, 0), 20: (10.0, 0.0), 25: (500.0, 0.0), 30: (20.0, 0.0)}
-    out = resolve_slot(listening, positions, R, D0)
-    assert [o.receiver for o in out] == [20, 30]
+    u = txn(2, [11])
+    out = resolve_slot({30: [t], 20: [t, u], 25: [u]})
+    assert [(rid, collided) for rid, _, collided in out] == [(20, True), (25, False), (30, False)]

@@ -121,6 +121,15 @@ def test_sweep_of_zero_seeds_exits_1(tmp_path, capsys):
     assert "config error: --sweep must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--trace", "mine.csv"),
+                                         ("--metrics", "mine.json")])
+def test_sweep_with_a_single_run_flag_exits_1(tmp_path, capsys, flag, value):
+    cfg = write_doc(tmp_path, range_extension_doc())
+    assert main(["run", "--config", str(cfg), "--sweep", "2", flag, value]) == 1
+    assert f"config error: {flag} does not apply to --sweep" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_compare_of_no_seeds_exits_1(tmp_path, capsys, seeds):
     cfg = write_doc(tmp_path, range_extension_doc())

@@ -144,6 +144,7 @@ def test_sink_route_rejected(routes):
     (generated_doc(), {"1": 1}, "must be a count"),
     (range_extension_doc(), [[1]], r"id \[1\] is not"),  # unhashable
     (range_extension_doc(), [True], "id True is not"),
+    (generated_doc(node_count=20), [3, 3], "id 3 is listed twice"),  # would double its load
 ])
 def test_sources_that_are_not_sensor_nodes_rejected(doc, sources, msg):
     doc["traffic"]["sources"] = sources
@@ -333,7 +334,7 @@ _FIELD_TARGETS = (
 _ID_TARGETS = [("explicit", ("traffic", "sources")), ("generated", ("traffic", "sources")),
                ("explicit", ("topology", "routes", "1")), ("explicit", ("topology", "fr")),
                ("explicit", ("topology", "nodes", 1, "id"))]
-_DANGLING = [99, -1, [99], [1, 99], [[1]]]
+_DANGLING = [99, -1, [99], [1, 99], [[1]], [1, 1]]
 
 
 @settings(max_examples=2000, deadline=None)

@@ -6,7 +6,8 @@ themselves, so an optimisation that alters behaviour (event order, a
 float sum, a skipped receiver, a missed residual sample) fails here. A
 change that is meant to alter either output updates the digest and says
 why; ``python tests/test_golden.py`` prints every scenario's current
-digests for that.
+digests for that, and those of the three benchmark workloads, so that a
+claim of byte-identical behaviour is a diff of two of its outputs.
 """
 
 import hashlib
@@ -241,11 +242,23 @@ def test_reserve_rows_log_the_booking_result(name, monkeypatch):
 
 if __name__ == "__main__":
     # print each scenario's current digests, to re-pin SCENARIOS after a
-    # change that is meant to alter the trace or the metrics
+    # change that is meant to alter the trace or the metrics; then those of
+    # the benchmark workloads at their default and held-out seeds, 0 and 7,
+    # which a change that keeps behaviour leaves as they were
+    import sys
     import tempfile
     from pathlib import Path
 
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from sample import RUN_SEED, WORKLOADS, scenario_json
+
     with tempfile.TemporaryDirectory() as tmp:
+        metrics_path = Path(tmp) / "metrics.json"
         for name, (doc, seed, *pinned) in SCENARIOS.items():
-            current = digests(doc, Path(tmp) / "metrics.json", seed)
+            current = digests(doc, metrics_path, seed)
             print(name, *current, "pinned" if list(current) == pinned else "CHANGED")
+        for workload in WORKLOADS:
+            for bench_seed in (0, 7):
+                doc = json.loads(scenario_json(workload, bench_seed))
+                print(f"{workload}/seed{bench_seed}", *digests(doc, metrics_path, RUN_SEED),
+                      flush=True)

@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from oscmac.config import ConfigError
 from oscmac.channel import NeighbourIndex
+from oscmac.energy import RadioEnergyParams
 from oscmac.mac import (_AWAITS, DutySchedule, MacState, Superframe,
                         build_schedules, compose_superframe, on_superframe, reserve, reserve_noct, step, two_hop_sets)
 from oscmac.selection import ElectedList
@@ -12,7 +13,7 @@ ACTIVE = 10_000
 
 
 def neighbours(positions, base_range=90.0):
-    return NeighbourIndex(positions, base_range).neighbours
+    return NeighbourIndex(positions, base_range, RadioEnergyParams().d0).neighbours
 
 
 def test_schedule_validation():

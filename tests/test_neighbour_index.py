@@ -5,9 +5,11 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
-                            in_reach, resolve_slot)
+                            in_reach)
+from oscmac.energy import RadioEnergyParams
 from oscmac.mac import two_hop_sets
 
+D0 = RadioEnergyParams().d0
 R = 90.0
 
 
@@ -41,7 +43,7 @@ def layouts(draw, span=4):
 @given(layouts())
 def test_neighbour_table_matches_pairwise_scan(layout):
     positions, r = layout
-    assert NeighbourIndex(positions, r).neighbours == brute_neighbours(positions, r)
+    assert NeighbourIndex(positions, r, D0).neighbours == brute_neighbours(positions, r)
 
 
 @given(layouts(), st.data())
@@ -50,7 +52,7 @@ def test_radius_query_matches_scan(layout, data):
     centres = data.draw(st.lists(st.sampled_from(sorted(positions.values())),
                                  min_size=1, max_size=4))
     radius = data.draw(st.one_of(st.floats(0, 6 * r), st.integers(0, 4).map(lambda k: k * r)))
-    assert NeighbourIndex(positions, r).within(centres, radius) == brute_within(
+    assert NeighbourIndex(positions, r, D0).within(centres, radius) == brute_within(
         positions, centres, radius)
 
 
@@ -58,15 +60,15 @@ def test_pair_in_reach_across_two_cells():
     # -1e-15 and 90 fall in cells -1 and 1, yet the computed distance is
     # exactly the base range
     positions = {0: (-1e-15, 0.0), 1: (R, 0.0), 2: (0.0, -R), 3: (R, R)}
-    assert NeighbourIndex(positions, R).neighbours == brute_neighbours(positions, R)
-    assert NeighbourIndex(positions, R).neighbours[0] == (1, 2)
+    assert NeighbourIndex(positions, R, D0).neighbours == brute_neighbours(positions, R)
+    assert NeighbourIndex(positions, R, D0).neighbours[0] == (1, 2)
 
 
 def test_two_hop_sets_match_pairwise_scan():
     positions = {i: (37.0 * (i % 7) - 100.0, 53.0 * (i // 7) - 60.0) for i in range(35)}
     adj = brute_neighbours(positions, R)
     expected = {i: (set(adj[i]).union(*(adj[j] for j in adj[i])) - {i}) for i in positions}
-    assert two_hop_sets(NeighbourIndex(positions, R).neighbours) == expected
+    assert two_hop_sets(NeighbourIndex(positions, R, D0).neighbours) == expected
 
 
 @given(k=st.integers(1, 8),
@@ -85,41 +87,25 @@ def test_ct_reach_false_beyond_prune_radius(k, rx, polar, d0):
 
 @settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
 @given(layouts(span=2), st.data())
-def test_resolve_over_may_hear_matches_full_listening(layout, data):
-    """Listening only where ``may_hear`` allows resolves a slot exactly as
-    every listener hearing every transmission does."""
+def test_audience_matches_scan_of_all_nodes(layout, data):
+    """``audience`` names the ids, other than the senders, that ``in_reach``
+    (a lone sender) or ``ct_reach`` (a group) keeps among all nodes; each
+    transmission asked twice, others asked in between."""
     positions, r = layout
     ids = sorted(positions)
     d0 = data.draw(st.floats(0, 4 * r))
     transmissions = []
-    for _ in range(data.draw(st.integers(1, 4))):
+    for rdv in range(data.draw(st.integers(1, 4))):
         coop = data.draw(st.booleans())
         senders = data.draw(st.lists(st.sampled_from(ids), min_size=1,
                                      max_size=6 if coop else 1, unique=True))
-        transmissions.append(AirTransmission(
-            rdv_id=data.draw(st.integers(0, 2)),
-            sender_ids=tuple(senders), addressed_to=(), cooperative=coop))
-    deaf = data.draw(st.sets(st.sampled_from(ids)))
-    listeners = [i for i in ids if i not in deaf]
-    index = NeighbourIndex(positions, r)
-    pruned = {rid: [t for t in transmissions if rid in index.may_hear(t)] for rid in listeners}
-    full = {rid: list(transmissions) for rid in listeners}
-    assert resolve_slot(pruned, positions, r, d0) == resolve_slot(full, positions, r, d0)
-
-
-@given(layouts(), st.data())
-def test_cooperative_may_hear_matches_uncached_query(layout, data):
-    """The per-group memo answers as a fresh ``within`` query does, the same
-    group asked twice and other groups asked in between included."""
-    positions, r = layout
-    ids = sorted(positions)
-    groups = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6,
-                                         unique=True), min_size=1, max_size=4))
-    order = data.draw(st.permutations(groups + groups))  # every group asked twice
-    index = NeighbourIndex(positions, r)
-    for rdv, group in enumerate(order):
-        air = AirTransmission(rdv_id=rdv, sender_ids=tuple(group), addressed_to=(),
-                              cooperative=True)
-        fresh = NeighbourIndex(positions, r).within([positions[i] for i in group],
-                                                    ct_prune_radius(r, len(group)))
-        assert list(index.may_hear(air)) == [i for i in fresh if i not in group]
+        transmissions.append(AirTransmission(rdv_id=rdv, sender_ids=tuple(senders),
+                                             addressed_to=(), cooperative=coop))
+    index = NeighbourIndex(positions, r, d0)
+    for air in data.draw(st.permutations(transmissions + transmissions)):
+        group = [positions[i] for i in air.sender_ids]
+        if air.cooperative:
+            scan = [i for i in ids if ct_reach(group, positions[i], r, d0)]
+        else:
+            scan = [i for i in ids if in_reach(group[0], positions[i], r)]
+        assert list(index.audience(air)) == [i for i in scan if i not in air.sender_ids]
