@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
-                            in_reach)
+                            in_reach, resolve_slot)
 from oscmac.energy import RadioEnergyParams
 from oscmac.mac import two_hop_sets
 
@@ -109,3 +109,56 @@ def test_audience_matches_scan_of_all_nodes(layout, data):
         else:
             scan = [i for i in ids if in_reach(group[0], positions[i], r)]
         assert list(index.audience(air)) == [i for i in scan if i not in air.sender_ids]
+
+
+@settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
+@given(layouts(span=2), st.data())
+def test_resolve_over_may_hear_matches_full_listening(layout, data):
+    """Listening only where ``audience`` allows resolves a slot exactly as
+    every listener filtering every transmission by a brute-force reach test
+    does."""
+    positions, r = layout
+    ids = sorted(positions)
+    d0 = data.draw(st.floats(0, 4 * r))
+    transmissions = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coop = data.draw(st.booleans())
+        senders = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                     max_size=6 if coop else 1, unique=True))
+        transmissions.append(AirTransmission(
+            rdv_id=data.draw(st.integers(0, 2)),
+            sender_ids=tuple(senders), addressed_to=(), cooperative=coop))
+    deaf = data.draw(st.sets(st.sampled_from(ids)))
+    listeners = [i for i in ids if i not in deaf]
+
+    def reaches(t, rid):
+        group = [positions[i] for i in t.sender_ids]
+        if rid in t.sender_ids:
+            return False
+        if t.cooperative:
+            return ct_reach(group, positions[rid], r, d0)
+        return in_reach(group[0], positions[rid], r)
+
+    index = NeighbourIndex(positions, r, d0)
+    pruned = {rid: [t for t in transmissions if rid in index.audience(t)] for rid in listeners}
+    full = {rid: [t for t in transmissions if reaches(t, rid)] for rid in listeners}
+    assert list(resolve_slot({k: v for k, v in pruned.items() if v})) == list(
+        resolve_slot({k: v for k, v in full.items() if v}))
+
+
+@given(layouts(), st.data())
+def test_cooperative_may_hear_matches_uncached_query(layout, data):
+    """The per-group memo behind ``audience`` answers as a fresh index does,
+    the same group asked twice and other groups asked in between included."""
+    positions, r = layout
+    ids = sorted(positions)
+    d0 = data.draw(st.floats(0, 4 * r))
+    groups = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6,
+                                         unique=True), min_size=1, max_size=4))
+    order = data.draw(st.permutations(groups + groups))  # every group asked twice
+    index = NeighbourIndex(positions, r, d0)
+    for rdv, group in enumerate(order):
+        air = AirTransmission(rdv_id=rdv, sender_ids=tuple(group), addressed_to=(),
+                              cooperative=True)
+        fresh = NeighbourIndex(positions, r, d0).audience(air)
+        assert list(index.audience(air)) == list(fresh)
