@@ -19,7 +19,7 @@ def _load(config_path: str):
     path = pathlib.Path(config_path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     return parse_config(text), path
 

@@ -80,8 +80,10 @@ def build_schedules(neighbours, depths, frame_us, active_us):
     descend one hop per window. Nodes sharing a 2-hop neighbourhood are
     pushed to later window slots until disjoint. Running out of window
     slots in a neighbourhood, or an active window outside (0, frame], is a
-    ``ConfigError`` naming ``mac.active_ms``.
+    ``ConfigError`` naming ``mac.active_ms``; a frame of 0 us names ``mac.frame_ms``.
     """
+    if frame_us <= 0:
+        raise ConfigError(f"mac.frame_ms gives a frame of {frame_us} us, not a positive one")
     if not 0 < active_us <= frame_us:
         raise ConfigError(f"mac.active_ms gives an active window of {active_us} us, "
                           f"outside (0, {frame_us}] us")

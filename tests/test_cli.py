@@ -148,6 +148,15 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config {path}" in err
+    assert "utf-8" in err
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"topology": {"generator": {}}, "mac": {"warp": 9}}')
@@ -174,6 +183,15 @@ def test_unsimulable_route_or_source_exits_1(tmp_path, capsys, field, value):
     path = write_doc(tmp_path, doc)
     assert main(["run", "--config", str(path)]) == 1
     assert f"config error: {section}.{field}" in capsys.readouterr().err
+
+
+def test_frame_that_rounds_to_0_us_exits_1(tmp_path, capsys):
+    # beside active_ms 0.0004 above; a lone frame_ms 0.0004 is shorter than active_ms
+    doc = range_extension_doc()
+    doc["mac"].update(frame_ms=0.0004, active_ms=0.0001)
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: mac.frame_ms" in capsys.readouterr().err
 
 
 def test_unschedulable_topology_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -95,6 +96,22 @@ def test_render_trace_across_block_edges(tmp_path, count):
     assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
+def test_render_trace_holds_the_csv_once():
+    # each block grows one str in place, so the peak is the CSV and one block, not two CSVs
+    details = ["{}", '{"a": [1, 2]}', '{"s": "x,y"}']
+    rows, _ = _filled([(i * 7, i % 5, "tx", details[i % 3], i / 3) for i in range(20_000)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = render_trace(rows, "abc123", 7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 10 * _BLOCK_ROWS
+    assert peak < 1.25 * len(text)
+
+
 def _assert_round_trip(tmp_path, cfg, seed):
     metrics, rows = run(cfg, seed)
     path = tmp_path / "t.csv"
@@ -108,11 +125,11 @@ def _assert_round_trip(tmp_path, cfg, seed):
     for rec, row in zip(records, rows):
         assert rec["time_us"] == row[0]
         assert rec["seq"] == row[1]
-        assert int(rec["node"]) == row[2]
+        assert rec["node"] == row[2] and type(rec["node"]) is int
         assert rec["event"] == row[3]
         assert rec["detail"] == json.loads(row[4])
         assert type(row[5]) is float
-        assert float(rec["residual_j"]) == row[5]
+        assert rec["residual_j"] == row[5] and type(rec["residual_j"]) is float
     return rows
 
 
