@@ -86,7 +86,8 @@ def test_trace_rows_read_as_a_list_of_tuples(columns, data):
         assert rows != [(expected[0][0] + 1, *expected[0][1:])] + expected[1:]
 
 
-@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1,
+                                   4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1, 8 * _BLOCK_ROWS + 1])
 def test_render_trace_across_block_edges(tmp_path, count):
     details = ["{}", '{"a": [1, 2]}', '{"s": "x"}']
     rows, expected = _filled([(i * 7, i % 5, "tx", details[i % 3], i / 3) for i in range(count)])
