@@ -15,12 +15,26 @@ Each routed node holds its next-hop node, the hop's length and whether it
 reaches the hop alone (by the neighbour index), all fixed at build; ``_send``
 alone picks how far a sender transmits: to its farthest addressee.
 
-Two event orders hold by construction, so no handler re-checks them. A node's
+Three event orders hold by construction, so no handler re-checks them. A node's
 superframe is set from its ``station_reply`` until its batch is done (only a
 ``ct_ack`` timeout clears it, and accepting the ``ct_ack`` makes that timer
 stale), so its announce, relay, slot and coop events find it, each slot index
 inside the batch. A ``start_hop`` is scheduled only for pending packets and no
-batch, and ``hop_scheduled`` blocks a second one.
+batch, and ``hop_scheduled`` blocks a second one. A no-CT batch advances only
+on an awaited ``data_ack`` or at the retry cap; while a ``noct_request`` or
+``noct_data`` event is pending the node awaits nothing and its timer is stale,
+so each finds its packet in the batch.
+
+``fates`` maps each offered seq to the id of the node holding it, to
+``"delivered"``, or to why it was lost. A receiver takes a data packet only
+from its holder: routes form a tree, so that is the whole duplicate filter, as
+IEEE 802.15.4's data sequence number is. Another copy gets a ``duplicate`` row
+and, on no-CT, an ack that stops the retries. ``_fail`` writes every
+``delivery_failure`` row, for the seqs the node still holds: ``out_of_reach``
+(no route, or a CT copy's next hop outside its audience), ``receiver_asleep``
+(in it but not awake, or dying as it receives), ``collision``, ``sender_dead``
+(no live CT sender, or the holder died) or ``retry_cap``. CT has no ARQ and
+sends no ack, so a CT copy is final when it is resolved.
 
 Idle and sleep power draws are accounted lazily by integrating each node's
 duty schedule (plus reservation wake-ups) between the events that touch it,
@@ -104,7 +118,6 @@ class Metrics:
 class _Transfer:
     """Engine-side bookkeeping for one node's in-flight batch."""
     batch: list = field(default_factory=list)
-    mode: str = None              # type: ignore[assignment]
     sf: Superframe = None         # type: ignore[assignment]
     got_broadcast: dict = field(default_factory=dict)  # slot index -> set of helper ids
     noct_index: int = 0
@@ -125,6 +138,7 @@ class SimNode:
     hop_direct: bool = False      # whether it reaches next_hop alone
     depth: int = 0
     last_accounted_us: int = 0
+    on_air_until: int = 0         # end of its latest transmission
     xfer: _Transfer = field(default_factory=_Transfer)  # the hop in progress
 
 
@@ -157,6 +171,7 @@ class Simulator:
         self._seq = 0
         self.rows = TraceRows()
         self.metrics = Metrics()
+        self.fates = {}  # seq -> id of the node holding it, "delivered", or why it was lost
         self.now = 0
         self._rdv_counter = 0
         self.unresolved = {}  # transmissions on the air, as dict keys in start order
@@ -345,6 +360,7 @@ class Simulator:
 
     def _register_death(self, node, death_us):
         self._emit(node, "node_died", f'{{"death_time_us": {death_us}}}')
+        self._fail(node, "sender_dead", [seq for seq, at in self.fates.items() if at == node.id])
         t = death_us / US
         if (self.metrics.network_lifetime_first_death_s is None
                 or t < self.metrics.network_lifetime_first_death_s):
@@ -413,6 +429,7 @@ class Simulator:
                 self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
                 continue
             dist = max(distance(node.pos, a.pos) for a in addressed)
+            node.on_air_until = self.now + dur
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
             self._charge(node, tx_energy(packet.size_bits, dist, self.params),
                          "transmit", "tx",
@@ -436,10 +453,14 @@ class Simulator:
 
     def _reply(self, node, target, kind, *args):
         """Answer ``target`` with a ``kind`` control packet carrying ``args``
-        after the rx-to-tx turnaround; the heap event is ``send_<kind>``."""
+        after the rx-to-tx turnaround, or once the node is off the air (a
+        half-duplex radio); the heap event is ``send_<kind>``."""
         self._schedule(self.now + TURNAROUND_US, "send_" + kind, node, target, kind, *args)
 
     def _on_send_reply(self, sender, target, kind, *args):
+        if sender.on_air_until > self.now:
+            self._schedule(sender.on_air_until, "send_" + kind, sender, target, kind, *args)
+            return
         pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
                      source=sender.id, destination=target.id, kind=kind)
         self._send([sender], [target], pkt, kind, args)
@@ -489,6 +510,8 @@ class Simulator:
                                  lambda j: f'{{"bits": {t.packet.size_bits}, "category": "{cat}", '
                                            f'"j": {j!r}, "packet": {t.packet.seq}, '
                                            f'"rdv": {t.rdv_id}}}')
+                    if t.tag == "ct_coop" and cat == "receive":
+                        self._fail(t.args[0], "collision", [t.packet.seq])
                 continue
             t = heard[0]
             if rid in t.addressed_to:
@@ -506,28 +529,27 @@ class Simulator:
                              lambda j: f'{{"bits": {t.packet.size_bits}, "category": "overhear", '
                                        f'"j": {j!r}, "packet": {t.packet.seq}, '
                                        f'"rdv": {t.rdv_id}, "tag": "{t.tag}"}}')
+        for t in cluster:  # a cooperative copy is final: lost unless its next hop took it
+            if t.tag == "ct_coop":
+                reach = t.args[0].next_hop.id in self.index.audience(t)
+                self._fail(t.args[0], "receiver_asleep" if reach else "out_of_reach",
+                           [t.packet.seq])
 
     # ------------------------------------------------------------------
     # protocol: hop orchestration
 
-    def _resolve_mode(self, node, elected):
-        mode = self.cfg.mac.mode
-        if not elected.helpers:
-            return "noct"
-        if mode == "ct":
-            return "ct"
-        # auto: cooperate when the hop is out of direct reach or the
-        # sender has fallen well below its neighbourhood's mean energy
-        if not node.hop_direct:
-            return "ct"
+    def _cooperates(self, node, elected):
+        # never without helpers; forced ct always, and auto when the hop is out of
+        # direct reach or the sender has fallen well below its neighbourhood's mean energy
+        if not elected.helpers or self.cfg.mac.mode == "ct" or not node.hop_direct:
+            return bool(elected.helpers)
         neigh = [self.nodes[n].battery.residual for n in self.index.neighbours[node.id]
                  if self.nodes[n].battery.alive]
-        if neigh and node.battery.residual < self.cfg.mac.ct_energy_fraction * (sum(neigh) / len(neigh)):
-            return "ct"
-        return "noct"
+        fraction = self.cfg.mac.ct_energy_fraction
+        return bool(neigh) and node.battery.residual < fraction * (sum(neigh) / len(neigh))
 
     def _on_traffic(self, node, packets):
-        self.metrics.packets_offered += len(packets)
+        self.fates.update((p.seq, node.id) for p in packets)
         self._emit(node, "offered",
                    f'{{"count": {len(packets)}, "seqs": {[p.seq for p in packets]}}}')
         node.mac.pending_packets.extend(packets)
@@ -538,10 +560,7 @@ class Simulator:
         if xfer.batch or xfer.hop_scheduled or not node.mac.pending_packets:
             return
         if node.next_hop is None:
-            self._emit(node, "delivery_failure",
-                       f'{{"reason": "no route to receiver", '
-                       f'"seqs": {[p.seq for p in node.mac.pending_packets]}}}')
-            self.metrics.packets_failed += len(node.mac.pending_packets)
+            self._fail(node, "out_of_reach", [p.seq for p in node.mac.pending_packets])
             node.mac.pending_packets.clear()
             return
         t = node.schedule.next_wake(self.now)
@@ -611,11 +630,10 @@ class Simulator:
                      lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "receive", '
                                f'"j": {j!r}, "packet": null, "pkind": "candidate_reply", '
                                f'"rdv": null, "tag": "candidate_reply"}}')
-        xfer.mode = self._resolve_mode(node, elected)
-        self._emit(node, "mode_selected", f'{{"mode": "{xfer.mode}"}}')
-        if xfer.mode == "noct":
+        if not self._cooperates(node, elected):
             self._noct_begin(node)
             return
+        self._emit(node, "mode_selected", '{"mode": "ct"}')
         origin = self.now + TURNAROUND_US
         xfer.sf = compose_superframe(node.id, elected, node.next_hop.id,
                                      len(xfer.batch), origin,
@@ -702,8 +720,7 @@ class Simulator:
             if h in xfer.got_broadcast.get(i, ()) and self.nodes[h].battery.alive:
                 senders.append(self.nodes[h])
         if not senders:
-            self._emit(node, "delivery_failure",
-                       f'{{"reason": "no live cooperative senders", "seqs": [{packet.seq}]}}')
+            self._fail(node, "sender_dead", [packet.seq])
         else:
             self._send(senders, [node.next_hop], packet, "ct_coop", (node,), coop=True)
         if i == len(xfer.batch) - 1:
@@ -712,8 +729,6 @@ class Simulator:
     # --- no-CT path -------------------------------------------------------
 
     def _noct_begin(self, node):
-        xfer = node.xfer
-        xfer.mode = "noct"
         self._emit(node, "mode_selected", '{"mode": "noct"}')
         self._noct_next(node)
 
@@ -726,16 +741,13 @@ class Simulator:
         self._on_noct_request(node)
 
     def _on_noct_request(self, node):
-        xfer = node.xfer
-        if xfer.noct_index >= len(xfer.batch):
-            return
         nxt = node.next_hop
         t_req = nxt.schedule.next_wake(self.now)
         if t_req > self.now:
             # one handshake fits per wake window, so contenders spread over
             # the next few frames by a deterministic per-(sender, attempt)
             # draw instead of piling into the same window
-            frame_pick = _mix(node.id, xfer.attempts) % _CONTENTION_FRAMES
+            frame_pick = _mix(node.id, node.xfer.attempts) % _CONTENTION_FRAMES
             self._schedule(t_req + frame_pick * self.frame_us, "noct_request", node)
             return
         if not self._account(node):
@@ -756,7 +768,7 @@ class Simulator:
         self._reply(receiver, origin, "noct_reply", accepted, start, dur)
 
     def _on_noct_reply_rx(self, node, txn, accepted, start, dur):
-        if node.mac.awaiting not in ("noct_reply", "data_ack"):
+        if node.mac.awaiting != "noct_reply":
             return
         self._await(node, "noct_reply")
         if accepted:
@@ -769,11 +781,8 @@ class Simulator:
         xfer = node.xfer
         xfer.attempts += 1
         if xfer.attempts > self.cfg.mac.retry_cap:
-            packet = xfer.batch[xfer.noct_index]
-            self._emit(node, "delivery_failure",
-                       f'{{"attempts": {xfer.attempts}, "reason": "{reason}", '
-                       f'"seqs": [{packet.seq}]}}')
-            self.metrics.packets_failed += 1
+            self._fail(node, "retry_cap", [xfer.batch[xfer.noct_index].seq],
+                       f'"attempts": {xfer.attempts}, ')
             xfer.noct_index += 1
             self._noct_next_packet_after_failure(node)
             return
@@ -792,33 +801,43 @@ class Simulator:
             self._schedule(self.now, "noct_request", node)
 
     def _on_noct_data(self, node):
-        xfer = node.xfer
-        if xfer.noct_index >= len(xfer.batch) or not self._account(node):
-            return
-        packet = xfer.batch[xfer.noct_index]
-        self._send([node], [node.next_hop], packet, "data", (node,))
-        self._await(node, "noct_data")
+        if self._account(node):
+            xfer = node.xfer
+            self._send([node], [node.next_hop], xfer.batch[xfer.noct_index], "data", (node,))
+            self._await(node, "noct_data")
 
     def _on_data_rx(self, receiver, txn, origin):
-        self._accept_packet(receiver, txn.packet, origin)
-        self._reply(receiver, origin, "data_ack")
+        self._accept_packet(receiver, txn, origin)
+        self._reply(receiver, origin, "data_ack")  # a duplicate too, so the sender stops
 
     def _on_data_ack_rx(self, node, txn):
-        xfer = node.xfer
-        if xfer.mode == "noct":  # set only inside a batch
+        if node.mac.awaiting == "data_ack":
             self._await(node, "data_ack")
-            xfer.noct_index += 1
+            node.xfer.noct_index += 1
             self._noct_next(node)
 
-    def _accept_packet(self, receiver, packet, origin):
-        if receiver.id == self.fr:  # every data packet is addressed to fr
-            self.metrics.packets_delivered += 1
+    def _accept_packet(self, receiver, txn, origin):
+        """Take the packet if ``origin`` holds it; any other copy is a duplicate."""
+        packet = txn.packet
+        if self.fates.get(packet.seq) != origin.id:
+            self._emit(receiver, "duplicate", f'{{"from": {origin.id}, "seq": {packet.seq}}}')
+        elif receiver.id == self.fr:  # every data packet is addressed to fr
+            self.fates[packet.seq] = "delivered"
             self._emit(receiver, "delivered",
                        f'{{"from": {origin.id}, "seq": {packet.seq}, "source": {packet.source}}}')
         else:
+            self.fates[packet.seq] = receiver.id
             self._emit(receiver, "forwarding", f'{{"from": {origin.id}, "seq": {packet.seq}}}')
             receiver.mac.pending_packets.append(packet)
             self._kick_hop(receiver)
+
+    def _fail(self, node, reason, seqs, head=""):
+        """Lose those of ``seqs`` that ``node`` still holds, in one ``delivery_failure``
+        row; ``head`` leads its detail (the retry cap's attempts)."""
+        lost = [seq for seq in seqs if self.fates.get(seq) == node.id]
+        if lost:
+            self.fates.update((seq, reason) for seq in lost)
+            self._emit(node, "delivery_failure", f'{{{head}"reason": "{reason}", "seqs": {lost}}}')
 
     # ------------------------------------------------------------------
     # timers
@@ -912,7 +931,7 @@ class Simulator:
         "superframe": _on_superframe_rx,
         "ct_ack": _on_ct_ack_rx,
         "ct_broadcast": _on_ct_broadcast_rx,
-        "ct_coop": _on_data_rx,
+        "ct_coop": _accept_packet,
         "noct_request": _on_noct_request_rx,
         "noct_reply": _on_noct_reply_rx,
         "data": _on_data_rx,
@@ -934,8 +953,9 @@ class Simulator:
         for node in nodes:
             self.metrics.residual_by_node[node.id] = node.battery.residual
             self.metrics.energy_by_category[node.id] = dict(node.battery.consumed_by_category)
-        undeliverable = self.metrics.packets_offered - self.metrics.packets_delivered
-        self.metrics.packets_failed = max(self.metrics.packets_failed, undeliverable)
+        m, fates = self.metrics, list(self.fates.values())  # an id: in flight at the horizon
+        m.packets_offered, m.packets_delivered = len(fates), fates.count("delivered")
+        m.packets_failed = sum(isinstance(f, str) for f in fates) - m.packets_delivered
         self.metrics.events_processed = len(self.rows)
         return self.metrics
 

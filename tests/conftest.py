@@ -83,7 +83,7 @@ def ct200_doc(mode="ct"):
 def late_reply_doc():
     """CT with a timeout far shorter than a handshake: most acks and replies
     arrive after the sender gave up, so the stale-reply guards of
-    ``_on_ct_ack_rx``, ``_on_noct_reply_rx`` and ``_on_noct_request`` run."""
+    ``_on_ct_ack_rx``, ``_on_noct_reply_rx`` and ``_on_data_ack_rx`` run."""
     doc = generated_doc(mode="ct")
     doc["mac"]["timeout_slots"] = 0.05
     return doc

@@ -3,7 +3,8 @@
 The golden digests say *that* a trace changed; this sheet says whether the
 scientific answer moved. ``answers.json`` holds one row per (scenario, mode,
 run seed): packets offered, distinct seqs delivered, duplicate deliveries,
-``packets_failed``, collisions and the packets they lost, first and
+``packets_failed`` and its seqs by reason (``losses``, read from the
+``delivery_failure`` rows), collisions and the packets they lost, first and
 transmitter (trn) death, and the joules of each category summed over all
 nodes, to 9 significant digits. A change that is meant to move an answer
 rewrites the sheet with ``python tests/test_answers.py`` and explains the
@@ -41,8 +42,13 @@ def answer(run_name):
     """The sheet row of one run, named as in ``RUNS``."""
     name, mode, _ = run_name.split()
     metrics, rows = run(make_config(SCENARIOS[name](mode)), SEED)
-    seqs = [json.loads(detail)["seq"] for _, _, _, event, detail, _ in rows
-            if event == "delivered"]
+    seqs, losses = [], {}
+    for _, _, _, event, detail, _ in rows:
+        if event == "delivered":
+            seqs.append(json.loads(detail)["seq"])
+        elif event == "delivery_failure":
+            d = json.loads(detail)
+            losses[d["reason"]] = losses.get(d["reason"], 0) + len(d["seqs"])
     joules = {}
     for nid in sorted(metrics.energy_by_category):
         for cat, j in metrics.energy_by_category[nid].items():
@@ -52,6 +58,7 @@ def answer(run_name):
         "distinct_delivered": len(set(seqs)),
         "duplicates": len(seqs) - len(set(seqs)),
         "packets_failed": metrics.packets_failed,
+        "losses": dict(sorted(losses.items())),
         "collisions": metrics.collisions,
         "collision_losses": metrics.collision_losses,
         "first_death_s": _sig(metrics.network_lifetime_first_death_s),
@@ -73,6 +80,15 @@ def pinned():
 
 def test_sheet_lists_every_run(pinned):
     assert list(pinned) == RUNS
+
+
+@pytest.mark.parametrize("run_name", RUNS)
+def test_sheet_row_conserves_packets(run_name, pinned):
+    """Each seq is delivered at most once, and each failed one once, by reason."""
+    row = pinned[run_name]
+    assert row["duplicates"] == 0
+    assert sum(row["losses"].values()) == row["packets_failed"]
+    assert row["distinct_delivered"] + row["packets_failed"] <= row["offered"]
 
 
 @pytest.mark.parametrize("run_name", RUNS)

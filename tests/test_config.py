@@ -12,6 +12,7 @@ from oscmac.engine import Simulator
 from oscmac.trace import read_trace, write_trace
 from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 from test_acceptance import trace_summed_charges
+from test_engine import assert_packets_conserved
 
 
 def test_defaults_applied():
@@ -346,7 +347,7 @@ _DANGLING = [99, -1, [99], [1, 99], [[1]], [1, 1]]
 @example(case=(("generated", ("mac", "active_ms")), 0.0004))
 def test_fuzzed_document_is_rejected_or_runs_cleanly(case, tmp_path_factory):
     """A document with one bad field raises ConfigError, or runs to the horizon
-    conserving joules and writing a trace that reads back."""
+    conserving joules and packets and writing a trace that reads back."""
     (base, path), value = case
     doc = copy.deepcopy(_BASES[base])
     *parents, last = path
@@ -364,6 +365,7 @@ def test_fuzzed_document_is_rejected_or_runs_cleanly(case, tmp_path_factory):
     spent = sum(metrics.initial_by_node[n] - metrics.residual_by_node[n]
                 for n in metrics.initial_by_node)
     assert abs(spent - trace_summed_charges(sim.rows)) <= 1e-9
+    assert_packets_conserved(metrics, sim.rows)
     trace = tmp_path_factory.mktemp("fuzz") / "trace.csv"
     write_trace(trace, sim.rows, cfg.config_hash(), _FUZZ_SEED)
     _, records = read_trace(trace)

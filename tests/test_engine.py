@@ -14,6 +14,7 @@ from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, reserve
 from oscmac.trace import render_trace
+import trace_audit
 from conftest import (generated_doc, late_reply_doc, make_config, range_extension_doc,
                       two_node_doc)
 from test_golden import SCENARIOS, record_awaits, unawaited_replies
@@ -139,7 +140,6 @@ def test_each_sender_transmits_to_its_farthest_addressee(fr_x, relayed):
         ("ct_broadcast", False): helpers,
         ("ct_coop", True): [0],
         ("ct_ack", False): [1],
-        ("data_ack", False): [1],
     }
     seen = set()
     for r in rows_for(rows, event="tx"):
@@ -187,15 +187,17 @@ def test_explicit_routes_give_the_generated_depths(node_count, area_m, topo_seed
 
 
 def test_late_replies_are_dropped(monkeypatch):
-    """A ``ct_ack`` or ``noct_reply`` that arrives after its timer fired
-    changes nothing: the engine acts only on those the node awaits, and
-    some received ``ct_ack``s reserve no slots."""
+    """A ``ct_ack``, ``noct_reply`` or ``data_ack`` that arrives after its
+    timer fired changes nothing: the engine acts only on those the node
+    awaits, so some received ``ct_ack``s reserve no slots and some received
+    ``data_ack``s advance no batch."""
     calls = record_awaits(monkeypatch)
     _, rows = run(make_config(late_reply_doc()), 3)
-    assert ("ct_ack", "timeout") in calls and ("noct_reply", "timeout") in calls
+    assert {("ct_ack", "timeout"), ("noct_reply", "timeout"), ("data_ack", "timeout")} <= set(calls)
     assert not unawaited_replies(calls)
-    acks = [r for r in rows_for(rows, event="rx") if detail(r)["tag"] == "ct_ack"]
-    assert len(acks) > len(rows_for(rows, event="ct_reserved"))
+    received = [detail(r)["tag"] for r in rows_for(rows, event="rx")]
+    assert received.count("ct_ack") > len(rows_for(rows, event="ct_reserved"))
+    assert received.count("data_ack") > calls.count(("data_ack", "data_ack"))
 
 
 @pytest.mark.parametrize("doc", [
@@ -219,6 +221,36 @@ def test_packet_accounting_closes():
     assert metrics.packets_delivered + metrics.packets_failed == metrics.packets_offered
     assert 0.0 <= metrics.delivery_ratio <= 1.0
     assert metrics.collision_losses <= metrics.packets_offered * (1 + 3)  # retries included
+
+
+def assert_packets_conserved(metrics, rows):
+    """Every offered seq ends in one fate, read from the rows by the trace
+    audit, apart from the engine: delivered once, failed, or queued at a live
+    node at the horizon; and the metrics count the same fates."""
+    assert not trace_audit.fates_duplicates(rows)
+    assert not trace_audit.fates_unaccounted(rows)
+    fates = trace_audit.fates(rows)
+    delivered, failed = fates["delivered"], fates["failed"]
+    assert not delivered & failed
+    in_flight = fates["queued"] - delivered - failed
+    assert len(fates["offered"]) == metrics.packets_offered
+    assert metrics.packets_delivered <= metrics.packets_offered
+    assert (metrics.packets_delivered, metrics.packets_failed) == (len(delivered), len(failed))
+    assert len(delivered) + len(failed) + len(in_flight) == metrics.packets_offered
+
+
+@settings(max_examples=40, deadline=None)
+@given(node_count=st.integers(6, 30), area_m=st.sampled_from([100.0, 200.0, 300.0]),
+       mode=st.sampled_from(["ct", "noct", "auto"]), horizon_s=st.integers(1, 20),
+       sources=st.integers(1, 4), packets=st.integers(1, 6), topo_seed=st.integers(0, 30),
+       battery_j=st.sampled_from([2e-4, 1e-3, 3e-3, 2.0]), seed=st.integers(0, 3))
+def test_every_packet_ends_in_one_fate(node_count, area_m, mode, horizon_s, sources, packets,
+                                       topo_seed, battery_j, seed):
+    doc = generated_doc(node_count=node_count, area_m=area_m, active_ms=2.0, mode=mode,
+                        horizon_s=float(horizon_s), sources=sources, packets=packets,
+                        jitter_ms=200.0, topo_seed=topo_seed)
+    doc["sim"]["battery_j"] = battery_j
+    assert_packets_conserved(*run(make_config(doc), seed))
 
 
 def test_battery_exhaustion_sets_lifetimes():
@@ -344,17 +376,17 @@ def _dying_sender_doc():
     # comes (tx_skipped_dead) and a receiver empties while it listens
     # (charge_skipped_dead)
     doc = generated_doc(mode="ct", horizon_s=120.0, packets=20, topo_seed=3)
-    doc["sim"]["battery_j"] = 0.004182
+    doc["sim"]["battery_j"] = 0.00412
     return doc
 
 
 # every event kind the engine writes; the runs below reach them all
 _EVENT_KINDS = {
     "batch_done", "candidate_reply", "charge_skipped_dead", "collision", "ct_request",
-    "ct_reserved", "ct_slot_skipped", "delivered", "delivery_failure", "energy_account",
-    "forwarding", "mode_selected", "node_died", "offered", "overhear", "reserve", "retry",
-    "rx", "rx_corrupt", "station_notify", "superframe_continued", "timeout", "tx",
-    "tx_skipped_dead",
+    "ct_reserved", "ct_slot_skipped", "delivered", "delivery_failure", "duplicate",
+    "energy_account", "forwarding", "mode_selected", "node_died", "offered", "overhear",
+    "reserve", "retry", "rx", "rx_corrupt", "station_notify", "superframe_continued",
+    "timeout", "tx", "tx_skipped_dead",
 }
 
 

@@ -48,34 +48,33 @@ SCENARIOS = {
     "noct": (generated_doc(node_count=120, area_m=400.0, active_ms=1.0, mode="noct",
                            horizon_s=60.0, sources=5, packets=5, jitter_ms=200.0),
              SEED,
-             "1bbe01395a3e32ca47cdc902312d3fd60954292696ec0502e9605a733ffe92a3",
-             "b41d4cd60f4ee77a89dc297ef2a6d3e3fe0cde084d75680beabc984874c946b8"),
+             "a201e2e5009dc8ae151ce2fd8c3570bd21f4b0e1d02ba410fc483c8c6483270b",
+             "573b471ae632e487584daceb0587c6992eaff64f3fd29edd185954794556c18a"),
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
-           "7d63dd26a0a04c572c83a9b38caf7f9780f4ce372d4fac2fdf2e18585d87956e",
-           "235ad0782075fe0821edf6dbcde3a9a0a3413c68a683314c107d0fa01991b599"),
+           "46d6d455d7ded0b3f789b6e4f006ca0a5ada343c276a80c27b3dfe1a27a771c0",
+           "c3721aaac0cc9bd032bd4d6f77c212221ab84575a44399919e35e44965574c8f"),
     "auto": (_auto_doc(),
              SEED,
-             "7de00e5dcb4dad0afc16449379561a1c551eb05b13ed5ad01fc5720ee920ecb4",
-             "5ee447aece117c295b26afdac33308c9929a0eb3f20d0eb9118c2b1efaa0e8a0"),
+             "c070a6710a132bd26c3e0e875985fd1292dd854ecab1511428c0ba74bd977666",
+             "c423f2bc14b1e10cef04b74392f99e3695e9317ef50a233a3e5ad0e5f203a286"),
     "retry_cap": (_retry_cap_doc(),
                   0,
-                  "4b4cd7420c797fd6ebd0395e3530b39e6c68bc4e0ccf26d08b245b9a888e5caf",
-                  "c201885f306c1c6def40ce2d37667287f56889db1ffb48a7c8a5711d04c397a3"),
+                  "f3b6becfa60cc50311c658a6a0d5da9216ef17a074c181535a425691c8185bd2",
+                  "0b171f6b5c14f04c1eebb7b4922d3f216b3a8bcbe1e4bd9f3c6bb51ba6bc4c7a"),
     # explicit topology and route: the 120 m hop closes only through the
     # cooperative superframe relay, and 20 slots continue the superframe
     "explicit": (range_extension_doc(mode="ct", packets=20),
                  0,
-                 "f2c9479cbf898f70845754dbd5be464d03b0c56d0c1f675a0be18c0785784e5c",
-                 "6d27f97275951b43c0c5191dcac480fd0507aa0ebb1e28fc2bde83459d56fc28"),
+                 "282ee134c1e4da9515cdbb4567e4cb20dd8d61d6554453556976849bcfc5ed48",
+                 "8baa5934278c7a641987139eb37a72741f9c5e17e5e4b6424b77518b5cb59965"),
     # the one scenario whose replies arrive late: every ct_ack times out, and
-    # late data_acks and repeated requests reach mac.step while the node
-    # awaits something else
+    # late noct_replies and data_acks reach nodes that await something else
     "late_reply": (late_reply_doc(),
                    SEED,
-                   "812bbab6e46492893160107d8ad3d48a3701878ee661c54d1d84b6b17394df07",
-                   "92484cf408aa61058d7a48602ee9555adb925362f74a6b89693e772e16551868"),
+                   "2d9ecd068d31695ea7eaa066a74ee8de74a34604b59282e07a3984d40400c3e5",
+                   "91ca45ad3d30180e3373c55a2d9b971decf6da223c08b1c24fa6a3219184414c"),
 }
 
 
@@ -199,16 +198,16 @@ def record_awaits(monkeypatch):
 
 
 def unawaited_replies(calls):
-    """The ``ct_ack`` and ``noct_reply`` calls made while the node awaited
-    something else: each is a late reply the engine acted on."""
+    """The ``ct_ack``, ``noct_reply`` and ``data_ack`` calls made while the
+    node awaited something else: each is a late reply the engine acted on."""
     return [(awaited, event) for awaited, event in calls
-            if event in ("ct_ack", "noct_reply") and event != awaited]
+            if event in ("ct_ack", "noct_reply", "data_ack") and event != awaited]
 
 
 def test_engine_awaits_every_table_row(monkeypatch):
     """The scenarios send every event of ``mac._AWAITS`` and see each
     awaited reply both answered and timed out, and the engine acts on a
-    ``ct_ack`` or ``noct_reply`` only while the node awaits it."""
+    ``ct_ack``, ``noct_reply`` or ``data_ack`` only while the node awaits it."""
     calls = record_awaits(monkeypatch)
     for doc, seed, _, _ in SCENARIOS.values():
         Simulator(make_config(doc), seed).run()

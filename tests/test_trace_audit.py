@@ -4,7 +4,7 @@ Every check of ``trace_audit.CHECKS`` runs over the six golden scenarios and
 ``lifetime_doc`` at generator seeds 1-3 in all three modes; each scenario
 runs once per module. A (check, scenario) pair that fails today is a strict
 xfail whose reason names the defect and the ROADMAP item that fixes it; the
-fixing change removes the pair. Hand-made traces show that each check
+fixing change removes the pair. The fates and decisions checks have none. Hand-made traces show that each check
 catches what it is for.
 """
 
@@ -24,34 +24,21 @@ SCENARIOS = {
     **{f"lifetime_gen{g}_{mode}": (lifetime_doc(mode=mode, topo_seed=g), 0)
        for g in (1, 2, 3) for mode in MODES},
 }
-LIFETIME = tuple(name for name in SCENARIOS if name.startswith("lifetime"))
 
 # check -> (defect and the ROADMAP item that fixes it, scenarios it fails on)
 KNOWN = {
-    "fates_duplicates": (
-        "no-CT ARQ delivers a packet again when its data_ack is lost; "
-        "ROADMAP item 2's duplicate-seq filter fixes it",
-        ("noct", "retry_cap")),
-    "fates_unaccounted": (
-        "a CT copy that never arrives and a packet held by a node that dies "
-        "leave no delivery_failure row; ROADMAP item 2's packet-fate ledger fixes it",
-        ("ct", "auto", "retry_cap") + LIFETIME),
     "collisions": (
         "the channel records a collision between rendezvous of one transitive "
         "overlap cluster that do not overlap each other; ROADMAP item 9's overlap rule fixes it",
-        ("ct", "auto", "retry_cap", "lifetime_gen1_ct", "lifetime_gen2_ct")),
+        ("ct", "auto", "retry_cap")),
     "half_duplex_tx": (
-        "a node starts a transmission while its previous one is on the air; "
-        "ROADMAP item 9's half-duplex radio fixes it",
-        ("ct", "auto", "retry_cap", "late_reply", "lifetime_gen1_auto", "lifetime_gen2_ct")),
+        "a node starts a superframe slot's transmission (a broadcast or a cooperative copy) "
+        "while its previous one is on the air; ROADMAP item 9's half-duplex radio fixes it",
+        ("ct", "lifetime_gen2_ct")),
     "half_duplex_rx": (
         "a node hears transmissions that overlap its own; "
         "ROADMAP item 9's half-duplex radio fixes it",
         tuple(name for name in SCENARIOS if name != "explicit")),
-    "decisions": (
-        "a no-CT choice after an election logs mode_selected twice, from "
-        "_on_station_reply and from _noct_begin; ROADMAP item 2 emits it once",
-        ("auto", "retry_cap") + tuple(name for name in LIFETIME if not name.endswith("noct"))),
 }
 
 

@@ -76,17 +76,18 @@ def fates_duplicates(rows):
     return out
 
 
-def fates_unaccounted(rows):
-    """For each seq that is neither delivered, nor failed by a
-    ``delivery_failure`` row, nor in flight at the horizon, the last
-    ``offered``, ``forwarding`` or ``tx`` row naming it (once per such seq).
+def fates(rows):
+    """Each packet's fate as the rows tell it: a dict of the seqs ``offered``,
+    ``delivered`` and ``failed`` (named by a ``delivery_failure`` row), the
+    seqs ``queued`` at the horizon, and ``last``, each seq's last ``offered``,
+    ``forwarding`` or ``tx`` row.
 
-    In flight at the horizon means waiting in the queue of a node with no
+    Queued at the horizon means waiting in the queue of a node with no
     ``node_died`` row. Queues are rebuilt from the rows as the engine keeps
     them: ``offered`` and ``forwarding`` append to the node's queue, and
     ``batch_done`` removes its first ``count`` seqs.
     """
-    delivered, failed, last = set(), set(), {}
+    offered, delivered, failed, last = set(), set(), set(), {}
     queues, dead = defaultdict(list), set()
     for row, d in _parsed(rows, ("offered", "forwarding", "tx", "delivered",
                                  "delivery_failure", "batch_done", "node_died")):
@@ -100,6 +101,7 @@ def fates_unaccounted(rows):
         elif event == "node_died":
             dead.add(row[2])
         elif event == "offered":
+            offered.update(d["seqs"])
             queue.extend(d["seqs"])
             last.update((seq, row) for seq in d["seqs"])
         elif event == "forwarding":
@@ -107,9 +109,19 @@ def fates_unaccounted(rows):
             last[d["seq"]] = row
         elif d["packet"] >= 0:  # a tx row of a data packet
             last[d["packet"]] = row
-    in_flight = {seq for nid, queue in queues.items() if nid not in dead for seq in queue}
-    lost = set(last) - delivered - failed - in_flight
-    return sorted((last[seq] for seq in lost), key=lambda row: row[1])
+    queued = {seq for nid, queue in queues.items() if nid not in dead for seq in queue}
+    return {"offered": offered, "delivered": delivered, "failed": failed, "queued": queued,
+            "last": last}
+
+
+def fates_unaccounted(rows):
+    """For each seq that is neither delivered, nor failed by a
+    ``delivery_failure`` row, nor queued at a live node at the horizon (see
+    ``fates``), the last ``offered``, ``forwarding`` or ``tx`` row naming it
+    (once per such seq)."""
+    f = fates(rows)
+    lost = set(f["last"]) - f["delivered"] - f["failed"] - f["queued"]
+    return sorted((f["last"][seq] for seq in lost), key=lambda row: row[1])
 
 
 def collisions(rows):
