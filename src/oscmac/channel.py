@@ -6,21 +6,21 @@ the non-coherent power sum of k equal transmitters meets the single-link
 threshold: sum_i (base_range / d_i)^alpha >= 1, with alpha picked per
 the farthest sender against the amplifier crossover distance.
 
-Node positions never change. They live in one map, node id -> (x, y), read
-for senders (named by id) and receivers alike; who can hear whom is computed
-once: ``NeighbourIndex`` buckets positions into square cells of side
-``base_range`` (a cell list) and answers closed-disk radius queries by
-testing only the nodes in the cells a disk overlaps.
+Node positions never change. They live in one map, node id -> (x, y), held
+by ``NeighbourIndex`` and read for senders (named by id) and receivers alike.
+The index buckets positions into square cells of side ``base_range`` (a cell
+list) and computes who can hear whom once, testing only the nodes in the
+cells that a base-range disk overlaps.
 
 A group of k senders cannot reach a receiver farther than
 ``ct_prune_radius(base_range, k) = base_range * sqrt(k) * (1 + 1e-9)``
-from every sender, so a group's audience is found among the nodes
-within that radius of some sender. The pruning is exact: with
-every d_i > R*sqrt(k) and alpha in {2, 4},
-sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no sender lies within
-R, so ``ct_reach`` is False. The relative margin of 1e-9 dwarfs the
-float rounding of the distances and of the k-term sum, which keeps the
-bound on the safe side.
+from every sender, so a group's audience is found among the nodes in the
+cells that a disk of that radius around some sender overlaps, each tested
+by ``ct_reach`` alone. The pruning is exact: with every d_i > R*sqrt(k)
+and alpha in {2, 4}, sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no
+sender lies within R, so ``ct_reach`` is False. The relative margin of
+1e-9 dwarfs the float rounding of the distances and of the k-term sum,
+which keeps the bound on the safe side.
 
 Reach depends only on positions, and collision only on time, as in Gupta
 and Kumar's protocol model. ``NeighbourIndex.audience`` decides reach: it
@@ -51,10 +51,12 @@ def ct_reach(sender_positions, receiver_pos, base_range: float, d0: float) -> bo
     """
     if not sender_positions:
         raise ValueError("ct_reach needs at least one sender")
-    dists = [distance(p, receiver_pos) for p in sender_positions]
+    x, y = receiver_pos
+    # ``distance`` inlined: ``audience`` asks this of every node in the cells it scans
+    dists = [math.hypot(sx - x, sy - y) for sx, sy in sender_positions]
     # any sender inside the base range closes the link on its own; this
     # also keeps tiny distances from overflowing the power terms
-    if any(d <= base_range for d in dists):
+    if min(dists) <= base_range:
         return True
     alpha = 4 if max(dists) >= d0 else 2
     return sum((base_range / d) ** alpha for d in dists) >= 1.0
@@ -70,9 +72,8 @@ class NeighbourIndex:
 
     ``neighbours[i]`` is the ascending tuple of the other ids within
     ``base_range`` of node i, by exactly ``in_reach``'s predicate, which
-    is symmetric. ``within`` answers closed-disk queries of any radius;
-    ``audience`` names who a transmission reaches, and keeps its answer
-    for each cooperative sender group.
+    is symmetric. ``audience`` names who a transmission reaches, and keeps
+    its answer for each cooperative sender group.
     """
 
     def __init__(self, positions, base_range: float, d0: float):
@@ -105,37 +106,24 @@ class NeighbourIndex:
         side = self.side
         return range(math.floor((v - margin) / side), math.floor((v + margin) / side) + 1)
 
-    def within(self, points, radius: float):
-        """Ascending ids within ``radius`` (closed) of any of ``points``."""
-        cells = {(cx, cy) for x, y in points
-                 for cx in self._span(x, radius) for cy in self._span(y, radius)}
-        found = []
-        for cell in cells:
-            for nid in self._cells.get(cell, ()):
-                pos = self.positions[nid]
-                for p in points:
-                    if distance(p, pos) <= radius:
-                        found.append(nid)
-                        break
-        found.sort()
-        return found
-
     def audience(self, air):
         """Ascending ids, other than its senders, that ``air`` reaches.
 
         A lone sender reaches its neighbours. A cooperative group reaches
-        the nodes that ``ct_reach`` admits among those within
-        ``ct_prune_radius`` of some sender, all at their indexed positions.
+        the nodes that ``ct_reach`` admits, at their indexed positions, among
+        those in the cells that ``ct_prune_radius`` around some sender overlaps.
         """
         if not air.cooperative:
             return self.neighbours[air.sender_ids[0]]
         group = air.sender_ids
         if group not in self._group_reach:
             senders = [self.positions[nid] for nid in group]
-            found = self.within(senders, ct_prune_radius(self.side, len(group)))
-            self._group_reach[group] = tuple(
-                nid for nid in found
-                if nid not in group and ct_reach(senders, self.positions[nid], self.side, self.d0))
+            radius = ct_prune_radius(self.side, len(group))
+            cells = {(cx, cy) for x, y in senders
+                     for cx in self._span(x, radius) for cy in self._span(y, radius)}
+            self._group_reach[group] = tuple(sorted(
+                nid for cell in cells for nid in self._cells.get(cell, ())
+                if nid not in group and ct_reach(senders, self.positions[nid], self.side, self.d0)))
         return self._group_reach[group]
 
 

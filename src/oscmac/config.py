@@ -207,6 +207,9 @@ def _topology(raw, battery_j) -> tuple:
             topo.fr = raw["fr"]
         if type(topo.fr) is not int or topo.fr not in seen:
             raise ConfigError(f"topology.fr {topo.fr!r} is not a node id")
+        for i, n in enumerate(topo.nodes):
+            if n.role == "fr" and n.id != topo.fr:
+                raise ConfigError(f"topology.nodes[{i}].role is fr, but topology.fr is {topo.fr}")
         if raw.get("routes") is not None:
             _routes(topo, _object(raw["routes"], "topology.routes"), seen)
         sensors = seen - {topo.fr}

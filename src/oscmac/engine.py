@@ -11,9 +11,10 @@ so the entry shape and these names must stay. A transmission (``_Txn``) carries
 its sender ids and its rx handler's arguments: ``_RX_HANDLERS[tag](sim,
 receiver, txn, *txn.args)``.
 
-Each routed node holds its next-hop node, the hop's length and whether it
-reaches the hop alone (by the neighbour index), all fixed at build; ``_send``
-alone picks how far a sender transmits: to its farthest addressee.
+Node positions live only in the neighbour index, ``index.positions``. Each
+routed node holds its next-hop node, the hop's length and whether it reaches
+the hop alone, all fixed at build; ``_send`` alone picks how far a sender
+transmits: to its farthest addressee.
 
 Three event orders hold by construction, so no handler re-checks them. A node's
 superframe is set from its ``station_reply`` until its batch is done (only a
@@ -129,7 +130,6 @@ class _Transfer:
 @dataclass(eq=False)
 class SimNode:
     id: int
-    pos: tuple
     battery: Battery
     schedule: DutySchedule
     mac: MacState
@@ -225,13 +225,12 @@ class Simulator:
         schedules = build_schedules(self.index.neighbours, depths, self.frame_us, self.active_us)
         for nid in ids:
             nodes[nid] = SimNode(
-                id=nid, pos=positions[nid],
-                battery=Battery(initial=initial[nid]),
+                id=nid, battery=Battery(initial=initial[nid]),
                 schedule=schedules[nid],
                 mac=MacState(node=nid), depth=depths[nid])
         for nid, hop in routes.items():
-            node, nxt = nodes[nid], nodes[hop]
-            node.next_hop, node.hop_m = nxt, distance(node.pos, nxt.pos)
+            node = nodes[nid]
+            node.next_hop, node.hop_m = nodes[hop], distance(positions[nid], positions[hop])
             node.hop_direct = hop in self.index.neighbours[nid]
         self.nodes = nodes
         self.metrics.initial_by_node = {nid: nodes[nid].battery.initial for nid in ids}
@@ -258,10 +257,9 @@ class Simulator:
         spec = self.cfg.traffic.sources
         candidates = [nid for nid in sorted(self.nodes) if nid != self.fr]
         if isinstance(spec, int):
-            ranked = sorted(candidates,
-                            key=lambda n: (-self.nodes[n].depth,
-                                           -distance(self.nodes[n].pos, self.nodes[self.fr].pos),
-                                           n))
+            pos = self.index.positions
+            ranked = sorted(candidates, key=lambda n: (-self.nodes[n].depth,
+                                                       -distance(pos[n], pos[self.fr]), n))
             return ranked[:spec]
         return list(spec)
 
@@ -424,11 +422,12 @@ class Simulator:
         rdv = self._new_rdv()
         dur = self._tx_duration_us(packet.size_bits)
         ids = []  # of the senders alive after transmitting
+        pos = self.index.positions
         for node in senders:
             if not self._account(node):
                 self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
                 continue
-            dist = max(distance(node.pos, a.pos) for a in addressed)
+            dist = max(distance(pos[node.id], pos[a.id]) for a in addressed)
             node.on_air_until = self.now + dur
             self._ensure_awake_for(node, self.now, self.now + dur, rdv, "tx")
             self._charge(node, tx_energy(packet.size_bits, dist, self.params),
@@ -602,7 +601,7 @@ class Simulator:
         ctrl_dur = self._tx_duration_us(self.cfg.mac.ctrl_bits)
         self._ensure_awake_for(node, self.now, self.now + 2 * ctrl_dur + TURNAROUND_US,
                                self._new_rdv(), "station_exchange")
-        d_station = distance(node.pos, self.station_pos)
+        d_station = distance(self.index.positions[node.id], self.station_pos)
         self._charge(node, tx_energy(self.cfg.mac.ctrl_bits, d_station, self.params),
                      "transmit", "ct_request",
                      lambda j: f'{{"bits": {self.cfg.mac.ctrl_bits}, "category": "transmit", '
@@ -635,9 +634,7 @@ class Simulator:
             return
         self._emit(node, "mode_selected", '{"mode": "ct"}')
         origin = self.now + TURNAROUND_US
-        xfer.sf = compose_superframe(node.id, elected, node.next_hop.id,
-                                     len(xfer.batch), origin,
-                                     self.slot_us, self.frame_us)
+        xfer.sf = compose_superframe(elected, len(xfer.batch), origin, self.slot_us, self.frame_us)
         if xfer.sf.continued:
             self._emit(node, "superframe_continued",
                        f'{{"frame_us": {self.frame_us}, "slots": {xfer.sf.packet_count}}}')

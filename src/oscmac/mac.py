@@ -132,7 +132,6 @@ class Superframe:
     origin_us: int
     slot_us: int
     packet_count: int
-    participants: tuple              # transmitter, helpers, next hop
     helpers: tuple = ()
     leader: int = None               # type: ignore[assignment]
     continued: bool = False          # rendezvous slots spill past one frame
@@ -148,15 +147,13 @@ class Superframe:
                 for i in range(self.packet_count)]
 
 
-def compose_superframe(transmitter, elected, next_hop, packet_count,
-                       now_us, slot_us, frame_us):
+def compose_superframe(elected, packet_count, now_us, slot_us, frame_us):
     """One control slot, then one CT rendezvous slot per pending packet.
 
     If they do not fit in a single frame the superframe simply continues
     into the next ones and is flagged ``continued``.
     """
     return Superframe(origin_us=now_us, slot_us=slot_us, packet_count=packet_count,
-                      participants=(transmitter, *elected.helpers, next_hop),
                       helpers=elected.helpers, leader=elected.leader,
                       continued=(packet_count + 1) * slot_us > frame_us)
 
@@ -192,14 +189,12 @@ def reserve_noct(receiver: MacState, start_us: int, duration_us: int, rdv_id: in
 def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     """Helper/next-hop reaction to a superframe announcement.
 
-    Participants try to book a wake-up covering each rendezvous slot
-    (temporary synchrony); exactly the leader answers with a ct_ack.
-    Non-participants ignore it (the caller charges overhearing). Returns
-    the ``reserve`` result of each rendezvous slot, in slot order (empty
-    for a non-participant), and whether this node is the leader.
+    The engine hands a superframe only to its addressees (the helpers, and
+    the next hop when it decodes the announce or the relay). Each tries to
+    book a wake-up covering every rendezvous slot (temporary synchrony);
+    exactly the leader answers with a ct_ack. Returns the ``reserve`` result
+    of each rendezvous slot, in slot order, and whether this node is the leader.
     """
-    if state.node not in sf.participants:
-        return [], False
     accepted = [reserve(state, start, end, rdv_id) for start, end in sf.rdv_slots()]
     return accepted, state.node == sf.leader
 

@@ -202,6 +202,9 @@ def test_value_validation():
          r"^topology\.nodes\[1\]\.initial_j must be a finite"),
         (lambda d: _explicit(d)["nodes"][1].pop("x"), r"^topology\.nodes\[1\]\.x is required"),
         (lambda d: _explicit(d).update({"fr": [0]}), r"^topology\.fr \[0\] is not a node id"),
+        # node 0's role names it the sink, so another fr contradicts it
+        (lambda d: _explicit(d).update({"fr": 2}),
+         r"^topology\.nodes\[0\]\.role is fr, but topology\.fr is 2"),
         # a generated network's sink and routes are its own
         (lambda d: d["topology"].update({"fr": 5}), r"^topology\.fr is only for topology\.nodes"),
         (lambda d: d["topology"].update({"routes": {"3": 1}}),

@@ -168,8 +168,8 @@ def test_explicit_routes_give_the_generated_depths(node_count, area_m, topo_seed
                         topo_seed=topo_seed)
     generated = Simulator(make_config(doc), 0)
     doc["topology"] = {
-        "nodes": [{"id": nid, "x": node.pos[0], "y": node.pos[1],
-                   "initial_j": node.battery.initial}
+        "nodes": [{"id": nid, "x": generated.index.positions[nid][0],
+                   "y": generated.index.positions[nid][1], "initial_j": node.battery.initial}
                   for nid, node in generated.nodes.items()],
         "fr": generated.fr,
         "routes": {str(nid): node.next_hop.id for nid, node in generated.nodes.items()

@@ -127,30 +127,26 @@ def test_build_schedules_overcrowded_neighborhood_fails():
 
 def test_compose_superframe_layout():
     elected = ElectedList(helpers=(2, 3), leader=2)
-    sf = compose_superframe(1, elected, 0, packet_count=3,
-                            now_us=1_000, slot_us=20_000, frame_us=FRAME)
+    sf = compose_superframe(elected, packet_count=3, now_us=1_000, slot_us=20_000, frame_us=FRAME)
     # the control slot is [1_000, 21_000); the rendezvous slots follow it
     assert sf.rdv_slots() == [(21_000, 41_000), (41_000, 61_000), (61_000, 81_000)]
-    assert sf.participants == (1, 2, 3, 0)
     assert not sf.continued
     assert sf.helpers == (2, 3) and sf.leader == 2
 
 
 def test_compose_superframe_continued_flag():
     elected = ElectedList(helpers=(2,), leader=2)
-    sf = compose_superframe(1, elected, 0, packet_count=10,
-                            now_us=0, slot_us=20_000, frame_us=FRAME)
+    sf = compose_superframe(elected, packet_count=10, now_us=0, slot_us=20_000, frame_us=FRAME)
     assert sf.continued
     assert sf.rdv_slots() == [(20_000 * (i + 1), 20_000 * (i + 2)) for i in range(10)]
-    assert sf.participants == (1, 2, 0)
     # four packets fill a frame exactly, so the superframe does not continue
-    assert not compose_superframe(1, elected, 0, packet_count=4,
+    assert not compose_superframe(elected, packet_count=4,
                                   now_us=0, slot_us=20_000, frame_us=FRAME).continued
 
 
 def test_superframe_carries_at_least_one_packet():
     with pytest.raises(ValueError):
-        Superframe(origin_us=0, slot_us=20_000, packet_count=0, participants=(1, 2, 0))
+        Superframe(origin_us=0, slot_us=20_000, packet_count=0)
 
 
 def test_reserve_rejects_overlap():
@@ -170,8 +166,7 @@ def test_reserve_noct():
 
 def test_on_superframe_participant_reserves_and_leader_acks():
     elected = ElectedList(helpers=(2, 3), leader=2)
-    sf = compose_superframe(1, elected, 0, packet_count=2,
-                            now_us=0, slot_us=20_000, frame_us=FRAME)
+    sf = compose_superframe(elected, packet_count=2, now_us=0, slot_us=20_000, frame_us=FRAME)
     leader = MacState(node=2)
     accepted, is_leader = on_superframe(leader, sf, rdv_id=9)
     assert is_leader
@@ -182,11 +177,6 @@ def test_on_superframe_participant_reserves_and_leader_acks():
     assert not is_leader
     assert accepted == [True, True]
     assert len(helper.reservations) == 2
-    outsider = MacState(node=42)
-    accepted, is_leader = on_superframe(outsider, sf, rdv_id=9)
-    assert not is_leader
-    assert accepted == []
-    assert outsider.reservations == []
     # a slot that overlaps an earlier booking is rejected and reported so;
     # the other slot is still booked
     busy = MacState(node=3, reservations=[(25_000, 30_000, 1)])

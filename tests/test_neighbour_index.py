@@ -19,11 +19,6 @@ def brute_neighbours(positions, base_range):
             for i in positions}
 
 
-def brute_within(positions, points, radius):
-    return [i for i in sorted(positions)
-            if any(distance(p, positions[i]) <= radius for p in points)]
-
-
 @st.composite
 def layouts(draw, span=4):
     """Node layouts with negative coordinates, coincident nodes and pairs
@@ -44,16 +39,6 @@ def layouts(draw, span=4):
 def test_neighbour_table_matches_pairwise_scan(layout):
     positions, r = layout
     assert NeighbourIndex(positions, r, D0).neighbours == brute_neighbours(positions, r)
-
-
-@given(layouts(), st.data())
-def test_radius_query_matches_scan(layout, data):
-    positions, r = layout
-    centres = data.draw(st.lists(st.sampled_from(sorted(positions.values())),
-                                 min_size=1, max_size=4))
-    radius = data.draw(st.one_of(st.floats(0, 6 * r), st.integers(0, 4).map(lambda k: k * r)))
-    assert NeighbourIndex(positions, r, D0).within(centres, radius) == brute_within(
-        positions, centres, radius)
 
 
 def test_pair_in_reach_across_two_cells():
