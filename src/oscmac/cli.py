@@ -29,11 +29,27 @@ def _stem(path: pathlib.Path) -> pathlib.Path:
 
 
 def _single_run(cfg, seed, trace_path, metrics_path):
-    metrics, rows = run_simulation(cfg, seed)
+    """Run ``cfg`` at ``seed``, write its trace and metrics document, and
+    return the run's summary row."""
+    m, rows = run_simulation(cfg, seed)
     chash = cfg.config_hash()
     write_trace(trace_path, rows, chash, seed)
-    write_metrics(metrics_path, metrics, chash, seed)
-    return metrics
+    write_metrics(metrics_path, m, chash, seed)
+    energy = {}
+    for cats in m.energy_by_category.values():
+        for cat, j in cats.items():
+            energy[cat] = energy.get(cat, 0.0) + j
+    first = m.network_lifetime_first_death_s
+    return {"seed": seed, "lifetime_s": cfg.sim.horizon_s if first is None else first,
+            "first_death_s": first, "trn_death_s": m.trn_death_time_s,
+            "delivered": m.packets_delivered, "offered": m.packets_offered,
+            "delivery_ratio": m.delivery_ratio, "energy_by_category": energy}
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_command(args) -> int:
@@ -41,53 +57,27 @@ def run_command(args) -> int:
     if args.mode:
         cfg = replace(cfg, mac=replace(cfg.mac, mode=args.mode))
     stem = _stem(path)
-    if args.sweep is not None:
-        if args.sweep < 1:
-            raise ConfigError("--sweep must be at least 1")
-        for flag in ("seed", "trace", "metrics"):
-            if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag} does not apply to --sweep")
-        per_seed = []
-        for seed in range(args.sweep):
-            trace = f"{stem}.seed{seed}.trace.csv"
-            metrics_path = f"{stem}.seed{seed}.metrics.json"
-            m = _single_run(cfg, seed, trace, metrics_path)
-            lifetime = m.network_lifetime_first_death_s
-            per_seed.append({
-                "seed": seed,
-                "lifetime_s": lifetime if lifetime is not None else cfg.sim.horizon_s,
-                "first_death_s": lifetime,
-                "delivered": m.packets_delivered,
-                "offered": m.packets_offered,
-            })
-        lifetimes = [p["lifetime_s"] for p in per_seed]
-        aggregate = {
-            "config_hash": cfg.config_hash(),
-            "runs": per_seed,
-            "lifetime_mean_s": sum(lifetimes) / len(lifetimes),
-            "lifetime_min_s": min(lifetimes),
-            "lifetime_max_s": max(lifetimes),
-        }
-        out = f"{stem}.sweep.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(aggregate, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"sweep of {args.sweep} seeds written to {out}")
+    if args.sweep is None:
+        trace = args.trace or f"{stem}.trace.csv"
+        metrics_path = args.metrics or f"{stem}.metrics.json"
+        row = _single_run(cfg, args.seed or 0, trace, metrics_path)
+        print(f"delivered {row['delivered']}/{row['offered']} packets; "
+              f"trace: {trace}; metrics: {metrics_path}")
         return EXIT_OK
-    trace = args.trace or f"{stem}.trace.csv"
-    metrics_path = args.metrics or f"{stem}.metrics.json"
-    m = _single_run(cfg, args.seed or 0, trace, metrics_path)
-    print(f"delivered {m.packets_delivered}/{m.packets_offered} packets; "
-          f"trace: {trace}; metrics: {metrics_path}")
+    if args.sweep < 1:
+        raise ConfigError("--sweep must be at least 1")
+    for flag in ("seed", "trace", "metrics"):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} does not apply to --sweep")
+    runs = [_single_run(cfg, seed, f"{stem}.seed{seed}.trace.csv",
+                        f"{stem}.seed{seed}.metrics.json") for seed in range(args.sweep)]
+    lifetimes = [r["lifetime_s"] for r in runs]
+    out = f"{stem}.sweep.json"
+    _write_json(out, {"config_hash": cfg.config_hash(), "runs": runs,
+                      "lifetime_mean_s": sum(lifetimes) / len(lifetimes),
+                      "lifetime_min_s": min(lifetimes), "lifetime_max_s": max(lifetimes)})
+    print(f"sweep of {args.sweep} seeds written to {out}")
     return EXIT_OK
-
-
-def _category_totals(metrics):
-    totals = {}
-    for cats in metrics.energy_by_category.values():
-        for cat, j in cats.items():
-            totals[cat] = totals.get(cat, 0.0) + j
-    return totals
 
 
 def compare_command(args) -> int:
@@ -95,50 +85,31 @@ def compare_command(args) -> int:
         raise ConfigError("--seeds must be at least 1")
     cfg, path = _load(args.config)
     stem = _stem(path)
-    horizon = cfg.sim.horizon_s
     rows = []
     for seed in range(args.seeds):
-        per_mode = {}
+        row = {"seed": seed}
         for mode in ("ct", "noct"):
-            mode_cfg = replace(cfg, mac=replace(cfg.mac, mode=mode))
-            metrics, trace_rows = run_simulation(mode_cfg, seed)
-            write_trace(f"{stem}.{mode}.seed{seed}.trace.csv", trace_rows,
-                        mode_cfg.config_hash(), seed)
-            lifetime = metrics.network_lifetime_first_death_s
-            per_mode[mode] = {
-                "lifetime_s": lifetime if lifetime is not None else horizon,
-                "first_death_s": lifetime,
-                "trn_death_s": metrics.trn_death_time_s,
-                "delivery_ratio": metrics.delivery_ratio,
-                "delivered": metrics.packets_delivered,
-                "offered": metrics.packets_offered,
-                "energy_by_category": _category_totals(metrics),
-                "config_hash_mode_stripped": mode_cfg.config_hash(strip_mode=True),
-            }
-        assert (per_mode["ct"]["config_hash_mode_stripped"]
-                == per_mode["noct"]["config_hash_mode_stripped"])
-        ratio = (per_mode["ct"]["lifetime_s"] / per_mode["noct"]["lifetime_s"]
-                 if per_mode["noct"]["lifetime_s"] else None)
-        rows.append({"seed": seed, "ct": per_mode["ct"], "noct": per_mode["noct"],
-                     "ct_over_noct_lifetime": ratio})
-
-    header = f"{'seed':>4} {'mode':>5} {'lifetime_s':>11} {'trn_death_s':>12} {'delivery':>9} {'tx_J':>12} {'idle_J':>12}"
-    print(header)
-    for r in rows:
+            row[mode] = _single_run(replace(cfg, mac=replace(cfg.mac, mode=mode)), seed,
+                                    f"{stem}.{mode}.seed{seed}.trace.csv",
+                                    f"{stem}.{mode}.seed{seed}.metrics.json")
+        noct_s = row["noct"]["lifetime_s"]
+        row["ct_over_noct_lifetime"] = row["ct"]["lifetime_s"] / noct_s if noct_s else None
+        if not rows:  # after the first runs, so a scenario that cannot run prints nothing
+            print(f"{'seed':>4} {'mode':>5} {'lifetime_s':>11} {'trn_death_s':>12} "
+                  f"{'delivery':>9} {'tx_J':>12} {'idle_J':>12}")
         for mode in ("ct", "noct"):
-            m = r[mode]
+            m = row[mode]
             trn = m["trn_death_s"]
-            print(f"{r['seed']:>4} {mode:>5} {m['lifetime_s']:>11.3f} "
+            print(f"{seed:>4} {mode:>5} {m['lifetime_s']:>11.3f} "
                   f"{(f'{trn:.3f}' if trn is not None else '-'):>12} "
                   f"{m['delivery_ratio']:>9.3f} "
                   f"{m['energy_by_category'].get('transmit', 0.0):>12.6e} "
                   f"{m['energy_by_category'].get('idle_listen', 0.0):>12.6e}")
-        print(f"     ct/noct lifetime ratio: {r['ct_over_noct_lifetime']}")
+        print(f"     ct/noct lifetime ratio: {row['ct_over_noct_lifetime']}")
+        rows.append(row)
     out = f"{stem}.compare.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"config_hash_mode_stripped": cfg.config_hash(strip_mode=True),
-                   "rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, {"config_hash_mode_stripped": cfg.config_hash(strip_mode=True),
+                      "rows": rows})
     print(f"comparison written to {out}")
     return EXIT_OK
 

@@ -41,7 +41,7 @@ class TopologySpec:
     fr: int = None                      # final receiver id (explicit topologies)
     wilem: tuple = None                 # station position; default: FR position
     routes: dict = None                 # node id -> next hop; default: BFS to FR
-    generator: dict = None              # asdict of a GeneratorSpec
+    generator: GeneratorSpec = None     # generated topology, exclusive of nodes
 
 
 @dataclass
@@ -183,7 +183,7 @@ def _topology(raw, battery_j) -> tuple:
                 raise ConfigError(f"topology.{key} is only for topology.nodes, "
                                   f"not topology.generator")
         gen = _build(GeneratorSpec, gen, "topology.generator")
-        topo.generator = asdict(gen)
+        topo.generator = gen
         sensors = range(1, gen.node_count)  # the engine numbers the sink 0
     else:
         if not isinstance(nodes, list):

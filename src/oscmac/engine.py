@@ -196,12 +196,11 @@ class Simulator:
             initial = {n.id: n.initial_j for n in cfg.topology.nodes}
         else:
             gen = cfg.topology.generator
-            grng = random.Random(gen["seed"])
-            count = int(gen["node_count"])
-            area = float(gen["area_m"])
+            grng = random.Random(gen.seed)
+            area = gen.area_m
             self.fr = 0
             positions = {0: (area / 2.0, area / 2.0)}
-            for i in range(1, count):
+            for i in range(1, gen.node_count):
                 positions[i] = (grng.uniform(0, area), grng.uniform(0, area))
             initial = {i: cfg.sim.battery_j for i in positions}
 
@@ -274,7 +273,7 @@ class Simulator:
             packets = []
             for _ in range(self.cfg.traffic.packets_per_source):
                 packets.append(Packet(seq=seq, size_bits=8 * self.cfg.traffic.packet_size_bytes,
-                                      source=src, destination=self.fr, kind="data"))
+                                      source=src, kind="data"))
                 seq += 1
             if packets:
                 self._schedule(t0, "traffic", self.nodes[src], packets)
@@ -461,7 +460,7 @@ class Simulator:
             self._schedule(sender.on_air_until, "send_" + kind, sender, target, kind, *args)
             return
         pkt = Packet(seq=_REPLY_SEQ[kind], size_bits=self.cfg.mac.ctrl_bits,
-                     source=sender.id, destination=target.id, kind=kind)
+                     source=sender.id, kind=kind)
         self._send([sender], [target], pkt, kind, args)
 
     def _on_tx_end(self, txn):
@@ -658,7 +657,7 @@ class Simulator:
         if node.hop_direct:
             addressed.append(node.next_hop)
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
-                     source=node.id, destination=-1, kind="superframe")
+                     source=node.id, kind="superframe")
         self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
         self._send([node], addressed, pkt, "superframe", (node,))
@@ -689,7 +688,7 @@ class Simulator:
         xfer = node.xfer
         senders = [node, *(self.nodes[h] for h in xfer.sf.helpers)]
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
-                     source=node.id, destination=node.next_hop.id, kind="superframe")
+                     source=node.id, kind="superframe")
         self._send(senders, [node.next_hop], pkt, "superframe", (node,), coop=True)
 
     def _on_ct_slot(self, node, i):
@@ -754,8 +753,7 @@ class Simulator:
                        + 3 * TURNAROUND_US)
         rdv = self._new_rdv()
         self._ensure_awake_for(node, self.now, self.now + self.timeout_us, rdv, "noct_wait")
-        pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id,
-                     destination=nxt.id, kind="noct_request")
+        pkt = Packet(seq=-3, size_bits=self.cfg.mac.ctrl_bits, source=node.id, kind="noct_request")
         self._send([node], [nxt], pkt, "noct_request", (node, interval_start, interval_us, rdv))
         self._await(node, "noct_request")
 

@@ -117,7 +117,6 @@ class Packet:
     seq: int
     size_bits: int
     source: int
-    destination: int
     kind: str  # data, superframe, ct_ack, noct_request, noct_reply, data_ack
 
     def __post_init__(self):

@@ -229,8 +229,7 @@ def test_c09_collision_semantics():
     t = rx_node.schedule.next_wake(0)
     sim.now = t
     for sender in (1, 2):
-        pkt = Packet(seq=sender, size_bits=800, source=sender,
-                     destination=0, kind="data")
+        pkt = Packet(seq=sender, size_bits=800, source=sender, kind="data")
         sim._send([sim.nodes[sender]], [sim.nodes[0]], pkt, "data", (sim.nodes[sender],))
     sim.run()
     two_senders_ok = (sim.metrics.collisions == 1
@@ -240,7 +239,7 @@ def test_c09_collision_semantics():
     sim2 = Simulator(make_config(doc), 0)
     t = sim2.nodes[0].schedule.next_wake(0)
     sim2.now = t
-    pkt = Packet(seq=7, size_bits=800, source=1, destination=0, kind="data")
+    pkt = Packet(seq=7, size_bits=800, source=1, kind="data")
     sim2._send([sim2.nodes[n] for n in (1, 2, 3)], [sim2.nodes[0]], pkt, "data",
                (sim2.nodes[1],), coop=True)
     sim2.run()

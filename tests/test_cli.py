@@ -75,15 +75,14 @@ def test_compare_runs_both_modes(tmp_path, capsys):
     for row in doc["rows"]:
         assert row["ct"]["delivery_ratio"] == 1.0
         assert row["noct"]["delivery_ratio"] == 0.0
-        assert (row["ct"]["config_hash_mode_stripped"]
-                == row["noct"]["config_hash_mode_stripped"])
     for mode in ("ct", "noct"):
         assert (tmp_path / f"scenario.{mode}.seed0.trace.csv").exists()
 
 
 def test_compare_runs_each_mode_on_a_copy(tmp_path, monkeypatch):
     """``compare`` leaves the scenario it loaded as it was, and writes for
-    each mode the trace and summary of the document run in that mode."""
+    each mode the trace, metrics document and summary of the document run
+    in that mode."""
     doc = generated_doc(mode="auto", horizon_s=20.0)
     path = write_doc(tmp_path, doc)
     loaded = []
@@ -105,9 +104,48 @@ def test_compare_runs_each_mode_on_a_copy(tmp_path, monkeypatch):
             metrics, rows = run(mode_cfg, seed)
             trace = tmp_path / f"scenario.{mode}.seed{seed}.trace.csv"
             assert trace.read_text() == render_trace(rows, mode_cfg.config_hash(), seed)
+            written = json.loads(
+                (tmp_path / f"scenario.{mode}.seed{seed}.metrics.json").read_text())
+            assert (written["config_hash"], written["seed"], written["events_processed"]) == (
+                mode_cfg.config_hash(), seed, len(rows))
             row = summary["rows"][seed][mode]
             assert (row["delivered"], row["trn_death_s"]) == (
                 metrics.packets_delivered, metrics.trn_death_time_s)
+
+
+def test_sweep_and_compare_share_one_summary_row(tmp_path):
+    """``run --sweep --mode ct`` and ``compare`` run a seed through the same
+    path: the same row, field for field, and the same trace bytes, each the
+    summary of ``run()`` at that seed."""
+    doc = generated_doc(mode="auto")
+    doc["sim"]["battery_j"] = 0.003  # both modes lose a node, the trn too
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--sweep", "2", "--mode", "ct"]) == 0
+    assert main(["compare", "--config", str(path), "--seeds", "2"]) == 0
+    sweep = json.loads((tmp_path / "scenario.sweep.json").read_text())["runs"]
+    compare = json.loads((tmp_path / "scenario.compare.json").read_text())["rows"]
+    ct_cfg = make_config(dict(doc, mac=dict(doc["mac"], mode="ct")))
+    for seed in range(2):
+        assert sweep[seed] == compare[seed]["ct"]
+        assert ((tmp_path / f"scenario.seed{seed}.trace.csv").read_bytes()
+                == (tmp_path / f"scenario.ct.seed{seed}.trace.csv").read_bytes())
+        metrics, _ = run(ct_cfg, seed)
+        energy = {}
+        for cats in metrics.energy_by_category.values():
+            for cat, j in cats.items():
+                energy[cat] = energy.get(cat, 0.0) + j
+        assert metrics.network_lifetime_first_death_s is not None
+        assert metrics.trn_death_time_s is not None
+        assert sweep[seed] == {
+            "seed": seed,
+            "lifetime_s": metrics.network_lifetime_first_death_s,
+            "first_death_s": metrics.network_lifetime_first_death_s,
+            "trn_death_s": metrics.trn_death_time_s,
+            "delivered": metrics.packets_delivered,
+            "offered": metrics.packets_offered,
+            "delivery_ratio": metrics.delivery_ratio,
+            "energy_by_category": energy,
+        }
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
