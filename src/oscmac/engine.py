@@ -37,12 +37,12 @@ and, on no-CT, an ack that stops the retries. ``_fail`` writes every
 (no live CT sender, or the holder died) or ``retry_cap``. CT has no ARQ and
 sends no ack, so a CT copy is final when it is resolved.
 
-Idle and sleep power draws are accounted lazily by integrating each node's
-duty schedule (plus reservation wake-ups) between the events that touch it,
-with an exact binary search for the moment a battery empties. Between two
-housekeeping sweeps a whole number of frames apart, every node untouched and
-unreserved draws the same joules, so a sweep costs that draw once and settles
-it on each such node it leaves charged; the rest are accounted one by one.
+Idle and sleep power draws are accounted lazily from the MAC's awake time
+(``MacState.awake_us``) between the events that touch a node, with an exact
+binary search for the moment a battery empties. Between two housekeeping
+sweeps a whole number of frames apart, every node untouched and unreserved
+draws the same joules, so a sweep costs that draw once and settles it on each
+such node it leaves charged; the rest are accounted one by one.
 Rows go into the ``trace.TraceRows`` that ``run`` returns. Each emit site
 formats its detail as ``json.dumps(detail, sort_keys=True)`` would (sorted
 keys, ``repr`` of finite numbers, ``true``/``false``/``null``, ``str`` of int
@@ -64,8 +64,7 @@ from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_re
                       resolve_slot)
 from .config import ConfigError, ScenarioConfig
 from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
-from .mac import (DutySchedule, MacState, Packet, Superframe, build_schedules,
-                  compose_superframe)
+from .mac import MacState, Packet, Superframe, build_schedules, compose_superframe
 from .selection import CtRequest, WiLemStation
 from .trace import TraceRows
 
@@ -131,7 +130,6 @@ class _Transfer:
 class SimNode:
     id: int
     battery: Battery
-    schedule: DutySchedule
     mac: MacState
     next_hop: "SimNode" = None    # type: ignore[assignment]  # None: no route
     hop_m: float = None           # type: ignore[assignment]  # distance to next_hop
@@ -223,10 +221,8 @@ class Simulator:
 
         schedules = build_schedules(self.index.neighbours, depths, self.frame_us, self.active_us)
         for nid in ids:
-            nodes[nid] = SimNode(
-                id=nid, battery=Battery(initial=initial[nid]),
-                schedule=schedules[nid],
-                mac=MacState(node=nid), depth=depths[nid])
+            nodes[nid] = SimNode(id=nid, battery=Battery(initial=initial[nid]),
+                                 mac=MacState(nid, schedules[nid]), depth=depths[nid])
         for nid, hop in routes.items():
             node = nodes[nid]
             node.next_hop, node.hop_m = nodes[hop], distance(positions[nid], positions[hop])
@@ -301,15 +297,8 @@ class Simulator:
     # energy accounting
 
     def _interval_cost(self, node, t0, t1):
-        """(idle, sleep) joules the node draws over [t0, t1): awake on its
-        schedule or inside one of its reservations (disjoint, as ``mac.reserve``
-        keeps them), asleep otherwise."""
-        schedule = node.schedule
-        awake = schedule.awake_time(t0, t1)
-        for s, e, _ in node.mac.reservations:
-            if s < t1 and e > t0:
-                s, e = max(s, t0), min(e, t1)
-                awake += (e - s) - schedule.awake_time(s, e)
+        """(idle, sleep) joules the node draws over [t0, t1), awake as its MAC says."""
+        awake = node.mac.awake_us(t0, t1)
         p = self.params
         return (awake / US) * p.p_rx, ((t1 - t0 - awake) / US) * p.p_sleep
 
@@ -335,11 +324,7 @@ class Simulator:
             self._register_death(node, lo)
             return False
         self._settle(node, idle, sleep)
-        reservations = node.mac.reservations
-        for _, end, _ in reservations:
-            if end <= now:  # rebuild only when one has expired
-                node.mac.reservations = [r for r in reservations if r[1] > now]
-                break
+        node.mac.expire(now)
         return node.battery.alive
 
     def _settle(self, node, idle, sleep, dying=False):
@@ -377,21 +362,10 @@ class Simulator:
         return drawn
 
     # ------------------------------------------------------------------
-    # wakefulness and reservations
-
-    def _is_awake(self, node, t_us):
-        if not node.battery.alive:
-            return False
-        if node.schedule.is_awake(t_us):
-            return True
-        for s, e, _ in node.mac.reservations:
-            if s <= t_us < e:
-                return True
-        return False
+    # reservations
 
     def _add_reservation(self, node, start, end, rdv, kind):
-        self._log_reservation(node, macmod.reserve(node.mac, start, end, rdv),
-                              start, end, rdv, kind)
+        self._log_reservation(node, macmod.reserve(node.mac, start, end), start, end, rdv, kind)
 
     def _log_reservation(self, node, accepted, start, end, rdv, kind):
         """The ``reserve`` row of one booking and whether ``mac`` accepted it."""
@@ -401,7 +375,7 @@ class Simulator:
 
     def _ensure_awake_for(self, node, start, end, rdv, kind):
         # reservation-based wake-up: nodes force-wake for their own actions
-        if node.schedule.awake_time(start, end) < end - start:
+        if node.mac.schedule.awake_time(start, end) < end - start:
             self._add_reservation(node, start, end, rdv, kind)
 
     # ------------------------------------------------------------------
@@ -490,7 +464,8 @@ class Simulator:
         listening = defaultdict(list)  # receiver -> members that reach it while awake
         for t in cluster:
             for rid in self.index.audience(t):
-                if self._is_awake(self.nodes[rid], t.start_us):
+                receiver = self.nodes[rid]
+                if receiver.battery.alive and receiver.mac.is_awake(t.start_us):
                     listening[rid].append(t)
         for rid, heard, collided in resolve_slot(listening):
             receiver = self.nodes[rid]
@@ -561,7 +536,7 @@ class Simulator:
             self._fail(node, "out_of_reach", [p.seq for p in node.mac.pending_packets])
             node.mac.pending_packets.clear()
             return
-        t = node.schedule.next_wake(self.now)
+        t = node.mac.schedule.next_wake(self.now)
         xfer.hop_scheduled = True
         self._schedule(max(t, self.now), "start_hop", node)
 
@@ -668,7 +643,7 @@ class Simulator:
         if sf is None:
             return
         rdv = self._new_rdv()
-        accepted, is_leader = macmod.on_superframe(receiver.mac, sf, rdv)
+        accepted, is_leader = macmod.on_superframe(receiver.mac, sf)
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
             self._log_reservation(receiver, ok, start, end, rdv, "ct_rdv")
         if is_leader:
@@ -726,19 +701,22 @@ class Simulator:
 
     def _noct_begin(self, node):
         self._emit(node, "mode_selected", '{"mode": "noct"}')
-        self._noct_next(node)
+        self._on_noct_request(node)  # a batch is never empty
 
     def _noct_next(self, node):
+        """Move to the batch's next packet with no attempts yet and return True;
+        with none left, finish the batch and return False."""
         xfer = node.xfer
-        if xfer.noct_index >= len(xfer.batch):
-            self._finish_batch(node)
-            return
+        xfer.noct_index += 1
         xfer.attempts = 0
-        self._on_noct_request(node)
+        if xfer.noct_index < len(xfer.batch):
+            return True
+        self._finish_batch(node)
+        return False
 
     def _on_noct_request(self, node):
         nxt = node.next_hop
-        t_req = nxt.schedule.next_wake(self.now)
+        t_req = nxt.mac.schedule.next_wake(self.now)
         if t_req > self.now:
             # one handshake fits per wake window, so contenders spread over
             # the next few frames by a deterministic per-(sender, attempt)
@@ -758,7 +736,7 @@ class Simulator:
         self._await(node, "noct_request")
 
     def _on_noct_request_rx(self, receiver, txn, origin, start, dur, rdv):
-        accepted = macmod.reserve_noct(receiver.mac, start, dur, rdv)
+        accepted = macmod.reserve_noct(receiver.mac, start, dur)
         self._log_reservation(receiver, accepted, start, start + dur, rdv, "noct_rdv")
         self._reply(receiver, origin, "noct_reply", accepted, start, dur)
 
@@ -778,22 +756,14 @@ class Simulator:
         if xfer.attempts > self.cfg.mac.retry_cap:
             self._fail(node, "retry_cap", [xfer.batch[xfer.noct_index].seq],
                        f'"attempts": {xfer.attempts}, ')
-            xfer.noct_index += 1
-            self._noct_next_packet_after_failure(node)
+            if self._noct_next(node):  # a heap event of its own: the goldens pin that order
+                self._schedule(self.now, "noct_request", node)
             return
         # the re-request path re-draws its contention frame, so the local
         # backoff only needs to clear the current exchange
         backoff = self.slot_us
         self._emit(node, "retry", f'{{"attempt": {xfer.attempts}, "reason": "{reason}"}}')
         self._schedule(self.now + backoff, "noct_request", node)
-
-    def _noct_next_packet_after_failure(self, node):
-        xfer = node.xfer
-        if xfer.noct_index >= len(xfer.batch):
-            self._finish_batch(node)
-        else:
-            xfer.attempts = 0
-            self._schedule(self.now, "noct_request", node)
 
     def _on_noct_data(self, node):
         if self._account(node):
@@ -808,8 +778,8 @@ class Simulator:
     def _on_data_ack_rx(self, node, txn):
         if node.mac.awaiting == "data_ack":
             self._await(node, "data_ack")
-            node.xfer.noct_index += 1
-            self._noct_next(node)
+            if self._noct_next(node):
+                self._on_noct_request(node)
 
     def _accept_packet(self, receiver, txn, origin):
         """Take the packet if ``origin`` holds it; any other copy is a duplicate."""
@@ -872,25 +842,23 @@ class Simulator:
         awake equally long over a whole number of frames, so when the last
         sweep lies that far back, the nodes it accounted that nothing touched
         since and that hold no reservation all draw one ``(idle_j, sleep_j)``:
-        it is costed once and settled on each such node it leaves charged.
-        Every other node goes through ``_account``.
+        it is costed on the first of them and settled on each such node it
+        leaves charged. Every other node goes through ``_account``.
         """
         now, t0 = self.now, self._swept_us
         self._swept_us = now
-        draw = math.inf  # idle + sleep of the shared draw; none is settled at inf
-        if (now - t0) % self.frame_us == 0:
-            for node in nodes:
-                if node.last_accounted_us == t0 and not node.mac.reservations:
-                    idle, sleep = self._interval_cost(node, t0, now)
-                    draw = idle + sleep
-                    break
+        whole = (now - t0) % self.frame_us == 0
+        draw = None  # idle + sleep of the shared draw, once costed
         t_s = now / US
         timeline = self.metrics.energy_timeline
         alive = []
         for node in nodes:
             battery = node.battery
-            if (node.last_accounted_us == t0 and not node.mac.reservations
-                    and draw < battery.residual):
+            shared = whole and node.last_accounted_us == t0 and not node.mac.reservations
+            if shared and draw is None:
+                idle, sleep = self._interval_cost(node, t0, now)
+                draw = idle + sleep
+            if shared and draw < battery.residual:
                 self._settle(node, idle, sleep)
             else:
                 self._account(node)

@@ -5,14 +5,15 @@ downstream hop) and orthogonalized (nodes within two hops never share a
 wake window unless they are the same pipeline stage out of interference
 range). Time is integer microseconds throughout.
 
-The MAC picks who listens: schedules and reservations say when a node
-is awake, and the channel decides what each listener hears (the neighbour
-index who a transmission reaches, ``channel.resolve_slot`` which of those
-collide). In either handshake a node awaits at most one reply under
-one timeout, as an IEEE 802.15.4 ack wait does: ``MacState.awaiting`` names
-that reply (None: the node awaits nothing) and ``timer_token`` its live
-timer. Only ``step`` writes them: the engine reports each protocol event of
-a node there, and a timer whose token is no longer the node's is stale.
+The MAC picks who listens: ``MacState`` answers when its node listens, on
+its duty schedule or in a reservation (``is_awake`` at an instant,
+``awake_us`` over an interval), and the channel decides what each listener
+hears (the neighbour index who a transmission reaches, ``resolve_slot``
+which of those collide). In either handshake a node awaits at most one reply
+under one timeout, as an IEEE 802.15.4 ack wait does: ``awaiting`` names that
+reply (None: the node awaits nothing) and ``timer_token`` its live timer.
+Only ``step`` writes them: the engine reports each protocol event of a node
+there, and a timer whose token is no longer the node's is stale.
 """
 
 from dataclasses import dataclass, field
@@ -158,34 +159,62 @@ def compose_superframe(elected, packet_count, now_us, slot_us, frame_us):
 
 
 # ---------------------------------------------------------------------------
-# what a node awaits
+# when a node listens and what it awaits
 
 
 @dataclass
 class MacState:
     node: int
+    schedule: DutySchedule = None  # type: ignore[assignment]
     awaiting: str = None  # type: ignore[assignment]  # the awaited reply's kind, if any
     pending_packets: list = field(default_factory=list)
-    reservations: list = field(default_factory=list)  # (start_us, end_us, rdv_id)
+    reservations: list = field(default_factory=list)  # disjoint (start_us, end_us)
     timer_token: int = 0
     last_event_us: int = 0
 
+    def is_awake(self, t_us: int) -> bool:
+        """Whether the radio listens at ``t_us``: on schedule or reserved."""
+        if self.schedule.is_awake(t_us):
+            return True
+        for s, e in self.reservations:
+            if s <= t_us < e:
+                return True
+        return False
 
-def reserve(state: MacState, start_us: int, end_us: int, rdv_id: int) -> bool:
+    def awake_us(self, t0_us: int, t1_us: int) -> int:
+        """Microseconds awake within [t0, t1): the schedule's, plus the part of
+        each reservation it leaves asleep (``reserve`` keeps them disjoint)."""
+        awake_time = self.schedule.awake_time
+        awake = awake_time(t0_us, t1_us)
+        for s, e in self.reservations:
+            if s < t1_us and e > t0_us:
+                s, e = max(s, t0_us), min(e, t1_us)
+                awake += (e - s) - awake_time(s, e)
+        return awake
+
+    def expire(self, now_us: int):
+        """Drop the reservations that ended by ``now_us``."""
+        for _, e in self.reservations:
+            if e <= now_us:  # rebuild only when one has ended
+                self.reservations = [r for r in self.reservations if r[1] > now_us]
+                return
+
+
+def reserve(state: MacState, start_us: int, end_us: int) -> bool:
     """Book an interval iff it overlaps no existing reservation."""
-    for s, e, _ in state.reservations:
+    for s, e in state.reservations:
         if start_us < e and s < end_us:
             return False
-    state.reservations.append((start_us, end_us, rdv_id))
+    state.reservations.append((start_us, end_us))
     return True
 
 
-def reserve_noct(receiver: MacState, start_us: int, duration_us: int, rdv_id: int) -> bool:
+def reserve_noct(receiver: MacState, start_us: int, duration_us: int) -> bool:
     """Next-hop side of the no-CT handshake: accept iff the interval is free."""
-    return reserve(receiver, start_us, start_us + duration_us, rdv_id)
+    return reserve(receiver, start_us, start_us + duration_us)
 
 
-def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
+def on_superframe(state: MacState, sf: Superframe):
     """Helper/next-hop reaction to a superframe announcement.
 
     The engine hands a superframe only to its addressees (the helpers, and
@@ -194,7 +223,7 @@ def on_superframe(state: MacState, sf: Superframe, rdv_id: int):
     exactly the leader answers with a ct_ack. Returns the ``reserve`` result
     of each rendezvous slot, in slot order, and whether this node is the leader.
     """
-    accepted = [reserve(state, start, end, rdv_id) for start, end in sf.rdv_slots()]
+    accepted = [reserve(state, start, end) for start, end in sf.rdv_slots()]
     return accepted, state.node == sf.leader
 
 

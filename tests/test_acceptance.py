@@ -226,7 +226,7 @@ def test_c09_collision_semantics():
     # two independent senders overlapping at the common receiver
     sim = Simulator(make_config(doc), 0)
     rx_node = sim.nodes[0]
-    t = rx_node.schedule.next_wake(0)
+    t = rx_node.mac.schedule.next_wake(0)
     sim.now = t
     for sender in (1, 2):
         pkt = Packet(seq=sender, size_bits=800, source=sender, kind="data")
@@ -237,7 +237,7 @@ def test_c09_collision_semantics():
 
     # a three-sender cooperative group is one rendezvous: no collision
     sim2 = Simulator(make_config(doc), 0)
-    t = sim2.nodes[0].schedule.next_wake(0)
+    t = sim2.nodes[0].mac.schedule.next_wake(0)
     sim2.now = t
     pkt = Packet(seq=7, size_bits=800, source=1, kind="data")
     sim2._send([sim2.nodes[n] for n in (1, 2, 3)], [sim2.nodes[0]], pkt, "data",

@@ -50,7 +50,8 @@ print(json.dumps(tracer.report(sorted(engine.Simulator._HANDLERS))))
 def test_layer_tracer_installs_and_reports_a_ct_run():
     """``LayerTracer().install()`` finds every name it patches, and one small
     CT run through it reports every per-layer name the benchmark lists that
-    ``layers.py`` produces, with the cooperative path's wrappers called."""
+    ``layers.py`` produces, with the cooperative path's wrappers and the
+    wake rule's (``MacState`` reaches the schedule and ``reserve``) called."""
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", _TRACED_CT_RUN], env=env, cwd=ROOT,
@@ -61,5 +62,6 @@ def test_layer_tracer_installs_and_reports_a_ct_run():
     for name in ("engine.events.sf_announce", "engine.events.ct_coop",
                  "mac.compose_superframe.calls", "mac.on_superframe.calls",
                  "selection.handle_ct_request.calls", "energy.tx_energy.calls",
-                 "channel.distance.calls"):
+                 "channel.distance.calls", "mac.is_awake.calls", "mac.awake_time.calls",
+                 "mac.reserve.calls"):
         assert report[name] > 0, name

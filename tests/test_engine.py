@@ -176,9 +176,9 @@ def test_explicit_routes_give_the_generated_depths(node_count, area_m, topo_seed
                    if node.next_hop is not None},
     }
     explicit = Simulator(make_config(doc), 0)
-    assert ({nid: (node.depth, node.schedule.wake_offset_us)
+    assert ({nid: (node.depth, node.mac.schedule.wake_offset_us)
              for nid, node in explicit.nodes.items()}
-            == {nid: (node.depth, node.schedule.wake_offset_us)
+            == {nid: (node.depth, node.mac.schedule.wake_offset_us)
                 for nid, node in generated.nodes.items()})
 
 
@@ -284,7 +284,7 @@ def scan_radio_rows(sim, rows):
         tx_start[rdv] = min(tx_start.get(rdv, r[0]), r[0])
 
     def awake(nid, t):
-        if sim.nodes[nid].schedule.is_awake(t):
+        if sim.nodes[nid].mac.schedule.is_awake(t):
             return True
         return any(s <= t < e for s, e in reserved.get(nid, ()))
 
@@ -413,35 +413,40 @@ _PARAMS = RadioEnergyParams()
 
 @st.composite
 def _booked_nodes(draw):
-    """A node on a schedule (wrapping windows included) with disjoint,
-    possibly touching reservations in booking order, all on a millisecond
-    grid, and an interval [t0, t1) on the same grid."""
+    """A wake offset (wrapping windows included), disjoint, possibly touching
+    reservations in booking order, and an interval [t0, t1), all on a
+    millisecond grid."""
     offset = draw(st.integers(0, _FRAME // _MS - 1)) * _MS
     cuts = sorted(draw(st.sets(st.integers(0, 4 * _FRAME // _MS), max_size=12)))
     pieces = [(a * _MS, b * _MS) for a, b in zip(cuts, cuts[1:])]
-    booked = [p for p in pieces if draw(st.booleans())]  # neighbours touch
-    mac = MacState(node=0)
-    for rdv, (s, e) in enumerate(draw(st.permutations(booked))):
-        assert reserve(mac, s, e, rdv)
+    booked = draw(st.permutations([p for p in pieces if draw(st.booleans())]))  # neighbours touch
     t0, t1 = sorted(draw(st.integers(0, 4 * _FRAME // _MS)) * _MS for _ in range(2))
-    return SimpleNamespace(schedule=DutySchedule(_FRAME, _ACTIVE, offset), mac=mac), t0, t1
+    return offset, booked, t0, t1
 
 
 @settings(max_examples=300)
 @given(_booked_nodes())
-@example((SimpleNamespace(schedule=DutySchedule(_FRAME, _ACTIVE, 95_000),  # wrapping window
-                          mac=MacState(node=0, reservations=[
-                              (97_000, 103_000, 1),    # spans the frame edge
-                              (90_000, 97_000, 2),     # touches it from below
-                              (103_000, 110_000, 3)])),  # and from above
+@example((95_000,                  # a wrapping window
+          [(97_000, 103_000),      # spans the frame edge
+           (90_000, 97_000),       # touches it from below
+           (103_000, 110_000)],    # and from above
           0, 2 * _FRAME))
 def test_interval_cost_matches_millisecond_scan(case):
-    node, t0, t1 = case
-    awake = sum(_MS for t in range(t0, t1, _MS)
-                if node.schedule.is_awake(t)
-                or any(s <= t < e for s, e, _ in node.mac.reservations))
+    """Both forms of the wake rule match a scan that knows only the window
+    formula and the bookings: ``MacState.is_awake`` at every grid point, and
+    ``awake_us`` and the engine's idle/sleep cost over [t0, t1)."""
+    offset, booked, t0, t1 = case
+    mac = MacState(node=0, schedule=DutySchedule(_FRAME, _ACTIVE, offset))
+    for s, e in booked:
+        assert reserve(mac, s, e)
+    grid = range(t0, t1, _MS)
+    scan = [(t - offset) % _FRAME < _ACTIVE or any(s <= t < e for s, e in booked)
+            for t in grid]
+    assert [mac.is_awake(t) for t in grid] == scan
+    awake = _MS * sum(scan)
+    assert mac.awake_us(t0, t1) == awake
     sim = SimpleNamespace(params=_PARAMS)
-    assert Simulator._interval_cost(sim, node, t0, t1) == (
+    assert Simulator._interval_cost(sim, SimpleNamespace(mac=mac), t0, t1) == (
         (awake / US) * _PARAMS.p_rx, ((t1 - t0 - awake) / US) * _PARAMS.p_sleep)
 
 
@@ -503,8 +508,8 @@ def test_shared_draw_sweep_matches_per_node_accounting(run_case, seed):
     cfg = make_config(doc)
     shared, reference = Simulator(cfg, seed), _PerNodeSweep(cfg, seed)
     for sim in (shared, reference):
-        for rdv, (nid, start, end) in enumerate(bookings):
-            reserve(sim.nodes[nid].mac, start, end, -1 - rdv)
+        for nid, start, end in bookings:
+            reserve(sim.nodes[nid].mac, start, end)
     metrics, expected = shared.run(), reference.run()
     assert shared.rows == reference.rows
     assert metrics.energy_timeline == expected.energy_timeline

@@ -225,8 +225,8 @@ def test_reserve_rows_log_the_booking_result(name, monkeypatch):
     results = []
     reserve = mac.reserve
 
-    def recorded_reserve(state, start_us, end_us, rdv_id):
-        results.append(reserve(state, start_us, end_us, rdv_id))
+    def recorded_reserve(state, start_us, end_us):
+        results.append(reserve(state, start_us, end_us))
         return results[-1]
 
     monkeypatch.setattr(mac, "reserve", recorded_reserve)

@@ -151,38 +151,38 @@ def test_superframe_carries_at_least_one_packet():
 
 def test_reserve_rejects_overlap():
     st_ = MacState(node=1)
-    assert reserve(st_, 100, 200, rdv_id=1)
-    assert not reserve(st_, 150, 250, rdv_id=2)
-    assert not reserve(st_, 0, 101, rdv_id=3)
-    assert reserve(st_, 200, 300, rdv_id=4)  # back to back is fine
+    assert reserve(st_, 100, 200)
+    assert not reserve(st_, 150, 250)
+    assert not reserve(st_, 0, 101)
+    assert reserve(st_, 200, 300)  # back to back is fine
 
 
 def test_reserve_noct():
     st_ = MacState(node=1)
-    assert reserve_noct(st_, 1_000, 500, rdv_id=7)
-    assert not reserve_noct(st_, 1_200, 100, rdv_id=8)
-    assert st_.reservations[0] == (1_000, 1_500, 7)
+    assert reserve_noct(st_, 1_000, 500)
+    assert not reserve_noct(st_, 1_200, 100)
+    assert st_.reservations[0] == (1_000, 1_500)
 
 
 def test_on_superframe_participant_reserves_and_leader_acks():
     elected = ElectedList(helpers=(2, 3), leader=2)
     sf = compose_superframe(elected, packet_count=2, now_us=0, slot_us=20_000, frame_us=FRAME)
     leader = MacState(node=2)
-    accepted, is_leader = on_superframe(leader, sf, rdv_id=9)
+    accepted, is_leader = on_superframe(leader, sf)
     assert is_leader
     assert accepted == [True, True]
     assert len(leader.reservations) == 2
     helper = MacState(node=3)
-    accepted, is_leader = on_superframe(helper, sf, rdv_id=9)
+    accepted, is_leader = on_superframe(helper, sf)
     assert not is_leader
     assert accepted == [True, True]
     assert len(helper.reservations) == 2
     # a slot that overlaps an earlier booking is rejected and reported so;
     # the other slot is still booked
-    busy = MacState(node=3, reservations=[(25_000, 30_000, 1)])
-    accepted, _ = on_superframe(busy, sf, rdv_id=9)
+    busy = MacState(node=3, reservations=[(25_000, 30_000)])
+    accepted, _ = on_superframe(busy, sf)
     assert accepted == [False, True]
-    assert busy.reservations == [(25_000, 30_000, 1), (40_000, 60_000, 9)]
+    assert busy.reservations == [(25_000, 30_000), (40_000, 60_000)]
 
 
 def test_step_known_transitions():

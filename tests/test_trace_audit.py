@@ -3,9 +3,9 @@
 Every check of ``trace_audit.CHECKS`` runs over the six golden scenarios and
 ``lifetime_doc`` at generator seeds 1-3 in all three modes; each scenario
 runs once per module. A (check, scenario) pair that fails today is a strict
-xfail whose reason names the defect and the ROADMAP item that fixes it; the
-fixing change removes the pair. The fates and decisions checks have none. Hand-made traces show that each check
-catches what it is for.
+xfail whose reason names the defect and where ROADMAP lists it; the fixing
+change removes the pair. The fates and decisions checks have none. Hand-made
+traces show that each check catches what it is for.
 """
 
 import json
@@ -25,8 +25,13 @@ SCENARIOS = {
        for g in (1, 2, 3) for mode in MODES},
 }
 
-# check -> (defect and the ROADMAP item that fixes it, scenarios it fails on)
+# check -> (defect and where ROADMAP lists it, scenarios it fails on)
 KNOWN = {
+    "dead_senders": (
+        "helpers' cooperative copy of a seq whose transmitter has died is refused as a duplicate, "
+        "since the death failed the seq (sender_dead); listed in ROADMAP's small open defects",
+        ("auto", "retry_cap", "lifetime_gen1_ct", "lifetime_gen1_auto", "lifetime_gen2_ct",
+         "lifetime_gen2_auto", "lifetime_gen3_ct")),
     "collisions": (
         "the channel records a collision between rendezvous of one transitive "
         "overlap cluster that do not overlap each other; ROADMAP item 9's overlap rule fixes it",
@@ -114,6 +119,12 @@ HAND_MADE = {
         (6, 3, "offered", {"seqs": [4]}),
         (7, 0, "delivered", {"seq": 4})),
         [1, 3]),
+    "dead_senders": (_trace((0, 2, "duplicate", {"from": 1, "seq": 0}),    # 1 still alive
+                            (1, 1, "node_died", {}),
+                            (2, 2, "duplicate", {"from": 1, "seq": 0}),    # from dead node 1
+                            (2, 3, "duplicate", {"from": 4, "seq": 1}),    # 4 alive
+                            (3, 0, "delivered", {"from": 1, "seq": 2})),   # not a duplicate
+                     [2]),
     "collisions": (_trace(_tx(0, 1, 1, 10), _tx(10, 2, 2, 20), _tx(15, 3, 3, 25),
                           (30, 4, "collision", {"rdvs": [1, 2]}),      # they only touch
                           (30, 4, "collision", {"rdvs": [1, 2, 3]})),  # 2 and 3 overlap

@@ -124,6 +124,19 @@ def fates_unaccounted(rows):
     return sorted((f["last"][seq] for seq in lost), key=lambda row: row[1])
 
 
+def dead_senders(rows):
+    """``duplicate`` rows whose ``from`` node has an earlier ``node_died`` row:
+    a copy the receiver decoded yet refused, because the sender's death had
+    already failed its seq."""
+    dead, out = set(), []
+    for row in rows:
+        if row[3] == "node_died":
+            dead.add(row[2])
+        elif row[3] == "duplicate" and json.loads(row[4])["from"] in dead:
+            out.append(row)
+    return out
+
+
 def collisions(rows):
     """``collision`` rows whose rendezvous include no pair that overlaps in time."""
     spans = {d["rdv"]: (row[0], d["end_us"]) for row, d in _parsed(rows, ("tx",))}
@@ -218,6 +231,7 @@ CHECKS = {
     "joules": joules,
     "fates_duplicates": fates_duplicates,
     "fates_unaccounted": fates_unaccounted,
+    "dead_senders": dead_senders,
     "collisions": collisions,
     "half_duplex_tx": half_duplex_tx,
     "half_duplex_rx": half_duplex_rx,
