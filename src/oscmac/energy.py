@@ -127,3 +127,14 @@ class Battery:
         if left <= 0.0:
             self.residual, self.alive = 0.0, False
         return idle, slept
+
+
+def drain_idle_all(batteries, idle_j, sleep_j):
+    """``drain_idle`` on each battery, for a draw that clamps none; returns residuals."""
+    for battery in batteries:
+        battery.consumed_by_category["idle_listen"] += idle_j
+        battery.consumed_by_category["sleep"] += sleep_j
+        battery.residual = battery.residual - idle_j - sleep_j
+        if battery.residual <= 0.0:
+            battery.residual, battery.alive = 0.0, False
+    return [battery.residual for battery in batteries]

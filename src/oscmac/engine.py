@@ -39,10 +39,10 @@ sends no ack, so a CT copy is final when it is resolved.
 
 Idle and sleep power draws are accounted lazily from the MAC's awake time
 (``MacState.awake_us``) between the events that touch a node, with an exact
-binary search for the moment a battery empties. Between two housekeeping
-sweeps a whole number of frames apart, every node untouched and unreserved
-draws the same joules, so a sweep costs that draw once and settles it on each
-such node it leaves charged; the rest are accounted one by one.
+binary search for the moment a battery empties. Between two housekeeping sweeps
+a whole number of frames apart, every node untouched and unreserved draws the
+same joules: a sweep costs them once, and drains and logs each run of such nodes
+it leaves charged as one block, in id order; the rest are accounted one by one.
 Rows go into the ``trace.TraceRows`` that ``run`` returns. Each emit site
 formats its detail as ``json.dumps(detail, sort_keys=True)`` would (sorted
 keys, ``repr`` of finite numbers, ``true``/``false``/``null``, ``str`` of int
@@ -63,7 +63,7 @@ from . import mac as macmod
 from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
                       resolve_slot)
 from .config import ConfigError, ScenarioConfig
-from .energy import Battery, RadioEnergyParams, rx_energy, tx_energy
+from .energy import Battery, RadioEnergyParams, drain_idle_all, rx_energy, tx_energy
 from .mac import MacState, Packet, Superframe, build_schedules, compose_superframe
 from .selection import CtRequest, WiLemStation
 from .trace import TraceRows
@@ -339,6 +339,14 @@ class Simulator:
         if idle or slept or dying:
             self.rows.add(self.now, node.id, "energy_account",
                           self._account_detail(idle, slept), battery.residual)
+
+    def _settle_shared(self, nodes, idle, sleep):
+        """``_settle`` each of ``nodes`` (left charged) as one drain and one block; empty it."""
+        if nodes and (idle or sleep):
+            self.rows.add_block(self.now, [node.id for node in nodes], "energy_account",
+                                self._account_detail(idle, sleep),
+                                drain_idle_all([node.battery for node in nodes], idle, sleep))
+        nodes.clear()
 
     def _register_death(self, node, death_us):
         self._emit(node, "node_died", f'{{"death_time_us": {death_us}}}')
@@ -834,39 +842,36 @@ class Simulator:
     # housekeeping and run loop
 
     def _on_housekeeping(self, nodes):
-        """Account and sample every listed node, in id order, then schedule
-        the next sweep over those still alive.
+        """Account every listed node, in id order, sample them all, then
+        schedule the next sweep over those still alive.
 
-        Accounting schedules no event, so the samples of one sweep are
-        exactly those of one back-to-back event per node. Every schedule is
-        awake equally long over a whole number of frames, so when the last
-        sweep lies that far back, the nodes it accounted that nothing touched
-        since and that hold no reservation all draw one ``(idle_j, sleep_j)``:
-        it is costed on the first of them and settled on each such node it
-        leaves charged. Every other node goes through ``_account``.
+        Accounting schedules no event and drains no other node, so the samples
+        are exactly those of one back-to-back event per node. Every schedule is
+        awake equally long over a whole number of frames, so when the last sweep
+        lies that far back, the nodes it accounted that nothing touched since and
+        that hold no reservation all draw one ``(idle_j, sleep_j)``, costed once.
+        Each run of them that it leaves charged is settled as one block before the
+        next node goes through ``_account``, so rows stay in id order.
         """
         now, t0 = self.now, self._swept_us
         self._swept_us = now
         whole = (now - t0) % self.frame_us == 0
-        draw = None  # idle + sleep of the shared draw, once costed
-        t_s = now / US
-        timeline = self.metrics.energy_timeline
-        alive = []
+        idle, sleep, shared_run = None, None, []  # the shared draw, once costed; its nodes
         for node in nodes:
-            battery = node.battery
             shared = whole and node.last_accounted_us == t0 and not node.mac.reservations
-            if shared and draw is None:
+            if shared and idle is None:
                 idle, sleep = self._interval_cost(node, t0, now)
-                draw = idle + sleep
-            if shared and draw < battery.residual:
-                self._settle(node, idle, sleep)
+            if shared and idle + sleep < node.battery.residual:
+                node.last_accounted_us = now
+                shared_run.append(node)
             else:
+                self._settle_shared(shared_run, idle, sleep)
                 self._account(node)
-            if battery.alive:
-                alive.append(node)
-            timeline.append((t_s, node.id, battery.residual))
+        self._settle_shared(shared_run, idle, sleep)
+        t_s = now / US
+        self.metrics.energy_timeline.extend([(t_s, n.id, n.battery.residual) for n in nodes])
         nxt = now + self.cfg.sim.housekeeping_frames * self.frame_us
-        if nxt <= self.horizon_us and alive:
+        if nxt <= self.horizon_us and (alive := [n for n in nodes if n.battery.alive]):
             self._schedule(nxt, "housekeeping", alive)
 
     # heap kind -> handler, called as handler(self, *args)

@@ -7,6 +7,7 @@ run that produced it. Metrics are a single compact JSON document.
 A run's rows live in a ``TraceRows``: five plain lists, ``seq`` being a row's
 index. That saves a tuple and an int per row, most of a run's memory, and
 still reads as ``(time_us, seq, node, event, detail, residual_j)`` tuples.
+``add_block`` appends rows that share a time, event and detail in one call.
 
 ``render_trace`` writes the residual with ``repr`` and quotes a detail,
 doubling its ``"``, only when it holds ``"`` or ``,``. That is exactly
@@ -22,7 +23,7 @@ that resize the bytes are the same and only the peak doubles.
 
 import csv
 import json
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 from . import __version__
 
@@ -43,6 +44,14 @@ class TraceRows:
         self.event.append(event)
         self.detail.append(detail)
         self.residual.append(residual)
+
+    def add_block(self, time_us, node_ids, event, detail, residuals):
+        """Append one row per node id, all with this time, event and detail."""
+        self.time_us.extend(repeat(time_us, len(node_ids)))
+        self.node.extend(node_ids)
+        self.event.extend(repeat(event, len(node_ids)))
+        self.detail.extend(repeat(detail, len(node_ids)))
+        self.residual.extend(residuals)
 
     def __len__(self):
         return len(self.time_us)

@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from oscmac.energy import Battery, RadioEnergyParams, rx_energy, tx_energy
+from oscmac.energy import Battery, RadioEnergyParams, drain_idle_all, rx_energy, tx_energy
 
 DEFAULTS = RadioEnergyParams()
 
@@ -143,6 +143,26 @@ def test_drain_idle_is_the_two_drains(residual, spent, idle, sleep):
     drawn = pair.drain_idle(idle, sleep)
     assert drawn == (single.drain(idle, "idle_listen"), single.drain(sleep, "sleep"))
     assert _battery_state(pair) == _battery_state(single)
+
+
+@given(idle=_joules, sleep=_joules, spent=_joules, extras=st.lists(_joules, max_size=5))
+@example(idle=2.0 ** -11, sleep=2.0 ** -12, spent=0.0, extras=[0.0])  # floored to 0, dead
+@example(idle=1e-4, sleep=1e-8, spent=0.0, extras=[])
+@example(idle=1e-4, sleep=1e-8, spent=1e-3, extras=[5e-324])
+def test_drain_idle_all_is_drain_idle_on_each(idle, sleep, spent, extras):
+    """On batteries holding ``idle + sleep`` or more, the bulk drain leaves
+    each exactly as ``drain_idle(idle, sleep)`` does and returns their
+    residuals; a residual above the draw is never clamped by it."""
+    residuals = [idle + sleep + extra for extra in extras]
+    bulk, each = ([Battery(initial=1.0) for _ in residuals] for _ in range(2))
+    for b, residual in zip(bulk + each, residuals + residuals):
+        b.drain(spent, "idle_listen")  # a battery that has drawn before
+        b.residual = residual
+    drawn = [b.drain_idle(idle, sleep) for b in each]
+    assert all(d == (idle, sleep) for d, r in zip(drawn, residuals) if r > idle + sleep)
+    assume(all(d == (idle, sleep) for d in drawn))  # one that meets it may be clamped
+    assert drain_idle_all(bulk, idle, sleep) == [b.residual for b in each]
+    assert [_battery_state(b) for b in bulk] == [_battery_state(b) for b in each]
 
 
 def test_drain_idle_rejects_negative_amounts():

@@ -471,6 +471,16 @@ class _PerNodeSweep(Simulator):
     _HANDLERS = dict(Simulator._HANDLERS, housekeeping=_on_housekeeping)
 
 
+def _middle_dies_doc():
+    """Five nodes on a line; node 2's battery lasts under three frames, so it
+    dies between the third sweep's shared neighbours 0, 1 and 3, 4."""
+    nodes = [{"id": i, "x": 40.0 * i, "y": 0.0} for i in range(5)]
+    nodes[0]["role"], nodes[2]["initial_j"] = "fr", 2.5e-5
+    return {"topology": {"nodes": nodes},
+            "traffic": {"sources": [4], "packets_per_source": 0},
+            "sim": {"horizon_s": 1.0, "housekeeping_frames": 1}}
+
+
 @st.composite
 def _swept_runs(draw):
     """A generated field in any mode, with a sweep period of 1-5 frames, a
@@ -503,6 +513,10 @@ def _swept_runs(draw):
 @example((generated_doc(node_count=12, horizon_s=0.25, sources=2, packets=2), []), 0)  # < a period
 @example((dict(two_node_doc(packets=0), sim={"horizon_s": 1.0, "housekeeping_frames": 1}),
           [(1, 150 * _MS, 180 * _MS)]), 0)  # a wake-up booked between two quiet sweeps
+@example((dict(generated_doc(node_count=6, sources=0, packets=0),
+               sim={"horizon_s": 1.0, "housekeeping_frames": 1}),
+          [(3, 150 * _MS, 180 * _MS)]), 0)  # that booking splits the shared nodes' run
+@example((_middle_dies_doc(), []), 0)  # so does a middle node that empties at a sweep
 def test_shared_draw_sweep_matches_per_node_accounting(run_case, seed):
     doc, bookings = run_case
     cfg = make_config(doc)

@@ -7,11 +7,14 @@ float sum, a skipped receiver, a missed residual sample) fails here. A
 change that is meant to alter either output updates the digest and says
 why; ``python tests/test_golden.py`` prints every scenario's current
 digests for that, and those of the three benchmark workloads, so that a
-claim of byte-identical behaviour is a diff of two of its outputs.
+claim of byte-identical behaviour is a diff of two of its outputs. The
+workloads' digests at benchmark seed 0 are pinned too; seed 7 is held out.
 """
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,9 @@ from oscmac.engine import Simulator
 from oscmac.trace import render_trace, write_metrics
 
 from conftest import generated_doc, late_reply_doc, make_config, range_extension_doc
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from sample import RUN_SEED, WORKLOADS, scenario_json  # noqa: E402  -- read only
 
 SEED = 3
 
@@ -77,6 +83,16 @@ SCENARIOS = {
                    "91ca45ad3d30180e3373c55a2d9b971decf6da223c08b1c24fa6a3219184414c"),
 }
 
+# benchmark workload -> (trace digest, metrics-document digest) at benchmark seed 0
+WORKLOAD_DIGESTS = {
+    "noct-1000": ("e53f949017fc8e2aa471fa4e4e2d36ff0a9def5c454ec5f955a0599a83bcba8e",
+                  "6f0ac7c074db564fa9102e563203046a2deb30fb5a2f7bffcf6dba9ae5996330"),
+    "ct-200": ("3c3378fb2fd85e8bc796f7cd43a74c5e49230c49a46559ce2bcb24dabb2215bb",
+               "f88df4dcd84942c4b2164920ad50edb134ed53c3d3b338c022960fd788b4c3f3"),
+    "lifetime-50": ("7fe84638e1f897a144ed56310ce47def0c86ece8d712fcde713fbb134a0defdd",
+                    "6e22b75a2578f5cd435b7dc6ece18948b7167b8934fac7bd06dce84978a6198a"),
+}
+
 
 def digests(doc, metrics_path, seed):
     """(trace digest, metrics-document digest) of one run of ``doc``."""
@@ -88,6 +104,11 @@ def digests(doc, metrics_path, seed):
     write_metrics(metrics_path, metrics, config_hash, seed)
     return (hashlib.sha256(trace).hexdigest(),
             hashlib.sha256(metrics_path.read_bytes()).hexdigest())
+
+
+def workload_digests(workload, bench_seed, metrics_path):
+    """``digests`` of ``workload``'s scenario under benchmark seed ``bench_seed``."""
+    return digests(json.loads(scenario_json(workload, bench_seed)), metrics_path, RUN_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +126,11 @@ def test_trace_digest_is_pinned(name, computed):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_metrics_digest_is_pinned(name, computed):
     assert computed[name][1] == SCENARIOS[name][3]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_digests_are_pinned(workload, tmp_path):
+    assert workload_digests(workload, 0, tmp_path / "metrics.json") == WORKLOAD_DIGESTS[workload]
 
 
 def test_housekeeping_is_one_sweep_per_period():
@@ -154,22 +180,28 @@ def test_sweep_costs_the_shared_draw_once():
     """A sweep calls ``_interval_cost`` at most once for the nodes that
     nothing touched since the previous sweep and that hold no reservation,
     plus once for each other node; over the stretch after the traffic, that
-    is one call for all 120 nodes."""
-    sweeps = []  # (interval-cost calls, nodes touched or reserved, nodes listed)
+    is one call for all 120 nodes, and not one of them goes through the
+    per-node ``_account``."""
+    sweeps = []  # (interval-cost calls, _account calls, nodes touched or reserved, listed)
 
     class Counting(Simulator):
-        cost_calls = 0
+        cost_calls = account_calls = 0
 
         def _interval_cost(self, node, t0, t1):
             self.cost_calls += 1
             return super()._interval_cost(node, t0, t1)
 
+        def _account(self, node):
+            self.account_calls += 1
+            return super()._account(node)
+
         def _on_housekeeping(self, nodes):
-            before = self.cost_calls
+            before = self.cost_calls, self.account_calls
             others = sum(n.last_accounted_us != self._swept_us or bool(n.mac.reservations)
                          for n in nodes)
             super()._on_housekeeping(nodes)
-            sweeps.append((self.cost_calls - before, others, len(nodes)))
+            sweeps.append((self.cost_calls - before[0], self.account_calls - before[1],
+                           others, len(nodes)))
 
         _HANDLERS = dict(Simulator._HANDLERS, housekeeping=_on_housekeeping)
 
@@ -177,10 +209,11 @@ def test_sweep_costs_the_shared_draw_once():
     metrics = Counting(make_config(doc), seed).run()
     assert metrics.network_lifetime_first_death_s is None  # no death bisection
     assert len(sweeps) == 7  # six periods, then the horizon
-    for calls, others, _ in sweeps:
+    for calls, _, others, _ in sweeps:
         assert calls <= 1 + others
-    quiet = [(calls, listed) for calls, others, listed in sweeps if others == 0]
-    assert len(quiet) >= 3 and all(calls == 1 and listed == 120 for calls, listed in quiet)
+    quiet = [(calls, accounted, listed) for calls, accounted, others, listed in sweeps
+             if others == 0]
+    assert len(quiet) >= 3 and all(q == (1, 0, 120) for q in quiet)
 
 
 def record_awaits(monkeypatch):
@@ -242,14 +275,10 @@ def test_reserve_rows_log_the_booking_result(name, monkeypatch):
 if __name__ == "__main__":
     # print each scenario's current digests, to re-pin SCENARIOS after a
     # change that is meant to alter the trace or the metrics; then those of
-    # the benchmark workloads at their default and held-out seeds, 0 and 7,
-    # which a change that keeps behaviour leaves as they were
-    import sys
+    # the benchmark workloads at their default seed 0, marked as the
+    # scenarios are, and at held-out seed 7, printed only: a change that
+    # keeps behaviour leaves both as they were
     import tempfile
-    from pathlib import Path
-
-    sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from sample import RUN_SEED, WORKLOADS, scenario_json
 
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path = Path(tmp) / "metrics.json"
@@ -258,6 +287,7 @@ if __name__ == "__main__":
             print(name, *current, "pinned" if list(current) == pinned else "CHANGED")
         for workload in WORKLOADS:
             for bench_seed in (0, 7):
-                doc = json.loads(scenario_json(workload, bench_seed))
-                print(f"{workload}/seed{bench_seed}", *digests(doc, metrics_path, RUN_SEED),
-                      flush=True)
+                current = workload_digests(workload, bench_seed, metrics_path)
+                mark = [] if bench_seed else [
+                    "pinned" if current == WORKLOAD_DIGESTS[workload] else "CHANGED"]
+                print(f"{workload}/seed{bench_seed}", *current, *mark, flush=True)

@@ -86,6 +86,37 @@ def test_trace_rows_read_as_a_list_of_tuples(columns, data):
         assert rows != [(expected[0][0] + 1, *expected[0][1:])] + expected[1:]
 
 
+_BLOCK = st.lists(st.tuples(st.integers(), st.integers(0, 3) | st.floats(allow_nan=False)),
+                  max_size=5)
+
+
+@given(st.lists(_STORED, max_size=3), st.integers(), st.sampled_from(["tx", "energy_account"]),
+       st.sampled_from(["{}", '{"idle_j": 1e-05, "sleep_j": 9e-11}', '{"s": "x,\\"y"}']),
+       _BLOCK, st.lists(_STORED, max_size=3))
+@example([], 0, "tx", "{}", [], [])  # an empty block
+@example([(1, 2, "rx", "{}", 0.5)], 3, "tx", "{}", [(4, 1.0)], [])  # one row
+def test_add_block_is_one_add_per_row(before, time_us, event, detail, block, after):
+    """``add_block`` stores the rows that one ``add`` per node id would."""
+    blocked, added = TraceRows(), TraceRows()
+    for rows in (blocked, added):
+        for row in before:
+            rows.add(*row)
+    blocked.add_block(time_us, [n for n, _ in block], event, detail, [r for _, r in block])
+    for node_id, residual in block:
+        added.add(time_us, node_id, event, detail, residual)
+    for rows in (blocked, added):
+        for row in after:
+            rows.add(*row)
+    expected = list(added)
+    assert list(blocked) == expected
+    assert [blocked[i] for i in range(-len(expected), len(expected))] == (
+        expected[-len(expected):] + expected)
+    start = len(before)
+    for cut in (slice(start, start + len(block)), slice(1, -1), slice(None, None, -2)):
+        assert blocked[cut] == added[cut]
+    assert render_trace(blocked, "abc123", 7) == render_trace(added, "abc123", 7)
+
+
 @pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1,
                                    4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1, 8 * _BLOCK_ROWS + 1])
 def test_render_trace_across_block_edges(tmp_path, count):
