@@ -26,7 +26,9 @@ Reach depends only on positions, and collision only on time, as in Gupta
 and Kumar's protocol model. ``NeighbourIndex.audience`` decides reach: it
 names exactly the nodes a transmission reaches. The engine keeps those
 awake for it (the MAC picks who listens), and ``resolve_slot`` decides
-collisions between the rendezvous each listener hears.
+collisions, the one place that does: a listener loses exactly those heard
+transmissions that overlap in time one of another rendezvous it hears, and
+decodes the rest.
 """
 
 import math
@@ -149,12 +151,14 @@ def resolve_slot(listening):
 
     ``listening`` maps a receiver id to the non-empty list of transmissions
     that reach it (as ``NeighbourIndex.audience`` decides) while it listens.
-    A receiver decodes iff they all belong to one rendezvous; two or more
-    rendezvous corrupt everything it hears (one collision per receiver).
-    Yields ``(receiver, heard, collided)`` in ascending receiver id, with
-    ``heard`` the receiver's list as given.
+    A heard transmission is lost iff its ``[start_us, end_us)`` overlaps that
+    of a heard transmission of another rendezvous; intervals that only touch
+    do not overlap, and the senders of one rendezvous are one signal. Yields
+    ``(receiver, heard, lost)`` in ascending receiver id, with ``heard`` the
+    receiver's list as given and ``lost`` its lost members in that order.
     """
     for rid in sorted(listening):
         heard = listening[rid]
-        rdv = heard[0].rdv_id
-        yield rid, heard, any(t.rdv_id != rdv for t in heard)
+        yield rid, heard, [] if len(heard) == 1 else [t for t in heard if any(
+            u.rdv_id != t.rdv_id and u.start_us < t.end_us and t.start_us < u.end_us
+            for u in heard)]

@@ -9,7 +9,9 @@ this module's ``heapq``, ``distance``, ``in_reach``, ``ct_reach``,
 ``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
 so the entry shape and these names must stay. A transmission (``_Txn``) carries
 its sender ids and its rx handler's arguments: ``_RX_HANDLERS[tag](sim,
-receiver, txn, *txn.args)``.
+receiver, txn, *txn.args)``. When the last of a burst of overlapping
+transmissions ends, each receiver is charged for what it heard of the burst and
+is dispatched, in start order, what ``resolve_slot`` does not count lost.
 
 Node positions live only in the neighbour index, ``index.positions``. Each
 routed node holds its next-hop node, the hop's length and whether it reaches
@@ -446,71 +448,62 @@ class Simulator:
         self._send([sender], [target], pkt, kind, args)
 
     def _on_tx_end(self, txn):
-        if txn not in self.unresolved:
-            return  # resolved with an earlier-ending cluster member
-        cluster = [txn]
-        changed = True
-        while changed:
-            changed = False
-            for other in self.unresolved:  # in start order, which orders collision rows
-                if other in cluster:
-                    continue
-                if any(other.start_us < t.end_us and t.start_us < other.end_us
-                       for t in cluster):
-                    cluster.append(other)
-                    changed = True
-        if any(t.end_us > self.now for t in cluster):
-            return  # a later-ending member of the cluster resolves it
-        for t in cluster:
+        """Resolve the burst if ``txn`` is the last of it on the air. The burst is
+        what started before now, in start order: earlier bursts were resolved
+        when their last member ended, and what starts now overlaps none of it."""
+        burst = [t for t in self.unresolved if t.start_us < self.now]
+        if txn not in self.unresolved or any(t.end_us > self.now for t in burst):
+            return  # resolved with a member that ended with it, or by one still on the air
+        for t in burst:
             del self.unresolved[t]
-        self._resolve_cluster(cluster)
+        self._resolve_burst(burst)
 
-    def _resolve_cluster(self, cluster):
-        """Charge and dispatch what each receiver hears of overlapping
+    def _resolve_burst(self, burst):
+        """Charge and dispatch what each receiver hears of a burst of
         transmissions; the index decides who each reaches, and
-        ``resolve_slot`` which of them collide."""
+        ``resolve_slot`` which of them each receiver loses."""
         listening = defaultdict(list)  # receiver -> members that reach it while awake
-        for t in cluster:
+        for t in burst:
             for rid in self.index.audience(t):
                 receiver = self.nodes[rid]
                 if receiver.battery.alive and receiver.mac.is_awake(t.start_us):
                     listening[rid].append(t)
-        for rid, heard, collided in resolve_slot(listening):
+        for rid, heard, lost in resolve_slot(listening):
             receiver = self.nodes[rid]
-            if collided:
+            if lost:
                 self.metrics.collisions += 1
-                lost = [t.packet.seq for t in heard if rid in t.addressed_to]
-                self.metrics.collision_losses += len(lost)
+                seqs = [t.packet.seq for t in lost if rid in t.addressed_to]
+                self.metrics.collision_losses += len(seqs)
                 self._emit(receiver, "collision",
-                           f'{{"lost_packets": {lost}, '
-                           f'"rdvs": {sorted({t.rdv_id for t in heard})}}}')
-                for t in heard:
-                    cat = "receive" if rid in t.addressed_to else "overhear"
+                           f'{{"lost_packets": {seqs}, '
+                           f'"rdvs": {sorted({t.rdv_id for t in lost})}}}')
+            for t in heard:  # in start order
+                addressed = rid in t.addressed_to
+                if t in lost:
+                    cat = "receive" if addressed else "overhear"
                     self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
                                  cat, "rx_corrupt",
                                  lambda j: f'{{"bits": {t.packet.size_bits}, "category": "{cat}", '
                                            f'"j": {j!r}, "packet": {t.packet.seq}, '
                                            f'"rdv": {t.rdv_id}}}')
-                    if t.tag == "ct_coop" and cat == "receive":
+                    if t.tag == "ct_coop" and addressed:
                         self._fail(t.args[0], "collision", [t.packet.seq])
-                continue
-            t = heard[0]
-            if rid in t.addressed_to:
-                self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
-                             "receive", "rx",
-                             lambda j: f'{{"bits": {t.packet.size_bits}, "category": "receive", '
-                                       f'"j": {j!r}, "packet": {t.packet.seq}, '
-                                       f'"pkind": "{t.packet.kind}", "rdv": {t.rdv_id}, '
-                                       f'"tag": "{t.tag}"}}')
-                if receiver.battery.alive:
-                    self._RX_HANDLERS[t.tag](self, receiver, t, *t.args)
-            else:
-                self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
-                             "overhear", "overhear",
-                             lambda j: f'{{"bits": {t.packet.size_bits}, "category": "overhear", '
-                                       f'"j": {j!r}, "packet": {t.packet.seq}, '
-                                       f'"rdv": {t.rdv_id}, "tag": "{t.tag}"}}')
-        for t in cluster:  # a cooperative copy is final: lost unless its next hop took it
+                elif addressed:
+                    self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
+                                 "receive", "rx",
+                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "receive", '
+                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
+                                           f'"pkind": "{t.packet.kind}", "rdv": {t.rdv_id}, '
+                                           f'"tag": "{t.tag}"}}')
+                    if receiver.battery.alive:
+                        self._RX_HANDLERS[t.tag](self, receiver, t, *t.args)
+                else:
+                    self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
+                                 "overhear", "overhear",
+                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "overhear", '
+                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
+                                           f'"rdv": {t.rdv_id}, "tag": "{t.tag}"}}')
+        for t in burst:  # a cooperative copy is final: lost unless its next hop took it
             if t.tag == "ct_coop":
                 reach = t.args[0].next_hop.id in self.index.audience(t)
                 self._fail(t.args[0], "receiver_asleep" if reach else "out_of_reach",

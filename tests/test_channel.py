@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
                             resolve_slot)
@@ -9,9 +9,10 @@ D0 = RadioEnergyParams().d0
 R = 90.0
 
 
-def txn(rdv, ids, addressed=(), coop=False):
+def txn(rdv, ids, addressed=(), coop=False, span=(0, 3200)):
+    """A transmission of rendezvous ``rdv`` on the air over ``span``, [start, end) in us."""
     return AirTransmission(rdv_id=rdv, sender_ids=tuple(ids), addressed_to=tuple(addressed),
-                           cooperative=coop)
+                           cooperative=coop, start_us=span[0], end_us=span[1])
 
 
 def audiences(transmissions, positions):
@@ -21,8 +22,8 @@ def audiences(transmissions, positions):
 
 
 def resolve(listening):
-    """``resolve_slot``'s outcomes as receiver -> (heard, collided)."""
-    return {rid: (heard, collided) for rid, heard, collided in resolve_slot(listening)}
+    """``resolve_slot``'s outcomes as receiver -> (heard, lost)."""
+    return {rid: (heard, lost) for rid, heard, lost in resolve_slot(listening)}
 
 
 def test_in_reach_closed_disk():
@@ -75,27 +76,37 @@ def test_ct_reach_degenerates_to_in_reach(x, y, sx, sy):
 
 
 def test_resolve_single_transmission_decodes():
-    t = txn(1, [10], addressed=(20,))
+    t = txn(1, [10], addressed=(20,), span=(0, 3200))
     # 30 is out of reach, so it hears nothing
     assert audiences([t], {10: (0, 0), 20: (50.0, 0.0), 30: (500.0, 0.0)}) == [(20,)]
-    assert resolve({20: [t]}) == {20: ([t], False)}
+    assert resolve({20: [t]}) == {20: ([t], [])}
 
 
 def test_resolve_two_rendezvous_collide():
-    a = txn(1, [10])
-    b = txn(2, [11])
-    assert resolve({20: [a, b]}) == {20: ([a, b], True)}
+    a = txn(1, [10], span=(0, 3200))
+    b = txn(2, [11], span=(1000, 4200))
+    assert resolve({20: [a, b]}) == {20: ([a, b], [a, b])}
+
+
+def test_resolve_only_overlapping_transmissions_collide():
+    # b and c are 0.5 ms apart; a overlaps c alone, and d only touches c
+    a = txn(1, [10], span=(4000, 5000))
+    b = txn(2, [11], span=(0, 3200))
+    c = txn(3, [12], span=(3700, 6900))
+    d = txn(4, [13], span=(6900, 10100))
+    assert resolve({20: [b, c], 21: [b, a, c, d], 22: [c, d]}) == {
+        20: ([b, c], []), 21: ([b, a, c, d], [a, c]), 22: ([c, d], [])}
 
 
 def test_resolve_cooperative_group_is_one_signal():
     # three senders close the 120 m hop that none of them closes alone
-    g = txn(5, [1, 2, 3], addressed=(0,), coop=True)
+    g = txn(5, [1, 2, 3], addressed=(0,), coop=True, span=(0, 3200))
     positions = {0: (120.0, 0.0), 1: (0, 0), 2: (8, 6), 3: (8, -6)}
     assert audiences([g, txn(6, [1])], positions) == [(0,), (2, 3)]
     # one rendezvous is one signal, however many transmissions carry it
-    relay = txn(5, [4], addressed=(0,))
-    assert resolve({0: [g]}) == {0: ([g], False)}
-    assert resolve({0: [g, relay]}) == {0: ([g, relay], False)}
+    relay = txn(5, [4], addressed=(0,), span=(0, 3200))
+    assert resolve({0: [g]}) == {0: ([g], [])}
+    assert resolve({0: [g, relay]}) == {0: ([g, relay], [])}
 
 
 def test_resolve_sender_never_receives_itself():
@@ -104,19 +115,60 @@ def test_resolve_sender_never_receives_itself():
 
 
 def test_resolve_collision_is_per_receiver():
-    a = txn(1, [10])
-    b = txn(2, [11])
+    a = txn(1, [10], span=(0, 3200))
+    b = txn(2, [11], span=(0, 3200))
     positions = {10: (0, 0), 11: (120, 0),
                  20: (-40.0, 0.0),   # hears only a
                  21: (60.0, 0.0),    # hears both
                  22: (160.0, 0.0)}   # hears only b
     assert audiences([a, b], positions) == [(20, 21), (21, 22)]
     assert resolve({20: [a], 21: [a, b], 22: [b]}) == {
-        20: ([a], False), 21: ([a, b], True), 22: ([b], False)}
+        20: ([a], []), 21: ([a, b], [a, b]), 22: ([b], [])}
 
 
 def test_resolve_outcomes_ascend_by_receiver():
-    t = txn(1, [10])
-    u = txn(2, [11])
+    t = txn(1, [10], span=(0, 3200))
+    u = txn(2, [11], span=(3199, 6399))
     out = resolve_slot({30: [t], 20: [t, u], 25: [u]})
-    assert [(rid, collided) for rid, _, collided in out] == [(20, True), (25, False), (30, False)]
+    assert [(rid, lost) for rid, _, lost in out] == [(20, [t, u]), (25, []), (30, [])]
+
+
+@st.composite
+def _listening_maps(draw):
+    """Receivers mapped to what each hears, drawn from one pool of transmissions
+    on short integer intervals, so that intervals often overlap or touch and
+    rendezvous ids repeat."""
+    pool = []
+    for sender in range(draw(st.integers(1, 8))):
+        start = draw(st.integers(0, 12))
+        pool.append(txn(draw(st.integers(0, 3)), [sender],
+                        span=(start, start + draw(st.integers(1, 6)))))
+    return draw(st.dictionaries(st.integers(0, 20),
+                                st.lists(st.sampled_from(pool), min_size=1, unique=True),
+                                max_size=6))
+
+
+def _lost_by_scan(heard):
+    """The heard transmissions that share some microsecond with a heard
+    transmission of another rendezvous."""
+    on_air = {id(t): set(range(t.start_us, t.end_us)) for t in heard}
+    return [t for t in heard
+            if any(u.rdv_id != t.rdv_id and on_air[id(t)] & on_air[id(u)] for u in heard)]
+
+
+# a chain: the first overlaps the second, and the second the third
+_CHAIN = [txn(1, [10], span=(0, 4)), txn(2, [11], span=(3, 8)), txn(3, [12], span=(7, 9))]
+
+
+@given(_listening_maps())
+@example({20: [txn(1, [10], span=(0, 5)), txn(2, [11], span=(5, 9))]})  # they only touch
+@example({20: [txn(1, [10], span=(0, 5)), txn(1, [11], span=(2, 7))]})  # one rendezvous
+@example({20: _CHAIN, 21: [_CHAIN[0], _CHAIN[2]]})
+def test_resolve_matches_pairwise_overlap_scan(listening):
+    """Each receiver loses exactly the heard transmissions that overlap one of
+    another rendezvous it hears, and the outcomes come in receiver order."""
+    out = list(resolve_slot(listening))
+    assert [rid for rid, _, _ in out] == sorted(listening)
+    for rid, heard, lost in out:
+        assert heard is listening[rid]
+        assert lost == _lost_by_scan(heard)

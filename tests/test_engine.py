@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from oscmac.channel import distance
 from oscmac.energy import RadioEnergyParams, rx_energy, tx_energy
 from oscmac.engine import US, Simulator, run
-from oscmac.mac import DutySchedule, MacState, reserve
+from oscmac.mac import DutySchedule, MacState, Packet, reserve
 from oscmac.trace import render_trace
 import trace_audit
 from conftest import (generated_doc, late_reply_doc, make_config, range_extension_doc,
@@ -338,6 +338,57 @@ def test_auto_mode_prefers_ct_for_unreachable_hop():
 
 
 # ---------------------------------------------------------------------------
+# collisions: only what overlaps at a receiver
+
+
+def _send_data(nodes, plan):
+    """Run a field of ``nodes`` ((x, y) by id, node 0 the sink) with no traffic
+    of its own, after putting one 800-bit data packet on the air for each
+    ``(offset_us, sender, addressee)`` of ``plan``, in order, the offsets
+    counted from node 0's next wake-up; packet seqs count from 1."""
+    field = [{"id": nid, "x": x, "y": y} for nid, (x, y) in nodes.items()]
+    field[0]["role"] = "fr"
+    doc = {"topology": {"nodes": field}, "traffic": {"packets_per_source": 0},
+           "sim": {"horizon_s": 2.0}}
+    sim = Simulator(make_config(doc), 0)
+    t0 = sim.nodes[0].mac.schedule.next_wake(0)
+    for seq, (offset, sender, to) in enumerate(plan, 1):
+        sim.now = t0 + offset
+        pkt = Packet(seq=seq, size_bits=800, source=sender, kind="data")
+        sim._send([sim.nodes[sender]], [sim.nodes[to]], pkt, "data", (sim.nodes[sender],))
+    sim.run()
+    return sim
+
+
+def test_transmissions_apart_decode_though_one_burst():
+    """Node 0 hears packet 1 from node 1 over [0, 3200) us and packet 3 from
+    node 2 over [3700, 6900) us, 0.5 ms apart. Packet 2, from node 3 to node 4
+    over [2000, 5200), overlaps both and chains them into one burst, but node
+    0 cannot hear it, so it decodes both."""
+    sim = _send_data({0: (0.0, 0.0), 1: (50.0, 0.0), 2: (-50.0, 0.0), 3: (200.0, 0.0),
+                      4: (250.0, 0.0)},
+                     [(0, 1, 0), (2000, 3, 4), (3700, 2, 0)])
+    assert sorted(detail(r)["packet"] for r in rows_for(sim.rows, event="rx", node=0)) == [1, 3]
+    assert not rows_for(sim.rows, event="collision")
+    assert sim.metrics.collisions == 0
+
+
+def test_a_chain_of_overlaps_loses_every_link():
+    """Node 0 hears 1 over [0, 3200) us, 2 over [2000, 5200) and 3 over
+    [4000, 7200): 1 and 3 do not overlap, yet each overlaps 2, so node 0
+    loses all three in one collision row. The senders sit 104 m apart, so
+    none hears another."""
+    sim = _send_data({0: (0.0, 0.0), 1: (60.0, 0.0), 2: (-30.0, 51.96), 3: (-30.0, -51.96)},
+                     [(0, 1, 0), (2000, 2, 0), (4000, 3, 0)])
+    (row,) = rows_for(sim.rows, event="collision")
+    rdvs = sorted(detail(r)["rdv"] for r in rows_for(sim.rows, event="tx"))
+    assert (row[2], detail(row)) == (0, {"lost_packets": [1, 2, 3], "rdvs": rdvs})
+    assert [detail(r)["packet"] for r in rows_for(sim.rows, event="rx_corrupt")] == [1, 2, 3]
+    assert not rows_for(sim.rows, event="rx", node=0)
+    assert (sim.metrics.collisions, sim.metrics.collision_losses) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
 # memoised interval costs
 
 def _trace_digest(doc):
@@ -371,12 +422,12 @@ def test_cost_memo_does_not_leak_between_runs():
 # ---------------------------------------------------------------------------
 # details formatted at their emit sites
 
-def _dying_sender_doc():
-    # a battery at which a cooperative sender is found empty when its slot
-    # comes (tx_skipped_dead) and a receiver empties while it listens
-    # (charge_skipped_dead)
+def _dying_sender_doc(battery_j):
+    # batteries that run out mid-exchange: at 0.0043 J a cooperative sender is
+    # found empty when its slot comes (tx_skipped_dead), and at 0.00412 J a
+    # receiver empties while it listens (charge_skipped_dead)
     doc = generated_doc(mode="ct", horizon_s=120.0, packets=20, topo_seed=3)
-    doc["sim"]["battery_j"] = 0.00412
+    doc["sim"]["battery_j"] = battery_j
     return doc
 
 
@@ -394,7 +445,7 @@ def test_details_are_canonical_sorted_key_json():
     """Each site's detail text is what ``json.dumps(detail, sort_keys=True)``
     gives for the detail it holds, over runs that reach every event kind."""
     runs = [(doc, seed) for doc, seed, _, _ in SCENARIOS.values()]
-    runs.append((_dying_sender_doc(), 0))
+    runs += [(_dying_sender_doc(battery_j), 0) for battery_j in (0.0043, 0.00412)]
     kinds = set()
     for doc, seed in runs:
         _, rows = run(make_config(doc), seed)

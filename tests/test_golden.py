@@ -59,16 +59,16 @@ SCENARIOS = {
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
-           "46d6d455d7ded0b3f789b6e4f006ca0a5ada343c276a80c27b3dfe1a27a771c0",
-           "c3721aaac0cc9bd032bd4d6f77c212221ab84575a44399919e35e44965574c8f"),
+           "8706a90c56803cf79489438eb09b25825a5c95eeced68d37b3942e3f9fe82852",
+           "560940dd4965c6f9061b7b297623b042abb6d39cd58e27d0ce50ce1da3d8aa5f"),
     "auto": (_auto_doc(),
              SEED,
-             "c070a6710a132bd26c3e0e875985fd1292dd854ecab1511428c0ba74bd977666",
-             "c423f2bc14b1e10cef04b74392f99e3695e9317ef50a233a3e5ad0e5f203a286"),
+             "e6553f8e7c758ffc91b8d1ed96fbfff002e98776ecc010ad94e4dfccaf338d28",
+             "d3fe79da7eff07a34e4cf6cb804896d1b2e1e54670f3efd092e6717b54168c5d"),
     "retry_cap": (_retry_cap_doc(),
                   0,
-                  "f3b6becfa60cc50311c658a6a0d5da9216ef17a074c181535a425691c8185bd2",
-                  "0b171f6b5c14f04c1eebb7b4922d3f216b3a8bcbe1e4bd9f3c6bb51ba6bc4c7a"),
+                  "9ef7512ad7bfa563abed7906ddb57c1250c1dcd76d2c06d905ff510d731c34e5",
+                  "537f2112bb9793f4e9d0584d2c3f57511fbd433229199edb0b7145ce984333ec"),
     # explicit topology and route: the 120 m hop closes only through the
     # cooperative superframe relay, and 20 slots continue the superframe
     "explicit": (range_extension_doc(mode="ct", packets=20),
@@ -85,12 +85,12 @@ SCENARIOS = {
 
 # benchmark workload -> (trace digest, metrics-document digest) at benchmark seed 0
 WORKLOAD_DIGESTS = {
-    "noct-1000": ("e53f949017fc8e2aa471fa4e4e2d36ff0a9def5c454ec5f955a0599a83bcba8e",
+    "noct-1000": ("fe17150b428e0a525499b71cca2a656d2dc0b2f6d45a6868e70fe4b763901799",
                   "6f0ac7c074db564fa9102e563203046a2deb30fb5a2f7bffcf6dba9ae5996330"),
-    "ct-200": ("3c3378fb2fd85e8bc796f7cd43a74c5e49230c49a46559ce2bcb24dabb2215bb",
-               "f88df4dcd84942c4b2164920ad50edb134ed53c3d3b338c022960fd788b4c3f3"),
-    "lifetime-50": ("7fe84638e1f897a144ed56310ce47def0c86ece8d712fcde713fbb134a0defdd",
-                    "6e22b75a2578f5cd435b7dc6ece18948b7167b8934fac7bd06dce84978a6198a"),
+    "ct-200": ("dd6270f4b5d3eaa6e02a7e8ba1a1ac32ddef744bbff18701ea3f3cbf9561a5e5",
+               "7c9bcd1ef202ae18b93e92f373f70cd504cd837c8deddb30e14e33b3f483927a"),
+    "lifetime-50": ("e0429fbfa943b08ee85b04f7922913595294706b141588a2e7801efa043bb53c",
+                    "a659a2c45c88094701fdcab3d5b49249f09b987b69fbfbe6ea056008d9806c4c"),
 }
 
 

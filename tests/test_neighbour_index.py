@@ -110,9 +110,11 @@ def test_resolve_over_may_hear_matches_full_listening(layout, data):
         coop = data.draw(st.booleans())
         senders = data.draw(st.lists(st.sampled_from(ids), min_size=1,
                                      max_size=6 if coop else 1, unique=True))
+        start = data.draw(st.integers(0, 3))
         transmissions.append(AirTransmission(
             rdv_id=data.draw(st.integers(0, 2)),
-            sender_ids=tuple(senders), addressed_to=(), cooperative=coop))
+            sender_ids=tuple(senders), addressed_to=(), cooperative=coop,
+            start_us=start, end_us=start + data.draw(st.integers(1, 3))))
     deaf = data.draw(st.sets(st.sampled_from(ids)))
     listeners = [i for i in ids if i not in deaf]
 

@@ -32,10 +32,6 @@ KNOWN = {
         "since the death failed the seq (sender_dead); listed in ROADMAP's small open defects",
         ("auto", "retry_cap", "lifetime_gen1_ct", "lifetime_gen1_auto", "lifetime_gen2_ct",
          "lifetime_gen2_auto", "lifetime_gen3_ct")),
-    "collisions": (
-        "the channel records a collision between rendezvous of one transitive "
-        "overlap cluster that do not overlap each other; ROADMAP item 9's overlap rule fixes it",
-        ("ct", "auto", "retry_cap")),
     "half_duplex_tx": (
         "a node starts a superframe slot's transmission (a broadcast or a cooperative copy) "
         "while its previous one is on the air; ROADMAP item 9's half-duplex radio fixes it",
