@@ -1,4 +1,4 @@
-"""Unit-disk radio reach, cooperative range extension, and slot resolution.
+"""Unit-disk radio reach, cooperative range extension, and collisions.
 
 A single transmitter reaches everything within ``base_range`` (closed
 disk). A cooperative group of k simultaneous senders closes a link when
@@ -24,11 +24,14 @@ which keeps the bound on the safe side.
 
 Reach depends only on positions, and collision only on time, as in Gupta
 and Kumar's protocol model. ``NeighbourIndex.audience`` decides reach: it
-names exactly the nodes a transmission reaches. The engine keeps those
-awake for it (the MAC picks who listens), and ``resolve_slot`` decides
-collisions, the one place that does: a listener loses exactly those heard
-transmissions that overlap in time one of another rendezvous it hears, and
-decodes the rest.
+names exactly the nodes a transmission reaches. The engine keeps as its
+listeners those that are alive and awake as it starts (the MAC picks who
+listens), and ``collide`` decides collisions, the one place that does: a
+listener loses exactly those transmissions it hears that overlap in time
+another one it hears, and decodes the rest. Two intervals overlap exactly
+when one starts while the other is on the air, so each start is checked
+against what the listener still hears, and a reception's fate is known by
+its end. The cooperative senders of one transmission are one signal.
 """
 
 import math
@@ -146,19 +149,15 @@ class AirTransmission:
     end_us: int = 0
 
 
-def resolve_slot(listening):
-    """Decide collisions at each listening receiver.
+def collide(heard, air):
+    """Decide collisions at a listener as ``air`` starts reaching it.
 
-    ``listening`` maps a receiver id to the non-empty list of transmissions
-    that reach it (as ``NeighbourIndex.audience`` decides) while it listens.
-    A heard transmission is lost iff its ``[start_us, end_us)`` overlaps that
-    of a heard transmission of another rendezvous; intervals that only touch
-    do not overlap, and the senders of one rendezvous are one signal. Yields
-    ``(receiver, heard, lost)`` in ascending receiver id, with ``heard`` the
-    receiver's list as given and ``lost`` its lost members in that order.
+    ``heard`` lists, in start order, what the listener hears, and ``air``
+    starts no earlier. What has ended by then (``end_us`` at or before
+    ``air.start_us``) leaves the list, and ``air`` joins it. Returns what
+    is lost at this listener: nothing if nothing else is on the air, else
+    every transmission on the list, ``air`` last.
     """
-    for rid in sorted(listening):
-        heard = listening[rid]
-        yield rid, heard, [] if len(heard) == 1 else [t for t in heard if any(
-            u.rdv_id != t.rdv_id and u.start_us < t.end_us and t.start_us < u.end_us
-            for u in heard)]
+    heard[:] = [t for t in heard if t.end_us > air.start_us]
+    heard.append(air)
+    return heard[:] if len(heard) > 1 else []

@@ -9,9 +9,12 @@ this module's ``heapq``, ``distance``, ``in_reach``, ``ct_reach``,
 ``build_schedules``, ``compose_superframe``, ``tx_energy`` and ``rx_energy``,
 so the entry shape and these names must stay. A transmission (``_Txn``) carries
 its sender ids and its rx handler's arguments: ``_RX_HANDLERS[tag](sim,
-receiver, txn, *txn.args)``. When the last of a burst of overlapping
-transmissions ends, each receiver is charged for what it heard of the burst and
-is dispatched, in start order, what ``resolve_slot`` does not count lost.
+receiver, txn, *txn.args)``. Its listeners are fixed as it goes on the air: the
+nodes it reaches that are alive and awake then. ``channel.collide`` decides at
+each of them, as it starts, whether it overlaps another transmission that node
+hears; a ``collision`` row names the overlapping rendezvous. At its own
+``tx_end`` each listener, in id order, is charged for it and, if it is
+addressed there and not lost, dispatched it.
 
 Node positions live only in the neighbour index, ``index.positions``. Each
 routed node holds its next-hop node, the hop's length and whether it reaches
@@ -22,11 +25,12 @@ Three event orders hold by construction, so no handler re-checks them. A node's
 superframe is set from its ``station_reply`` until its batch is done (only a
 ``ct_ack`` timeout clears it, and accepting the ``ct_ack`` makes that timer
 stale), so its announce, relay, slot and coop events find it, each slot index
-inside the batch. A ``start_hop`` is scheduled only for pending packets and no
-batch, and ``hop_scheduled`` blocks a second one. A no-CT batch advances only
-on an awaited ``data_ack`` or at the retry cap; while a ``noct_request`` or
-``noct_data`` event is pending the node awaits nothing and its timer is stale,
-so each finds its packet in the batch.
+inside the batch; so does each ``ct_broadcast`` reception, dispatched at the
+broadcast's own end, inside the first half of its slot. A ``start_hop`` is
+scheduled only for pending packets and no batch, and ``hop_scheduled`` blocks a
+second one. A no-CT batch advances only on an awaited ``data_ack`` or at the
+retry cap; while a ``noct_request`` or ``noct_data`` event is pending the node
+awaits nothing and its timer is stale, so each finds its packet in the batch.
 
 ``fates`` maps each offered seq to the id of the node holding it, to
 ``"delivered"``, or to why it was lost. A receiver takes a data packet only
@@ -36,8 +40,9 @@ and, on no-CT, an ack that stops the retries. ``_fail`` writes every
 ``delivery_failure`` row, for the seqs the node still holds: ``out_of_reach``
 (no route, or a CT copy's next hop outside its audience), ``receiver_asleep``
 (in it but not awake, or dying as it receives), ``collision``, ``sender_dead``
-(no live CT sender, or the holder died) or ``retry_cap``. CT has no ARQ and
-sends no ack, so a CT copy is final when it is resolved.
+(no live CT sender, or the holder died), ``sender_busy`` (every live CT sender
+still on the air) or ``retry_cap``. CT has no ARQ and sends no ack, so a CT copy
+is final when it ends.
 
 Idle and sleep power draws are accounted lazily from the MAC's awake time
 (``MacState.awake_us``) between the events that touch a node, with an exact
@@ -58,12 +63,10 @@ import functools
 import heapq
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
 from . import mac as macmod
-from .channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
-                      resolve_slot)
+from .channel import AirTransmission, NeighbourIndex, collide, ct_reach, distance, in_reach
 from .config import ConfigError, ScenarioConfig
 from .energy import Battery, RadioEnergyParams, drain_idle_all, rx_energy, tx_energy
 from .mac import MacState, Packet, Superframe, build_schedules, compose_superframe
@@ -84,7 +87,7 @@ def _mix(a: int, b: int) -> int:
     x = (x * 2654435761) & 0xFFFFFFFF
     return x >> 16
 
-__all__ = ["Simulator", "Metrics", "run", "in_reach", "ct_reach", "resolve_slot"]
+__all__ = ["Simulator", "Metrics", "run", "in_reach", "ct_reach"]
 
 
 @dataclass
@@ -139,6 +142,7 @@ class SimNode:
     depth: int = 0
     last_accounted_us: int = 0
     on_air_until: int = 0         # end of its latest transmission
+    hearing: list = field(default_factory=list)  # what it listens to, in start order
     xfer: _Transfer = field(default_factory=_Transfer)  # the hop in progress
 
 
@@ -148,6 +152,8 @@ class _Txn(AirTransmission):
     packet: Packet
     tag: str            # superframe | ct_broadcast | ct_coop | noct_request | noct_reply | data | data_ack | ct_ack
     args: tuple         # its rx handler's arguments after (receiver, txn)
+    listeners: list = field(default_factory=list)  # nodes that hear it, in id order
+    lost: set = field(default_factory=set)  # ids of the listeners it collided at
 
 
 class Simulator:
@@ -174,7 +180,6 @@ class Simulator:
         self.fates = {}  # seq -> id of the node holding it, "delivered", or why it was lost
         self.now = 0
         self._rdv_counter = 0
-        self.unresolved = {}  # transmissions on the air, as dict keys in start order
         self._swept_us = 0  # time of the last housekeeping sweep
         self._account_detail = functools.cache(  # drawn (idle_j, sleep_j) -> detail
             lambda idle, slept: f'{{"idle_j": {idle!r}, "sleep_j": {slept!r}}}')
@@ -398,9 +403,12 @@ class Simulator:
         """Put one transmission from the ``senders`` nodes to the
         ``addressed`` nodes on the air, carrying its rx handler's ``args``.
 
-        Dead senders are dropped. Each live sender transmits as far as its
-        farthest addressee and is charged the two-regime transmit energy
-        over that distance: the one rule for how far any sender transmits.
+        Dead senders are dropped, and so are senders still on the air: a
+        half-duplex radio sends one thing at a time. Each other sender
+        transmits as far as its farthest addressee and is charged the
+        two-regime transmit energy over that distance: the one rule for how
+        far any sender transmits. Returns whether the transmission went on
+        the air; its listeners are fixed then, and its collisions decided.
         """
         rdv = self._new_rdv()
         dur = self._tx_duration_us(packet.size_bits)
@@ -409,6 +417,9 @@ class Simulator:
         for node in senders:
             if not self._account(node):
                 self._emit(node, "tx_skipped_dead", f'{{"tag": "{tag}"}}')
+                continue
+            if node.on_air_until > self.now:
+                self._emit(node, "tx_skipped_busy", f'{{"tag": "{tag}"}}')
                 continue
             dist = max(distance(pos[node.id], pos[a.id]) for a in addressed)
             node.on_air_until = self.now + dur
@@ -423,15 +434,32 @@ class Simulator:
             if node.battery.alive:
                 ids.append(node.id)
         if not ids:
-            return
+            return False
         txn = _Txn(rdv_id=rdv,
                    sender_ids=tuple(ids),
                    addressed_to=tuple(a.id for a in addressed),
                    cooperative=coop,
                    start_us=self.now, end_us=self.now + dur,
                    packet=packet, tag=tag, args=args)
-        self.unresolved[txn] = None
+        for rid in self.index.audience(txn):  # its listeners: alive and awake as it starts
+            listener = self.nodes[rid]
+            if listener.battery.alive and listener.mac.is_awake(self.now):
+                txn.listeners.append(listener)
+                if lost := collide(listener.hearing, txn):
+                    self._collide(listener, lost)
         self._schedule(self.now + dur, "tx_end", txn)
+        return True
+
+    def _collide(self, receiver, lost):
+        """Lose each of ``lost``, in start order, at ``receiver``: one
+        ``collision`` row, naming the addressed packets it newly loses."""
+        rid = receiver.id
+        seqs = [t.packet.seq for t in lost if rid in t.addressed_to and rid not in t.lost]
+        for t in lost:
+            t.lost.add(rid)
+        self.metrics.collisions += 1
+        self._emit(receiver, "collision",
+                   f'{{"lost_packets": {seqs}, "rdvs": {[t.rdv_id for t in lost]}}}')
 
     def _reply(self, node, target, kind, *args):
         """Answer ``target`` with a ``kind`` control packet carrying ``args``
@@ -448,66 +476,34 @@ class Simulator:
         self._send([sender], [target], pkt, kind, args)
 
     def _on_tx_end(self, txn):
-        """Resolve the burst if ``txn`` is the last of it on the air. The burst is
-        what started before now, in start order: earlier bursts were resolved
-        when their last member ended, and what starts now overlaps none of it."""
-        burst = [t for t in self.unresolved if t.start_us < self.now]
-        if txn not in self.unresolved or any(t.end_us > self.now for t in burst):
-            return  # resolved with a member that ended with it, or by one still on the air
-        for t in burst:
-            del self.unresolved[t]
-        self._resolve_burst(burst)
-
-    def _resolve_burst(self, burst):
-        """Charge and dispatch what each receiver hears of a burst of
-        transmissions; the index decides who each reaches, and
-        ``resolve_slot`` which of them each receiver loses."""
-        listening = defaultdict(list)  # receiver -> members that reach it while awake
-        for t in burst:
-            for rid in self.index.audience(t):
-                receiver = self.nodes[rid]
-                if receiver.battery.alive and receiver.mac.is_awake(t.start_us):
-                    listening[rid].append(t)
-        for rid, heard, lost in resolve_slot(listening):
-            receiver = self.nodes[rid]
-            if lost:
-                self.metrics.collisions += 1
-                seqs = [t.packet.seq for t in lost if rid in t.addressed_to]
-                self.metrics.collision_losses += len(seqs)
-                self._emit(receiver, "collision",
-                           f'{{"lost_packets": {seqs}, '
-                           f'"rdvs": {sorted({t.rdv_id for t in lost})}}}')
-            for t in heard:  # in start order
-                addressed = rid in t.addressed_to
-                if t in lost:
-                    cat = "receive" if addressed else "overhear"
-                    self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
-                                 cat, "rx_corrupt",
-                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "{cat}", '
-                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
-                                           f'"rdv": {t.rdv_id}}}')
-                    if t.tag == "ct_coop" and addressed:
-                        self._fail(t.args[0], "collision", [t.packet.seq])
-                elif addressed:
-                    self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
-                                 "receive", "rx",
-                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "receive", '
-                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
-                                           f'"pkind": "{t.packet.kind}", "rdv": {t.rdv_id}, '
-                                           f'"tag": "{t.tag}"}}')
-                    if receiver.battery.alive:
-                        self._RX_HANDLERS[t.tag](self, receiver, t, *t.args)
-                else:
-                    self._charge(receiver, rx_energy(t.packet.size_bits, self.params),
-                                 "overhear", "overhear",
-                                 lambda j: f'{{"bits": {t.packet.size_bits}, "category": "overhear", '
-                                           f'"j": {j!r}, "packet": {t.packet.seq}, '
-                                           f'"rdv": {t.rdv_id}, "tag": "{t.tag}"}}')
-        for t in burst:  # a cooperative copy is final: lost unless its next hop took it
-            if t.tag == "ct_coop":
-                reach = t.args[0].next_hop.id in self.index.audience(t)
-                self._fail(t.args[0], "receiver_asleep" if reach else "out_of_reach",
-                           [t.packet.seq])
+        """Charge and dispatch ``txn`` to each of its listeners, in id order:
+        corrupt where it collided, else received if addressed, else overheard."""
+        seq, bits = txn.packet.seq, txn.packet.size_bits
+        for receiver in txn.listeners:
+            addressed = receiver.id in txn.addressed_to
+            if receiver.id in txn.lost:
+                self.metrics.collision_losses += addressed
+                cat = "receive" if addressed else "overhear"
+                self._charge(receiver, rx_energy(bits, self.params), cat, "rx_corrupt",
+                             lambda j: f'{{"bits": {bits}, "category": "{cat}", "j": {j!r}, '
+                                       f'"packet": {seq}, "rdv": {txn.rdv_id}}}')
+                if txn.tag == "ct_coop" and addressed:
+                    self._fail(txn.args[0], "collision", [seq])
+            elif addressed:
+                self._charge(receiver, rx_energy(bits, self.params), "receive", "rx",
+                             lambda j: f'{{"bits": {bits}, "category": "receive", "j": {j!r}, '
+                                       f'"packet": {seq}, "pkind": "{txn.packet.kind}", '
+                                       f'"rdv": {txn.rdv_id}, "tag": "{txn.tag}"}}')
+                if receiver.battery.alive:
+                    self._RX_HANDLERS[txn.tag](self, receiver, txn, *txn.args)
+            else:
+                self._charge(receiver, rx_energy(bits, self.params), "overhear", "overhear",
+                             lambda j: f'{{"bits": {bits}, "category": "overhear", "j": {j!r}, '
+                                       f'"packet": {seq}, "rdv": {txn.rdv_id}, '
+                                       f'"tag": "{txn.tag}"}}')
+        if txn.tag == "ct_coop":  # a cooperative copy is final: lost unless its next hop took it
+            reach = txn.args[0].next_hop.id in self.index.audience(txn)
+            self._fail(txn.args[0], "receiver_asleep" if reach else "out_of_reach", [seq])
 
     # ------------------------------------------------------------------
     # protocol: hop orchestration
@@ -691,10 +687,10 @@ class Simulator:
         for h in xfer.sf.helpers:
             if h in xfer.got_broadcast.get(i, ()) and self.nodes[h].battery.alive:
                 senders.append(self.nodes[h])
-        if not senders:
-            self._fail(node, "sender_dead", [packet.seq])
-        else:
-            self._send(senders, [node.next_hop], packet, "ct_coop", (node,), coop=True)
+        if not (senders and self._send(senders, [node.next_hop], packet, "ct_coop", (node,),
+                                       coop=True)):
+            busy = any(n.battery.alive for n in senders)  # alive, yet all still on the air
+            self._fail(node, "sender_busy" if busy else "sender_dead", [packet.seq])
         if i == len(xfer.batch) - 1:
             self._schedule(xfer.sf.rdv_slots()[i][1], "ct_batch_done", node)
 

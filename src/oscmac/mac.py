@@ -8,8 +8,8 @@ range). Time is integer microseconds throughout.
 The MAC picks who listens: ``MacState`` answers when its node listens, on
 its duty schedule or in a reservation (``is_awake`` at an instant,
 ``awake_us`` over an interval), and the channel decides what each listener
-hears (the neighbour index who a transmission reaches, ``resolve_slot``
-which of those it loses to an overlapping rendezvous). In either handshake a
+hears (the neighbour index who a transmission reaches, ``collide`` which
+of those it loses to an overlapping transmission). In either handshake a
 node awaits at most one reply under one timeout, as an IEEE 802.15.4 ack wait
 does: ``awaiting`` names that reply (None: the node awaits nothing) and
 ``timer_token`` its live timer. Only ``step`` writes them: the engine reports

@@ -1,9 +1,14 @@
+import itertools
+import json
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oscmac.channel import (AirTransmission, NeighbourIndex, ct_reach, distance, in_reach,
-                            resolve_slot)
+from oscmac import run
+from oscmac.channel import AirTransmission, NeighbourIndex, collide, ct_reach, distance, in_reach
 from oscmac.energy import RadioEnergyParams
+
+from conftest import generated_doc, make_config
 
 D0 = RadioEnergyParams().d0
 R = 90.0
@@ -21,9 +26,19 @@ def audiences(transmissions, positions):
     return [index.audience(t) for t in transmissions]
 
 
+def lost_at(heard):
+    """What a listener that hears ``heard`` loses, by ``collide`` fed the
+    transmissions in start order; in that order."""
+    on_air, lost = [], set()
+    ordered = sorted(heard, key=lambda t: t.start_us)
+    for air in ordered:
+        lost.update(collide(on_air, air))
+    return [t for t in ordered if t in lost]
+
+
 def resolve(listening):
-    """``resolve_slot``'s outcomes as receiver -> (heard, lost)."""
-    return {rid: (heard, lost) for rid, heard, lost in resolve_slot(listening)}
+    """Each receiver's lost transmissions, as receiver -> lost."""
+    return {rid: lost_at(heard) for rid, heard in listening.items()}
 
 
 def test_in_reach_closed_disk():
@@ -79,13 +94,13 @@ def test_resolve_single_transmission_decodes():
     t = txn(1, [10], addressed=(20,), span=(0, 3200))
     # 30 is out of reach, so it hears nothing
     assert audiences([t], {10: (0, 0), 20: (50.0, 0.0), 30: (500.0, 0.0)}) == [(20,)]
-    assert resolve({20: [t]}) == {20: ([t], [])}
+    assert resolve({20: [t]}) == {20: []}
 
 
 def test_resolve_two_rendezvous_collide():
     a = txn(1, [10], span=(0, 3200))
     b = txn(2, [11], span=(1000, 4200))
-    assert resolve({20: [a, b]}) == {20: ([a, b], [a, b])}
+    assert resolve({20: [a, b]}) == {20: [a, b]}
 
 
 def test_resolve_only_overlapping_transmissions_collide():
@@ -94,8 +109,7 @@ def test_resolve_only_overlapping_transmissions_collide():
     b = txn(2, [11], span=(0, 3200))
     c = txn(3, [12], span=(3700, 6900))
     d = txn(4, [13], span=(6900, 10100))
-    assert resolve({20: [b, c], 21: [b, a, c, d], 22: [c, d]}) == {
-        20: ([b, c], []), 21: ([b, a, c, d], [a, c]), 22: ([c, d], [])}
+    assert resolve({20: [b, c], 21: [b, a, c, d], 22: [c, d]}) == {20: [], 21: [c, a], 22: []}
 
 
 def test_resolve_cooperative_group_is_one_signal():
@@ -103,10 +117,11 @@ def test_resolve_cooperative_group_is_one_signal():
     g = txn(5, [1, 2, 3], addressed=(0,), coop=True, span=(0, 3200))
     positions = {0: (120.0, 0.0), 1: (0, 0), 2: (8, 6), 3: (8, -6)}
     assert audiences([g, txn(6, [1])], positions) == [(0,), (2, 3)]
-    # one rendezvous is one signal, however many transmissions carry it
+    # a group is one transmission, so it overlaps nothing of its own; a
+    # second transmission that overlaps it collides, whatever its rendezvous
     relay = txn(5, [4], addressed=(0,), span=(0, 3200))
-    assert resolve({0: [g]}) == {0: ([g], [])}
-    assert resolve({0: [g, relay]}) == {0: ([g, relay], [])}
+    assert resolve({0: [g]}) == {0: []}
+    assert resolve({0: [g, relay]}) == {0: [g, relay]}
 
 
 def test_resolve_sender_never_receives_itself():
@@ -122,53 +137,73 @@ def test_resolve_collision_is_per_receiver():
                  21: (60.0, 0.0),    # hears both
                  22: (160.0, 0.0)}   # hears only b
     assert audiences([a, b], positions) == [(20, 21), (21, 22)]
-    assert resolve({20: [a], 21: [a, b], 22: [b]}) == {
-        20: ([a], []), 21: ([a, b], [a, b]), 22: ([b], [])}
+    assert resolve({20: [a], 21: [a, b], 22: [b]}) == {20: [], 21: [a, b], 22: []}
 
 
 def test_resolve_outcomes_ascend_by_receiver():
+    """A run resolves each transmission at its end for its listeners in
+    ascending id: its receive rows are consecutive, ascend by node and are
+    stamped at its end."""
+    _, rows = run(make_config(generated_doc(mode="ct", horizon_s=20.0)), 0)
+    ends, received = {}, []
+    for t, _, node, event, text, _ in rows:
+        d = json.loads(text)
+        if event == "tx":
+            ends[d["rdv"]] = d["end_us"]
+        elif event in ("rx", "rx_corrupt", "overhear") and d["rdv"] is not None:
+            received.append((d["rdv"], t, node))
+    runs = [list(g) for _, g in itertools.groupby(received, key=lambda r: r[0])]
+    assert len(runs) == len({rdv for rdv, _, _ in received}) > 10
+    assert max(len(run_rows) for run_rows in runs) > 1
+    for run_rows in runs:
+        assert [t for _, t, _ in run_rows] == [ends[run_rows[0][0]]] * len(run_rows)
+        nodes = [node for _, _, node in run_rows]
+        assert nodes == sorted(set(nodes))
+
+
+def test_collide_keeps_what_is_on_the_air():
+    """Each start drops what has ended from the listener's list, joins it and
+    returns the list if anything else is still on the air; transmissions that
+    only touch do not overlap."""
     t = txn(1, [10], span=(0, 3200))
     u = txn(2, [11], span=(3199, 6399))
-    out = resolve_slot({30: [t], 20: [t, u], 25: [u]})
-    assert [(rid, lost) for rid, _, lost in out] == [(20, [t, u]), (25, []), (30, [])]
+    v = txn(3, [12], span=(6399, 9599))
+    heard = []
+    assert collide(heard, t) == [] and heard == [t]
+    assert collide(heard, u) == [t, u] and heard == [t, u]
+    assert collide(heard, v) == [] and heard == [v]
 
 
 @st.composite
-def _listening_maps(draw):
-    """Receivers mapped to what each hears, drawn from one pool of transmissions
-    on short integer intervals, so that intervals often overlap or touch and
-    rendezvous ids repeat."""
-    pool = []
+def _heard_lists(draw):
+    """What one listener hears: transmissions on short integer intervals, so
+    that intervals often overlap or touch, with rendezvous ids that repeat."""
+    heard = []
     for sender in range(draw(st.integers(1, 8))):
         start = draw(st.integers(0, 12))
-        pool.append(txn(draw(st.integers(0, 3)), [sender],
-                        span=(start, start + draw(st.integers(1, 6)))))
-    return draw(st.dictionaries(st.integers(0, 20),
-                                st.lists(st.sampled_from(pool), min_size=1, unique=True),
-                                max_size=6))
+        heard.append(txn(draw(st.integers(0, 3)), [sender],
+                         span=(start, start + draw(st.integers(1, 6)))))
+    return heard
 
 
 def _lost_by_scan(heard):
-    """The heard transmissions that share some microsecond with a heard
-    transmission of another rendezvous."""
+    """The heard transmissions that share some microsecond with another heard
+    transmission."""
     on_air = {id(t): set(range(t.start_us, t.end_us)) for t in heard}
-    return [t for t in heard
-            if any(u.rdv_id != t.rdv_id and on_air[id(t)] & on_air[id(u)] for u in heard)]
+    return [t for t in heard if any(u is not t and on_air[id(t)] & on_air[id(u)] for u in heard)]
 
 
 # a chain: the first overlaps the second, and the second the third
 _CHAIN = [txn(1, [10], span=(0, 4)), txn(2, [11], span=(3, 8)), txn(3, [12], span=(7, 9))]
 
 
-@given(_listening_maps())
-@example({20: [txn(1, [10], span=(0, 5)), txn(2, [11], span=(5, 9))]})  # they only touch
-@example({20: [txn(1, [10], span=(0, 5)), txn(1, [11], span=(2, 7))]})  # one rendezvous
-@example({20: _CHAIN, 21: [_CHAIN[0], _CHAIN[2]]})
-def test_resolve_matches_pairwise_overlap_scan(listening):
-    """Each receiver loses exactly the heard transmissions that overlap one of
-    another rendezvous it hears, and the outcomes come in receiver order."""
-    out = list(resolve_slot(listening))
-    assert [rid for rid, _, _ in out] == sorted(listening)
-    for rid, heard, lost in out:
-        assert heard is listening[rid]
-        assert lost == _lost_by_scan(heard)
+@given(_heard_lists())
+@example([txn(1, [10], span=(0, 5)), txn(2, [11], span=(5, 9))])  # they only touch
+@example([txn(1, [10], span=(0, 5)), txn(1, [11], span=(2, 7))])  # one rendezvous id
+@example(_CHAIN)
+@example([_CHAIN[0], _CHAIN[2]])
+def test_resolve_matches_pairwise_overlap_scan(heard):
+    """Fed in start order, ``collide`` loses exactly the heard transmissions
+    that overlap another heard one."""
+    ordered = sorted(heard, key=lambda t: t.start_us)
+    assert lost_at(heard) == _lost_by_scan(ordered)

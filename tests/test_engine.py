@@ -376,16 +376,43 @@ def test_transmissions_apart_decode_though_one_burst():
 def test_a_chain_of_overlaps_loses_every_link():
     """Node 0 hears 1 over [0, 3200) us, 2 over [2000, 5200) and 3 over
     [4000, 7200): 1 and 3 do not overlap, yet each overlaps 2, so node 0
-    loses all three in one collision row. The senders sit 104 m apart, so
-    none hears another."""
+    loses all three. Each start over what node 0 still hears writes one
+    collision row: 2 over 1, then 3 over 2, each naming the packets it newly
+    loses. The senders sit 104 m apart, so none hears another."""
     sim = _send_data({0: (0.0, 0.0), 1: (60.0, 0.0), 2: (-30.0, 51.96), 3: (-30.0, -51.96)},
                      [(0, 1, 0), (2000, 2, 0), (4000, 3, 0)])
-    (row,) = rows_for(sim.rows, event="collision")
-    rdvs = sorted(detail(r)["rdv"] for r in rows_for(sim.rows, event="tx"))
-    assert (row[2], detail(row)) == (0, {"lost_packets": [1, 2, 3], "rdvs": rdvs})
+    rows = rows_for(sim.rows, event="collision")
+    rdvs = [detail(r)["rdv"] for r in rows_for(sim.rows, event="tx")]
+    assert [(row[2], detail(row)) for row in rows] == [
+        (0, {"lost_packets": [1, 2], "rdvs": rdvs[:2]}),
+        (0, {"lost_packets": [3], "rdvs": rdvs[1:]})]
     assert [detail(r)["packet"] for r in rows_for(sim.rows, event="rx_corrupt")] == [1, 2, 3]
     assert not rows_for(sim.rows, event="rx", node=0)
-    assert (sim.metrics.collisions, sim.metrics.collision_losses) == (1, 3)
+    assert (sim.metrics.collisions, sim.metrics.collision_losses) == (2, 3)
+
+
+def test_a_copy_whose_senders_are_all_on_the_air_fails_as_sender_busy():
+    """A half-duplex radio sends one thing at a time: each sender of the first
+    slot's cooperative copy is made to be on the air as the copy starts, so
+    each is skipped with a ``tx_skipped_busy`` row and the seq fails as
+    ``sender_busy``; the other slots deliver."""
+    class Busy(Simulator):
+        def _on_ct_coop(self, node, i):
+            if i == 0:
+                for sender in (node, *(self.nodes[h] for h in node.xfer.sf.helpers)):
+                    sender.on_air_until = self.now + 1
+            super()._on_ct_coop(node, i)
+
+        _HANDLERS = dict(Simulator._HANDLERS, ct_coop=_on_ct_coop)
+
+    sim = Busy(make_config(range_extension_doc(mode="ct", packets=3)), 0)
+    sim.run()
+    skipped = rows_for(sim.rows, event="tx_skipped_busy")
+    assert sorted(r[2] for r in skipped) == [1, 2, 3]
+    assert {detail(r)["tag"] for r in skipped} == {"ct_coop"}
+    (row,) = rows_for(sim.rows, event="delivery_failure")
+    assert detail(row) == {"reason": "sender_busy", "seqs": [0]}
+    assert sim.fates == {0: "sender_busy", 1: "delivered", 2: "delivered"}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +450,7 @@ def test_cost_memo_does_not_leak_between_runs():
 # details formatted at their emit sites
 
 def _dying_sender_doc(battery_j):
-    # batteries that run out mid-exchange: at 0.0043 J a cooperative sender is
+    # batteries that run out mid-exchange: at 0.0045 J a cooperative sender is
     # found empty when its slot comes (tx_skipped_dead), and at 0.00412 J a
     # receiver empties while it listens (charge_skipped_dead)
     doc = generated_doc(mode="ct", horizon_s=120.0, packets=20, topo_seed=3)
@@ -437,7 +464,7 @@ _EVENT_KINDS = {
     "ct_reserved", "ct_slot_skipped", "delivered", "delivery_failure", "duplicate",
     "energy_account", "forwarding", "mode_selected", "node_died", "offered", "overhear",
     "reserve", "retry", "rx", "rx_corrupt", "station_notify", "superframe_continued",
-    "timeout", "tx", "tx_skipped_dead",
+    "timeout", "tx", "tx_skipped_busy", "tx_skipped_dead",
 }
 
 
@@ -445,7 +472,7 @@ def test_details_are_canonical_sorted_key_json():
     """Each site's detail text is what ``json.dumps(detail, sort_keys=True)``
     gives for the detail it holds, over runs that reach every event kind."""
     runs = [(doc, seed) for doc, seed, _, _ in SCENARIOS.values()]
-    runs += [(_dying_sender_doc(battery_j), 0) for battery_j in (0.0043, 0.00412)]
+    runs += [(_dying_sender_doc(battery_j), 0) for battery_j in (0.0045, 0.00412)]
     kinds = set()
     for doc, seed in runs:
         _, rows = run(make_config(doc), seed)

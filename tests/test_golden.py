@@ -22,7 +22,7 @@ from oscmac import mac
 from oscmac.engine import Simulator
 from oscmac.trace import render_trace, write_metrics
 
-from conftest import generated_doc, late_reply_doc, make_config, range_extension_doc
+from conftest import generated_doc, late_reply_doc, lifetime_doc, make_config, range_extension_doc
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from sample import RUN_SEED, WORKLOADS, scenario_json  # noqa: E402  -- read only
@@ -39,7 +39,7 @@ def _auto_doc():
 
 
 def _retry_cap_doc():
-    # the lifetime-50 benchmark document cut to 100 s. At run seed 0 a
+    # the lifetime-50 benchmark document cut to 100 s. At run seed 7 a
     # sender hits the no-CT retry cap while the rejecting reply is still
     # being dispatched to the nodes that overhear it; the trace pins that
     # the sender's next request waits for its own heap event, after them
@@ -54,21 +54,21 @@ SCENARIOS = {
     "noct": (generated_doc(node_count=120, area_m=400.0, active_ms=1.0, mode="noct",
                            horizon_s=60.0, sources=5, packets=5, jitter_ms=200.0),
              SEED,
-             "a201e2e5009dc8ae151ce2fd8c3570bd21f4b0e1d02ba410fc483c8c6483270b",
-             "573b471ae632e487584daceb0587c6992eaff64f3fd29edd185954794556c18a"),
+             "bbfb220bbc21b99f5cffba0c338b3520511d3cbd0245c33f6f3f540b258ba105",
+             "e3f03a7d2f99275a084eccf3cb375ce5d591a5d81c074d721a7a87bceafe41ff"),
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
-           "8706a90c56803cf79489438eb09b25825a5c95eeced68d37b3942e3f9fe82852",
-           "560940dd4965c6f9061b7b297623b042abb6d39cd58e27d0ce50ce1da3d8aa5f"),
+           "9ac85006dc6ab1ff37b91dc62de3c80977cd8a9df22f98c4bae4f0e2f9d028ec",
+           "1133877e1e7a6a504666e7f179106aa0ec75379800df3a4240ea58bb92adf855"),
     "auto": (_auto_doc(),
              SEED,
-             "e6553f8e7c758ffc91b8d1ed96fbfff002e98776ecc010ad94e4dfccaf338d28",
-             "d3fe79da7eff07a34e4cf6cb804896d1b2e1e54670f3efd092e6717b54168c5d"),
+             "8653ddd314b8b1953a858ecfb2ad8090986266f40a4c965bf30ec06a364d6fa0",
+             "bc92ec691273e64fc0ee7e1a7ffd96cf38a2d44d836927b31fe4ad128a12b754"),
     "retry_cap": (_retry_cap_doc(),
-                  0,
-                  "9ef7512ad7bfa563abed7906ddb57c1250c1dcd76d2c06d905ff510d731c34e5",
-                  "537f2112bb9793f4e9d0584d2c3f57511fbd433229199edb0b7145ce984333ec"),
+                  7,
+                  "482a5d5d694cccdc332db8f16201f68e3eefad785744389382ab8e44d7be7de6",
+                  "a79b2acf4588c012e68a9259fb1c8e02bd5e9acc721f1ac6fdbc7b94813d8687"),
     # explicit topology and route: the 120 m hop closes only through the
     # cooperative superframe relay, and 20 slots continue the superframe
     "explicit": (range_extension_doc(mode="ct", packets=20),
@@ -79,18 +79,18 @@ SCENARIOS = {
     # late noct_replies and data_acks reach nodes that await something else
     "late_reply": (late_reply_doc(),
                    SEED,
-                   "2d9ecd068d31695ea7eaa066a74ee8de74a34604b59282e07a3984d40400c3e5",
-                   "91ca45ad3d30180e3373c55a2d9b971decf6da223c08b1c24fa6a3219184414c"),
+                   "c5f58f8180e7a2dc55039b4f8fca40e7eaf89583bd24b10467a8a907b8b1b70a",
+                   "f313030c0b25b04a8ee9aaf89e103ebe9dd92b61acfd536d8d8bfdde585903b3"),
 }
 
 # benchmark workload -> (trace digest, metrics-document digest) at benchmark seed 0
 WORKLOAD_DIGESTS = {
-    "noct-1000": ("fe17150b428e0a525499b71cca2a656d2dc0b2f6d45a6868e70fe4b763901799",
-                  "6f0ac7c074db564fa9102e563203046a2deb30fb5a2f7bffcf6dba9ae5996330"),
-    "ct-200": ("dd6270f4b5d3eaa6e02a7e8ba1a1ac32ddef744bbff18701ea3f3cbf9561a5e5",
-               "7c9bcd1ef202ae18b93e92f373f70cd504cd837c8deddb30e14e33b3f483927a"),
-    "lifetime-50": ("e0429fbfa943b08ee85b04f7922913595294706b141588a2e7801efa043bb53c",
-                    "a659a2c45c88094701fdcab3d5b49249f09b987b69fbfbe6ea056008d9806c4c"),
+    "noct-1000": ("3016b51b1b68c8518b38c332d093db383525d7d291f80dc87f2ed659f551945d",
+                  "98f06fd330b6b26dd2f48c29679cfd3104ea0bcc64761f2b4e0a29d81bc9d255"),
+    "ct-200": ("ad4b92843f25b0865ef4d0cf511a0d8ff79f61e03f0acc945d84fb5b3dea93df",
+               "6e01c1b1899d11f5a41a764b72095b886769a537130d71dd3e10577069f1695f"),
+    "lifetime-50": ("a40e6db379881cd405ae147f2154c7bbb6f38dc9339b7ff7823b548739364c2b",
+                    "c9b1d469ddd54e9b22061613cd65c650903942b367702e07d5da4f7653487928"),
 }
 
 
@@ -251,6 +251,10 @@ def test_engine_awaits_every_table_row(monkeypatch):
     assert not unawaited_replies(calls)
 
 
+# mode -> a run whose CT rendezvous bookings include rejected ones
+BOOKING_RUNS = {"ct": SCENARIOS["ct"][:2], "auto": (lifetime_doc(mode="auto"), 0)}
+
+
 @pytest.mark.parametrize("name", ["ct", "auto"])
 def test_reserve_rows_log_the_booking_result(name, monkeypatch):
     """Each ``reserve`` trace row reports what its ``mac.reserve`` call
@@ -263,7 +267,7 @@ def test_reserve_rows_log_the_booking_result(name, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(mac, "reserve", recorded_reserve)
-    doc, seed, _, _ = SCENARIOS[name]
+    doc, seed = BOOKING_RUNS[name]
     sim = Simulator(make_config(doc), seed)
     sim.run()
     logged = [json.loads(detail) for _, _, _, event, detail, _ in sim.rows

@@ -5,9 +5,11 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
-                            in_reach, resolve_slot)
+                            in_reach)
 from oscmac.energy import RadioEnergyParams
 from oscmac.mac import two_hop_sets
+
+from test_channel import lost_at
 
 D0 = RadioEnergyParams().d0
 R = 90.0
@@ -99,9 +101,9 @@ def test_audience_matches_scan_of_all_nodes(layout, data):
 @settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
 @given(layouts(span=2), st.data())
 def test_resolve_over_may_hear_matches_full_listening(layout, data):
-    """Listening only where ``audience`` allows resolves a slot exactly as
-    every listener filtering every transmission by a brute-force reach test
-    does."""
+    """Listening only where ``audience`` allows loses, at each listener, the
+    same transmissions as filtering every transmission by a brute-force reach
+    test does, ``collide`` fed each listener's transmissions in start order."""
     positions, r = layout
     ids = sorted(positions)
     d0 = data.draw(st.floats(0, 4 * r))
@@ -129,8 +131,8 @@ def test_resolve_over_may_hear_matches_full_listening(layout, data):
     index = NeighbourIndex(positions, r, d0)
     pruned = {rid: [t for t in transmissions if rid in index.audience(t)] for rid in listeners}
     full = {rid: [t for t in transmissions if reaches(t, rid)] for rid in listeners}
-    assert list(resolve_slot({k: v for k, v in pruned.items() if v})) == list(
-        resolve_slot({k: v for k, v in full.items() if v}))
+    assert {rid: (heard, lost_at(heard)) for rid, heard in pruned.items()} == {
+        rid: (heard, lost_at(heard)) for rid, heard in full.items()}
 
 
 @given(layouts(), st.data())

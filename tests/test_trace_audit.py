@@ -4,8 +4,8 @@ Every check of ``trace_audit.CHECKS`` runs over the six golden scenarios and
 ``lifetime_doc`` at generator seeds 1-3 in all three modes; each scenario
 runs once per module. A (check, scenario) pair that fails today is a strict
 xfail whose reason names the defect and where ROADMAP lists it; the fixing
-change removes the pair. The fates and decisions checks have none. Hand-made
-traces show that each check catches what it is for.
+change removes the pair. Only ``dead_senders`` and ``half_duplex_rx`` have
+such pairs. Hand-made traces show that each check catches what it is for.
 """
 
 import json
@@ -30,12 +30,8 @@ KNOWN = {
     "dead_senders": (
         "helpers' cooperative copy of a seq whose transmitter has died is refused as a duplicate, "
         "since the death failed the seq (sender_dead); listed in ROADMAP's small open defects",
-        ("auto", "retry_cap", "lifetime_gen1_ct", "lifetime_gen1_auto", "lifetime_gen2_ct",
+        ("auto", "lifetime_gen1_ct", "lifetime_gen1_auto", "lifetime_gen2_ct",
          "lifetime_gen2_auto", "lifetime_gen3_ct")),
-    "half_duplex_tx": (
-        "a node starts a superframe slot's transmission (a broadcast or a cooperative copy) "
-        "while its previous one is on the air; ROADMAP item 9's half-duplex radio fixes it",
-        ("ct", "lifetime_gen2_ct")),
     "half_duplex_rx": (
         "a node hears transmissions that overlap its own; "
         "ROADMAP item 9's half-duplex radio fixes it",
@@ -125,6 +121,14 @@ HAND_MADE = {
                           (30, 4, "collision", {"rdvs": [1, 2]}),      # they only touch
                           (30, 4, "collision", {"rdvs": [1, 2, 3]})),  # 2 and 3 overlap
                    [3]),
+    "late_rx": (_trace(_tx(0, 1, 1, 10), _tx(5, 2, 2, 20),
+                       (8, 5, "rx", {"rdv": 2}),             # before rdv 2 ends
+                       (10, 3, "rx", {"rdv": 1}),
+                       (10, 4, "rx", {"rdv": None}),         # the station's reply
+                       (12, 3, "overhear", {"rdv": 1}),      # after rdv 1 ended
+                       (20, 3, "rx_corrupt", {"rdv": 2}),
+                       (25, 4, "rx_corrupt", {"rdv": 2})),   # after rdv 2 ended
+                [2, 5, 7]),
     "half_duplex_tx": (_trace(_tx(0, 1, 1, 10), _tx(5, 1, 2, 15), _tx(15, 1, 3, 20),
                               _tx(5, 2, 4, 9)),
                        [1]),

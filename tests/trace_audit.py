@@ -149,6 +149,19 @@ def collisions(rows):
     return out
 
 
+def late_rx(rows):
+    """Receive-side rows that name a rendezvous and are not stamped at its
+    ``tx`` rows' ``end_us``: a reception is resolved when its transmission
+    ends, neither before nor after."""
+    ends, out = {}, []
+    for row, d in _parsed(rows, RADIO):
+        if row[3] == "tx":
+            ends[d["rdv"]] = d["end_us"]
+        elif d["rdv"] is not None and row[0] != ends.get(d["rdv"]):
+            out.append(row)
+    return out
+
+
 def half_duplex_tx(rows):
     """``tx`` rows that start while the same node is still on the air."""
     on_air_until, out = {}, []
@@ -233,6 +246,7 @@ CHECKS = {
     "fates_unaccounted": fates_unaccounted,
     "dead_senders": dead_senders,
     "collisions": collisions,
+    "late_rx": late_rx,
     "half_duplex_tx": half_duplex_tx,
     "half_duplex_rx": half_duplex_rx,
     "dead_nodes": dead_nodes,
