@@ -12,15 +12,17 @@ The index buckets positions into square cells of side ``base_range`` (a cell
 list) and computes who can hear whom once, testing only the nodes in the
 cells that a base-range disk overlaps.
 
-A group of k senders cannot reach a receiver farther than
-``ct_prune_radius(base_range, k) = base_range * sqrt(k) * (1 + 1e-9)``
-from every sender, so a group's audience is found among the nodes in the
-cells that a disk of that radius around some sender overlaps, each tested
-by ``ct_reach`` alone. The pruning is exact: with every d_i > R*sqrt(k)
-and alpha in {2, 4}, sum_i (R/d_i)^alpha < k * k^(-alpha/2) <= 1, and no
-sender lies within R, so ``ct_reach`` is False. The relative margin of
-1e-9 dwarfs the float rounding of the distances and of the k-term sum,
-which keeps the bound on the safe side.
+A group of k senders reaches, with no power sum, the union of its
+senders' ``neighbours`` rows: one sender within R closes the link. Of the
+other nodes it reaches none farther than ``ct_prune_radius`` from every
+sender, so ``ct_reach`` tests only those in the cells that a disk of that
+radius around some sender overlaps. Both are exact. Past the radius
+rho = max(R*k^(1/4), min(R*sqrt(k), d0)) every d_i > R; if the farthest
+d_i >= d0, alpha = 4 and each (R/d_i)^4 < 1/k; else alpha = 2 needs every
+d_i < d0, so rho >= R*sqrt(k) and each (R/d_i)^2 < 1/k. Either way the sum
+is below 1; the relative margin of 1e-9 dwarfs the float rounding of the
+distances and of the sum. The neighbour table and ``ct_reach`` compute the
+same float, ``math.dist``, which equals ``math.hypot`` of the differences.
 
 Reach depends only on positions, and collision only on time, as in Gupta
 and Kumar's protocol model. ``NeighbourIndex.audience`` decides reach: it
@@ -39,8 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 
-def distance(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+distance = math.dist
 
 
 def in_reach(sender_pos, receiver_pos, base_range: float) -> bool:
@@ -56,9 +57,7 @@ def ct_reach(sender_positions, receiver_pos, base_range: float, d0: float) -> bo
     """
     if not sender_positions:
         raise ValueError("ct_reach needs at least one sender")
-    x, y = receiver_pos
-    # ``distance`` inlined: ``audience`` asks this of every node in the cells it scans
-    dists = [math.hypot(sx - x, sy - y) for sx, sy in sender_positions]
+    dists = [distance(s, receiver_pos) for s in sender_positions]
     # any sender inside the base range closes the link on its own; this
     # also keeps tiny distances from overflowing the power terms
     if min(dists) <= base_range:
@@ -67,9 +66,9 @@ def ct_reach(sender_positions, receiver_pos, base_range: float, d0: float) -> bo
     return sum((base_range / d) ** alpha for d in dists) >= 1.0
 
 
-def ct_prune_radius(base_range: float, k: int) -> float:
-    """Distance beyond which k cooperating senders reach no receiver."""
-    return base_range * math.sqrt(k) * (1 + 1e-9)
+def ct_prune_radius(base_range: float, k: int, d0: float) -> float:
+    """Distance beyond which k cooperating senders reach no receiver (proof above)."""
+    return max(base_range * k ** 0.25, min(base_range * math.sqrt(k), d0)) * (1 + 1e-9)
 
 
 class NeighbourIndex:
@@ -114,21 +113,23 @@ class NeighbourIndex:
     def audience(self, air):
         """Ascending ids, other than its senders, that ``air`` reaches.
 
-        A lone sender reaches its neighbours. A cooperative group reaches
-        the nodes that ``ct_reach`` admits, at their indexed positions, among
-        those in the cells that ``ct_prune_radius`` around some sender overlaps.
+        A lone sender reaches its neighbours, and a cooperative group the
+        union of its senders' neighbours, plus the other nodes that
+        ``ct_reach`` admits, at their indexed positions, among those in the
+        cells that ``ct_prune_radius`` around some sender overlaps.
         """
         if not air.cooperative:
             return self.neighbours[air.sender_ids[0]]
         group = air.sender_ids
         if group not in self._group_reach:
             senders = [self.positions[nid] for nid in group]
-            radius = ct_prune_radius(self.side, len(group))
+            near = set(group).union(*(self.neighbours[nid] for nid in group))
+            radius = ct_prune_radius(self.side, len(group), self.d0)
             cells = {(cx, cy) for x, y in senders
                      for cx in self._span(x, radius) for cy in self._span(y, radius)}
-            self._group_reach[group] = tuple(sorted(
-                nid for cell in cells for nid in self._cells.get(cell, ())
-                if nid not in group and ct_reach(senders, self.positions[nid], self.side, self.d0)))
+            far = {nid for cell in cells for nid in self._cells.get(cell, ()) if nid not in near
+                   and ct_reach(senders, self.positions[nid], self.side, self.d0)}
+            self._group_reach[group] = tuple(sorted(near.difference(group).union(far)))
         return self._group_reach[group]
 
 

@@ -632,13 +632,10 @@ class Simulator:
                      source=node.id, kind="superframe")
         self._ensure_awake_for(node, sf.origin_us, sf.rdv_slots()[-1][1],
                                self._new_rdv(), "sf_span")
-        self._send([node], addressed, pkt, "superframe", (node,))
+        self._send([node], addressed, pkt, "superframe", (node, sf))
         self._await(node, "sf_announce")
 
-    def _on_superframe_rx(self, receiver, txn, origin):
-        sf = origin.xfer.sf
-        if sf is None:
-            return
+    def _on_superframe_rx(self, receiver, txn, origin, sf):
         rdv = self._new_rdv()
         accepted, is_leader = macmod.on_superframe(receiver.mac, sf)
         for (start, end), ok in zip(sf.rdv_slots(), accepted):
@@ -661,7 +658,7 @@ class Simulator:
         senders = [node, *(self.nodes[h] for h in xfer.sf.helpers)]
         pkt = Packet(seq=-1, size_bits=self.cfg.mac.superframe_bits,
                      source=node.id, kind="superframe")
-        self._send(senders, [node.next_hop], pkt, "superframe", (node,), coop=True)
+        self._send(senders, [node.next_hop], pkt, "superframe", (node, xfer.sf), coop=True)
 
     def _on_ct_slot(self, node, i):
         xfer = node.xfer

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -51,6 +52,20 @@ def test_distance():
     assert distance((0, 0), (3, 4)) == 5.0
 
 
+_COORD = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+
+
+@given(a=st.tuples(_COORD, _COORD), b=st.tuples(_COORD, _COORD), coincident=st.booleans())
+@example(a=(0.0, -0.0), b=(-0.0, 0.0), coincident=False)
+@example(a=(5e-324, -5e-324), b=(-5e-324, 5e-324), coincident=False)
+def test_distance_is_hypot_of_the_differences_either_way_round(a, b, coincident):
+    """Bit for bit, so the neighbour table and ``ct_reach`` agree on every pair."""
+    b = a if coincident else b
+    d = distance(a, b)
+    assert d.hex() == math.hypot(a[0] - b[0], a[1] - b[1]).hex() == distance(b, a).hex()
+
+
 def test_ct_reach_single_sender_matches_in_reach():
     for d in (0.0, 10.0, 89.9, 90.0, 90.1, 200.0):
         assert ct_reach([(0.0, 0.0)], (d, 0.0), R, D0) == in_reach((0.0, 0.0), (d, 0.0), R)
@@ -70,9 +85,11 @@ def test_ct_reach_alpha_switches_on_farthest_sender():
     # two senders at 110 m (>= d0 -> alpha 4): 2*(90/110)^4 = 0.897 < 1
     far = [(-10.0, 0.0), (210.0, 0.0)]
     assert not ct_reach(far, rx, R, D0)
-    # two senders at 80 m (< d0 -> alpha 2): 2*(90/80)^2 = 2.53 >= 1
-    close = [(20.0, 0.0), (180.0, 0.0)]
-    assert ct_reach(close, rx, R, D0)
+    # three senders at 120 m, past R: alpha 2 while d0 is farther,
+    # 3*(90/120)^2 = 1.69 >= 1; alpha 4 once d0 is not, 3*(90/120)^4 = 0.95 < 1
+    ring = [(220.0, 0.0), (-20.0, 0.0), (100.0, 120.0)]
+    assert ct_reach(ring, rx, R, 200.0)
+    assert not ct_reach(ring, rx, R, 120.0)
 
 
 def test_ct_reach_three_senders_extend_range():

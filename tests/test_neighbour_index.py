@@ -4,6 +4,7 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+from oscmac import channel
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
                             in_reach)
 from oscmac.energy import RadioEnergyParams
@@ -58,22 +59,63 @@ def test_two_hop_sets_match_pairwise_scan():
     assert two_hop_sets(NeighbourIndex(positions, R, D0).neighbours) == expected
 
 
-@given(k=st.integers(1, 8),
+def _ring(rx, radius, polar):
+    """Senders around ``rx``, each at ``radius`` times (1 + its s) in its direction a."""
+    return [(rx[0] + radius * (1 + s) * math.cos(a), rx[1] + radius * (1 + s) * math.sin(a))
+            for a, s in polar]
+
+
+_D0 = st.one_of(st.floats(0, R), st.floats(R, 8 * R))  # below and above the base range
+
+
+@given(k=st.integers(1, 16),
        rx=st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
        polar=st.lists(st.tuples(st.floats(0, 2 * math.pi), st.floats(1e-12, 0.05)),
-                      min_size=8, max_size=8),
-       d0=st.floats(0, 2000))
+                      min_size=16, max_size=16),
+       d0=_D0)
 def test_ct_reach_false_beyond_prune_radius(k, rx, polar, d0):
     # the worst case for the bound: every sender just past the radius
-    radius = ct_prune_radius(R, k)
-    senders = [(rx[0] + radius * (1 + s) * math.cos(a), rx[1] + radius * (1 + s) * math.sin(a))
-               for a, s in polar[:k]]
+    radius = ct_prune_radius(R, k, d0)
+    senders = _ring(rx, radius, polar[:k])
     assume(all(distance(p, rx) > radius for p in senders))
     assert not ct_reach(senders, rx, R, d0)
 
 
+@given(k=st.integers(1, 16),
+       rx=st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
+       angles=st.lists(st.floats(0, 2 * math.pi), min_size=16, max_size=16),
+       d0=_D0)
+def test_prune_radius_is_tight(k, rx, angles, d0):
+    """k senders just inside the radius reach, so no smaller radius is exact."""
+    senders = _ring(rx, ct_prune_radius(R, k, d0), [(a, -1e-6) for a in angles[:k]])
+    assert ct_reach(senders, rx, R, d0)
+
+
+@given(layouts(span=3), st.data())
+def test_audience_asks_ct_reach_only_beyond_the_base_range(layout, data):
+    """A node within the base range of a sender is admitted from the
+    neighbour table: ``audience`` never asks ``ct_reach`` about it."""
+    positions, r = layout
+    group = data.draw(st.lists(st.sampled_from(sorted(positions)), min_size=1, max_size=12,
+                               unique=True))
+    index = NeighbourIndex(positions, r, data.draw(st.floats(0, 4 * r)))
+    nearest = []
+
+    def recorded(senders, receiver, base_range, d0):
+        nearest.append(min(distance(s, receiver) for s in senders))
+        return ct_reach(senders, receiver, base_range, d0)
+
+    channel.ct_reach = recorded
+    try:
+        index.audience(AirTransmission(rdv_id=0, sender_ids=tuple(group), addressed_to=(),
+                                       cooperative=True))
+    finally:
+        channel.ct_reach = ct_reach
+    assert all(d > r for d in nearest)
+
+
 @settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
-@given(layouts(span=2), st.data())
+@given(layouts(span=3), st.data())
 def test_audience_matches_scan_of_all_nodes(layout, data):
     """``audience`` names the ids, other than the senders, that ``in_reach``
     (a lone sender) or ``ct_reach`` (a group) keeps among all nodes; each
@@ -85,7 +127,7 @@ def test_audience_matches_scan_of_all_nodes(layout, data):
     for rdv in range(data.draw(st.integers(1, 4))):
         coop = data.draw(st.booleans())
         senders = data.draw(st.lists(st.sampled_from(ids), min_size=1,
-                                     max_size=6 if coop else 1, unique=True))
+                                     max_size=12 if coop else 1, unique=True))
         transmissions.append(AirTransmission(rdv_id=rdv, sender_ids=tuple(senders),
                                              addressed_to=(), cooperative=coop))
     index = NeighbourIndex(positions, r, d0)
@@ -135,14 +177,14 @@ def test_resolve_over_may_hear_matches_full_listening(layout, data):
         rid: (heard, lost_at(heard)) for rid, heard in full.items()}
 
 
-@given(layouts(), st.data())
+@given(layouts(span=3), st.data())
 def test_cooperative_may_hear_matches_uncached_query(layout, data):
     """The per-group memo behind ``audience`` answers as a fresh index does,
     the same group asked twice and other groups asked in between included."""
     positions, r = layout
     ids = sorted(positions)
     d0 = data.draw(st.floats(0, 4 * r))
-    groups = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6,
+    groups = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=12,
                                          unique=True), min_size=1, max_size=4))
     order = data.draw(st.permutations(groups + groups))  # every group asked twice
     index = NeighbourIndex(positions, r, d0)
