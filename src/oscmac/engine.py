@@ -103,7 +103,6 @@ class Metrics:
     energy_by_category: dict = field(default_factory=dict)  # node -> {cat: J}
     initial_by_node: dict = field(default_factory=dict)
     residual_by_node: dict = field(default_factory=dict)
-    energy_timeline: list = field(default_factory=list)     # (t_s, node, residual)
 
     @property
     def delivery_ratio(self) -> float:
@@ -167,6 +166,9 @@ class Simulator:
         self.timeout_us = int(round(cfg.mac.timeout_slots * self.slot_us))
         self.horizon_us = int(round(cfg.sim.horizon_s * US))
         self.bitrate = cfg.mac.bit_rate_bps
+        bits = max(8 * cfg.traffic.packet_size_bytes, cfg.mac.ctrl_bits, cfg.mac.superframe_bits)
+        if not math.isfinite(bits / self.bitrate * US):
+            raise ConfigError(f"mac.bit_rate_bps gives a {bits}-bit packet no finite airtime")
         self.data_us = self._tx_duration_us(8 * cfg.traffic.packet_size_bytes)
         # a CT slot's broadcast and its cooperative copy each take half of it
         if cfg.mac.mode != "noct" and self.slot_us // 2 < self.data_us:
@@ -828,10 +830,10 @@ class Simulator:
     # housekeeping and run loop
 
     def _on_housekeeping(self, nodes):
-        """Account every listed node, in id order, sample them all, then
-        schedule the next sweep over those still alive.
+        """Account every listed node, in id order, then schedule the next
+        sweep over those still alive.
 
-        Accounting schedules no event and drains no other node, so the samples
+        Accounting schedules no event and drains no other node, so the rows
         are exactly those of one back-to-back event per node. Every schedule is
         awake equally long over a whole number of frames, so when the last sweep
         lies that far back, the nodes it accounted that nothing touched since and
@@ -854,8 +856,6 @@ class Simulator:
                 self._settle_shared(shared_run, idle, sleep)
                 self._account(node)
         self._settle_shared(shared_run, idle, sleep)
-        t_s = now / US
-        self.metrics.energy_timeline.extend([(t_s, n.id, n.battery.residual) for n in nodes])
         nxt = now + self.cfg.sim.housekeeping_frames * self.frame_us
         if nxt <= self.horizon_us and (alive := [n for n in nodes if n.battery.alive]):
             self._schedule(nxt, "housekeeping", alive)
@@ -899,8 +899,7 @@ class Simulator:
                 break
             self.now = t
             self._HANDLERS[kind](self, *args)
-        # settle every node's power draw up to the horizon and record it: a
-        # last sweep, which schedules no other
+        # a last sweep, which schedules no other, settles every node up to the horizon
         self.now = self.horizon_us
         nodes = [self.nodes[nid] for nid in sorted(self.nodes)]
         self._on_housekeeping(nodes)

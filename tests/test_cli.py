@@ -232,6 +232,16 @@ def test_frame_that_rounds_to_0_us_exits_1(tmp_path, capsys):
     assert "config error: mac.frame_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["noct", "ct", "auto"])
+def test_bit_rate_without_finite_airtime_exits_1(tmp_path, capsys, mode):
+    # 1e-300 b/s passes parse_config, but no packet's airtime is a finite time
+    doc = range_extension_doc(mode=mode)
+    doc["mac"]["bit_rate_bps"] = 1e-300
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: mac.bit_rate_bps" in capsys.readouterr().err
+
+
 def test_unschedulable_topology_exits_1(tmp_path, capsys):
     # 50 or 200 nodes in a small area cannot be orthogonalized with 10 windows
     for node_count in (50, 200):

@@ -263,7 +263,6 @@ def test_battery_exhaustion_sets_lifetimes():
     died = {r[2] for r in rows_for(rows, event="node_died")}
     for nid in died:
         assert metrics.residual_by_node[nid] == 0.0
-    assert metrics.energy_timeline
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +535,7 @@ class _PerNodeSweep(Simulator):
     """The reference sweep: every listed node goes through ``_account``."""
 
     def _on_housekeeping(self, nodes):
-        t_s = self.now / US
-        alive = []
-        for node in nodes:
-            if self._account(node):
-                alive.append(node)
-            self.metrics.energy_timeline.append((t_s, node.id, node.battery.residual))
+        alive = [node for node in nodes if self._account(node)]
         nxt = self.now + self.cfg.sim.housekeeping_frames * self.frame_us
         if nxt <= self.horizon_us and alive:
             self._schedule(nxt, "housekeeping", alive)
@@ -604,6 +598,5 @@ def test_shared_draw_sweep_matches_per_node_accounting(run_case, seed):
             reserve(sim.nodes[nid].mac, start, end)
     metrics, expected = shared.run(), reference.run()
     assert shared.rows == reference.rows
-    assert metrics.energy_timeline == expected.energy_timeline
     assert metrics.residual_by_node == expected.residual_by_node
     assert metrics.to_dict() == expected.to_dict()

@@ -1,14 +1,14 @@
 """Golden digests: the rendered trace and metrics must not change across commits.
 
 c07 checks that two runs of one build agree; these digests pin the
-trace bytes and the metrics document (energy timeline included)
-themselves, so an optimisation that alters behaviour (event order, a
-float sum, a skipped receiver, a missed residual sample) fails here. A
-change that is meant to alter either output updates the digest and says
-why; ``python tests/test_golden.py`` prints every scenario's current
-digests for that, and those of the three benchmark workloads, so that a
-claim of byte-identical behaviour is a diff of two of its outputs. The
-workloads' digests at benchmark seed 0 are pinned too; seed 7 is held out.
+trace bytes and the metrics document themselves, so an optimisation
+that alters behaviour (event order, a float sum, a skipped receiver, a
+missed energy_account row) fails here. A change that is meant to alter
+either output updates the digest and says why; ``python
+tests/test_golden.py`` prints every scenario's current digests for that,
+and those of the three benchmark workloads, so that a claim of
+byte-identical behaviour is a diff of two of its outputs. The workloads'
+digests at benchmark seed 0 are pinned too; seed 7 is held out.
 It also prints, per workload at seed 0, how many power sums (``ct_reach``
 calls) the cooperative audiences took: a deterministic count of the work a
 speed claim on cooperative reach removes.
@@ -59,42 +59,42 @@ SCENARIOS = {
                            horizon_s=60.0, sources=5, packets=5, jitter_ms=200.0),
              SEED,
              "bbfb220bbc21b99f5cffba0c338b3520511d3cbd0245c33f6f3f540b258ba105",
-             "e3f03a7d2f99275a084eccf3cb375ce5d591a5d81c074d721a7a87bceafe41ff"),
+             "128ac2b937fd440747428d1bc6b284914eb4215c345c503965afd56bf1db6dd3"),
     "ct": (generated_doc(node_count=80, area_m=350.0, active_ms=1.0, mode="ct",
                          horizon_s=60.0, sources=4, packets=5, jitter_ms=200.0),
            SEED,
            "9ac85006dc6ab1ff37b91dc62de3c80977cd8a9df22f98c4bae4f0e2f9d028ec",
-           "1133877e1e7a6a504666e7f179106aa0ec75379800df3a4240ea58bb92adf855"),
+           "f3dec1fe8f7d60ae0b618633e94fd5f4acb68929e0780222dcaa5fff21a24a01"),
     "auto": (_auto_doc(),
              SEED,
              "8653ddd314b8b1953a858ecfb2ad8090986266f40a4c965bf30ec06a364d6fa0",
-             "bc92ec691273e64fc0ee7e1a7ffd96cf38a2d44d836927b31fe4ad128a12b754"),
+             "eed1db1876b1d930b690473af6726827d8efa1451ee64ee4552cecb973406d05"),
     "retry_cap": (_retry_cap_doc(),
                   7,
                   "482a5d5d694cccdc332db8f16201f68e3eefad785744389382ab8e44d7be7de6",
-                  "a79b2acf4588c012e68a9259fb1c8e02bd5e9acc721f1ac6fdbc7b94813d8687"),
+                  "0dcae765251197cbe1a5b870c34c16c8fdc35386ede82aef183852104c462815"),
     # explicit topology and route: the 120 m hop closes only through the
     # cooperative superframe relay, and 20 slots continue the superframe
     "explicit": (range_extension_doc(mode="ct", packets=20),
                  0,
                  "282ee134c1e4da9515cdbb4567e4cb20dd8d61d6554453556976849bcfc5ed48",
-                 "8baa5934278c7a641987139eb37a72741f9c5e17e5e4b6424b77518b5cb59965"),
+                 "2ccd97545f91b70f857bcc9a2c5f1a41fb0bfa757915e11d351f2ec6cc51603c"),
     # the one scenario whose replies arrive late: every ct_ack times out, and
     # late noct_replies and data_acks reach nodes that await something else
     "late_reply": (late_reply_doc(),
                    SEED,
                    "c5f58f8180e7a2dc55039b4f8fca40e7eaf89583bd24b10467a8a907b8b1b70a",
-                   "f313030c0b25b04a8ee9aaf89e103ebe9dd92b61acfd536d8d8bfdde585903b3"),
+                   "ed88f3aee9dcc767deea91994aa5b5794969edc066ed8024a3d12a3c6aeadb2d"),
 }
 
 # benchmark workload -> (trace digest, metrics-document digest) at benchmark seed 0
 WORKLOAD_DIGESTS = {
     "noct-1000": ("3016b51b1b68c8518b38c332d093db383525d7d291f80dc87f2ed659f551945d",
-                  "98f06fd330b6b26dd2f48c29679cfd3104ea0bcc64761f2b4e0a29d81bc9d255"),
+                  "14f837b902bc42a837bd07f03634d9942183e6aeb9c8d386519207583cf666a2"),
     "ct-200": ("ad4b92843f25b0865ef4d0cf511a0d8ff79f61e03f0acc945d84fb5b3dea93df",
-               "6e01c1b1899d11f5a41a764b72095b886769a537130d71dd3e10577069f1695f"),
+               "462e30c170a81f4cdc9f06c7c8c5d65af27851551d03553bb06a579feae1d4ac"),
     "lifetime-50": ("a40e6db379881cd405ae147f2154c7bbb6f38dc9339b7ff7823b548739364c2b",
-                    "c9b1d469ddd54e9b22061613cd65c650903942b367702e07d5da4f7653487928"),
+                    "b1ad7fe429b446c51a0f067c325e5e3d088e9f56fc81b059e9f51f64e7d0691c"),
 }
 
 
@@ -164,7 +164,7 @@ def test_ct200_audiences_take_few_power_sums():
 
 def test_housekeeping_is_one_sweep_per_period():
     """One pending sweep at a time, at multiples of the period, over the
-    nodes still alive after the previous sweep; then one final sample of
+    nodes still alive after the previous sweep; then a last sweep settles
     every node at the horizon."""
     cfg = make_config(SCENARIOS["auto"][0])
     sim = Simulator(cfg, SEED)
@@ -174,15 +174,18 @@ def test_housekeeping_is_one_sweep_per_period():
 
     assert pending_sweeps() == 1
     most = []
+    sweeps = [(t_us, [n.id for n in args[0]])  # (time, listed ids) of each scheduled sweep
+              for t_us, _, kind, args in sim.heap if kind == "housekeeping"]
     schedule = sim._schedule
 
     def schedule_and_count(t_us, kind, *args):
         schedule(t_us, kind, *args)
         if kind == "housekeeping":
             most.append(pending_sweeps())
+            sweeps.append((t_us, [n.id for n in args[0]]))
 
     sim._schedule = schedule_and_count
-    metrics = sim.run()
+    sim.run()
     assert most and max(most) == 1
 
     period = cfg.sim.housekeeping_frames * sim.frame_us
@@ -193,16 +196,12 @@ def test_housekeeping_is_one_sweep_per_period():
             death[nid] = json.loads(detail_json)["death_time_us"]
     assert any(d is not None for d in death.values())  # the rule below is exercised
 
-    swept, final = metrics.energy_timeline[:-len(ids)], metrics.energy_timeline[-len(ids):]
-    assert [(round(t * 1e6), nid) for t, nid, _ in final] == [(sim.horizon_us, n) for n in ids]
-    by_time = {}
-    for t, nid, _ in swept:
-        by_time.setdefault(round(t * 1e6), []).append(nid)
-    for t_us, sampled in by_time.items():
-        assert t_us % period == 0
-        # a node dead by the previous sweep is no longer sampled
-        assert sampled == [n for n in ids if death[n] is None or death[n] > t_us - period]
-    assert sorted(by_time) == list(range(period, max(by_time) + 1, period))
+    assert [t_us for t_us, _ in sweeps] == list(range(period, period * len(sweeps) + 1, period))
+    assert sweeps[0][1] == ids and sim.horizon_us - period < sweeps[-1][0] <= sim.horizon_us
+    for t_us, listed in sweeps:
+        # a node dead by the previous sweep is no longer listed
+        assert listed == [n for n in ids if death[n] is None or death[n] > t_us - period]
+    assert all(node.last_accounted_us == sim.horizon_us for node in sim.nodes.values())
 
 
 def test_sweep_costs_the_shared_draw_once():

@@ -10,7 +10,7 @@ from oscmac import __version__
 from oscmac.engine import run
 from oscmac.trace import (_BLOCK_ROWS, TRACE_COLUMNS, TraceRows, read_trace,
                           render_trace, write_metrics, write_trace)
-from conftest import make_config, two_node_doc
+from conftest import generated_doc, make_config, two_node_doc
 from test_golden import SEED, _auto_doc
 
 
@@ -206,3 +206,20 @@ def test_write_metrics(tmp_path):
     expected = {"config_hash": cfg.config_hash(), "seed": 0, "version": __version__}
     expected.update(json.loads(json.dumps(metrics.to_dict())))
     assert doc == expected
+
+
+def test_metrics_document_does_not_grow_with_sweeps(tmp_path):
+    """A horizon ten times as long, swept every frame, writes a metrics
+    document with the same keys and about the same length: the residual
+    history is in the trace, not in the metrics."""
+    docs = []
+    for horizon_s in (2.0, 20.0):
+        doc = generated_doc(node_count=10, area_m=150.0, horizon_s=horizon_s)
+        doc["sim"]["housekeeping_frames"] = 1
+        cfg = make_config(doc)
+        path = tmp_path / f"{horizon_s}.json"
+        write_metrics(path, run(cfg, 0)[0], cfg.config_hash(), 0)
+        docs.append(path.read_text())
+    short, long = docs
+    assert json.loads(short).keys() == json.loads(long).keys()
+    assert len(long) < 1.2 * len(short)
