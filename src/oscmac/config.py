@@ -272,5 +272,9 @@ def parse_config(document: str) -> ScenarioConfig:
         raise ConfigError("mac.active_ms must not exceed mac.frame_ms")
     if mac.mode not in ("ct", "noct", "auto"):
         raise ConfigError(f"mac.mode must be ct, noct or auto, got {mac.mode!r}")
+    for path, bits in (("traffic.packet_size_bytes", 8 * traffic.packet_size_bytes),
+                       ("mac.ctrl_bits", mac.ctrl_bits), ("mac.superframe_bits", mac.superframe_bits)):
+        if not _is_finite(bits):  # airtime divides bits by a float bit rate
+            raise ConfigError(f"{path} gives a packet of more bits than a float holds")
 
     return ScenarioConfig(radio=radio, topology=topo, traffic=traffic, mac=mac, sim=sim)

@@ -9,10 +9,13 @@ index. That saves a tuple and an int per row, most of a run's memory, and
 still reads as ``(time_us, seq, node, event, detail, residual_j)`` tuples.
 ``add_block`` appends rows that share a time, event and detail in one call.
 
-``render_trace`` writes the residual with ``repr`` and quotes a detail,
-doubling its ``"``, only when it holds ``"`` or ``,``. That is exactly
-``csv.writer``'s minimal quoting: the other columns are ints and plain event
-names, and ASCII-only JSON details never hold the ``\r`` or ``\n`` it quotes.
+``render_trace`` writes a residual with ``repr`` and quotes a detail, doubling
+its ``"``, only when it holds ``"`` or ``,``: ``csv.writer``'s minimal quoting,
+as the other columns are ints and plain event names, and ASCII-only JSON details
+never hold the ``\r`` or ``\n`` it quotes. A row reuses the last row's text for
+an equal int time, for the very same event and detail objects, and for a residual
+(an int or a float) of equal value and type that is not zero: ``3 == 3.0`` and
+``0.0 == -0.0``, yet each has its own ``repr``, which equal values otherwise share.
 Rows are joined ``_BLOCK_ROWS`` at a time, so only one block's row strings are
 alive at once, and ``write_trace`` writes each block as it is made.
 ``render_trace`` holds the CSV once: it grows one local str by each block, and
@@ -76,10 +79,22 @@ def _trace_blocks(rows, config_hash, seed):
     yield (f"# config_hash={config_hash} seed={seed} version={__version__}\n"
            f"{','.join(TRACE_COLUMNS)}\n")
     rows = iter(rows)
-    while block := "".join([
-            f"{t},{s},{n},{e},{d},{r!r}\n" if '"' not in d and "," not in d
-            else f'''{t},{s},{n},{e},"{d.replace('"', '""')}",{r!r}\n'''
-            for t, s, n, e, d, r in islice(rows, _BLOCK_ROWS)]):
+    t0 = e0 = d0 = r0 = None
+    while True:
+        block = []
+        for t, s, n, e, d, r in islice(rows, _BLOCK_ROWS):
+            if t != t0:
+                t0, head = t, f"{t},"
+            if e is not e0 or d is not d0:
+                e0, d0 = e, d
+                middle = (f",{e},{d}," if '"' not in d and "," not in d
+                          else f''',{e},"{d.replace('"', '""')}",''')
+            if r != r0 or type(r) is not type(r0) or not r:
+                r0, tail = r, f"{r!r}\n"
+            block.append(f"{head}{s},{n}{middle}{tail}")
+        if not block:
+            return
+        block = "".join(block)  # frees the row strings before the caller takes it
         yield block
 
 

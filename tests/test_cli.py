@@ -242,6 +242,21 @@ def test_bit_rate_without_finite_airtime_exits_1(tmp_path, capsys, mode):
     assert "config error: mac.bit_rate_bps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("traffic", "packet_size_bytes", 10**400),
+    ("traffic", "packet_size_bytes", 2**1021),  # fits a float; 8 bits a byte do not
+    ("mac", "ctrl_bits", 10**400),
+    ("mac", "superframe_bits", 10**400),
+], ids=["packet_size_bytes", "packet_size_bytes_in_bits", "ctrl_bits", "superframe_bits"])
+def test_packet_of_more_bits_than_a_float_exits_1(tmp_path, capsys, section, field, value):
+    # an integer this large passes the field's type check, but airtime divides it by a float
+    doc = range_extension_doc()
+    doc[section][field] = value
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"config error: {section}.{field}" in capsys.readouterr().err
+
+
 def test_unschedulable_topology_exits_1(tmp_path, capsys):
     # 50 or 200 nodes in a small area cannot be orthogonalized with 10 windows
     for node_count in (50, 200):

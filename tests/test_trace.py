@@ -54,6 +54,32 @@ def test_render_trace_matches_csv_writer(rows):
     assert render_trace(rows, "abc123", 7) == _csv_reference(rows, "abc123", 7)
 
 
+# equal details as distinct str objects, one of each pair quoted
+_DETAILS = ["{}", '{"a": 1}', "".join(['{"a"', ": 1}"]),
+            '{"s": "x,\\"y"}', "".join(['{"s": "x,', '\\"y"}'])]
+_POOLED = st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(["tx", "rx"]),
+                    st.sampled_from(_DETAILS),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1, 1.0, 3, 3.0])
+                    | st.floats(allow_nan=False, allow_infinity=False))
+_RUN = st.integers(1, 3) | st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+
+
+@given(st.lists(st.tuples(_POOLED, _RUN), max_size=6))
+@example([((0, 0, "tx", "{}", 0.0), _BLOCK_ROWS), ((0, 1, "tx", "{}", -0.0), 1)])
+@example([((0, 0, "tx", "{}", 1.0), 1), ((0, 0, "tx", "{}", 1), 1),
+          ((0, 0, "tx", "{}", 3), 1), ((0, 0, "tx", "{}", 3.0), 1)])
+@example([((5, 0, "tx", _DETAILS[3], 1.0), 2), ((5, 0, "rx", _DETAILS[3], 1.0), 2)])
+def test_render_trace_reuses_only_what_is_the_same(runs):
+    """Runs of rows whose fields repeat, across block edges, render as
+    ``csv.writer`` does: a reused residual is never an equal value of another
+    type or the other zero, and a reused detail never sits under another event."""
+    rows = [(t, seq, n, e, d, r) for seq, (t, n, e, d, r)
+            in enumerate(row for row, length in runs for _ in range(length))]
+    # as lines, so that a failure reports the first row that differs, not a diff of the CSVs
+    assert (render_trace(rows, "abc123", 7).splitlines(keepends=True)
+            == _csv_reference(rows, "abc123", 7).splitlines(keepends=True))
+
+
 def _filled(columns):
     """A ``TraceRows`` holding ``columns``' rows, and the same rows as tuples."""
     rows = TraceRows()
@@ -174,6 +200,19 @@ def test_trace_round_trip_through_node_deaths(tmp_path):
     # the death path: a final energy_account row, then node_died, for one node
     assert any(prev[3] == "energy_account" and row[3] == "node_died" and prev[2] == row[2]
                for prev, row in zip(rows, rows[1:]))
+
+
+def test_integer_battery_renders_as_csv_writer(tmp_path):
+    # an integer battery_j reaches the trace as an int until the node's first drain
+    doc = two_node_doc()
+    doc["sim"]["battery_j"] = 2
+    cfg = make_config(doc)
+    _, rows = run(cfg, 0)
+    assert any(type(a[5]) is int and type(b[5]) is float for a, b in zip(rows, rows[1:]))
+    text = render_trace(rows, cfg.config_hash(), 0)
+    assert text == _csv_reference(rows, cfg.config_hash(), 0)
+    write_trace(tmp_path / "t.csv", rows, cfg.config_hash(), 0)
+    assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
 def test_trace_rows_time_ordered_and_sequenced():
