@@ -103,6 +103,12 @@ class ScenarioConfig:
 
 # Every number in a scenario must be strictly positive except these.
 _NON_NEGATIVE = {"start_s", "jitter_ms", "packets_per_source", "retry_cap", "ct_energy_fraction"}
+# A Simulator allocates a record per node and a Packet per offered packet as it
+# is built, so these two counts are capped: past a cap a typo fails here instead
+# of allocating until memory runs out.
+MAX_NODE_COUNT = 100_000
+MAX_PACKETS_PER_SOURCE = 100_000
+_AT_MOST = {"node_count": MAX_NODE_COUNT, "packets_per_source": MAX_PACKETS_PER_SOURCE}
 _UNBOUNDED = {"x", "y", "id", "seed"}
 _SECTIONS = {"radio": RadioEnergyParams, "traffic": TrafficSpec, "mac": MacSpec, "sim": SimSpec}
 
@@ -113,7 +119,7 @@ def _is_finite(value) -> bool:
 
 
 def _check_value(value, kind, name: str, path: str) -> None:
-    """Check one scalar field against its annotated type and the lower bound."""
+    """Check one scalar field against its annotated type and its bounds."""
     if kind is int:
         ok, what = type(value) is int, "an integer"
     elif kind is float:
@@ -129,6 +135,8 @@ def _check_value(value, kind, name: str, path: str) -> None:
     if value < 0 or (value == 0 and name not in _NON_NEGATIVE):
         bound = "non-negative" if name in _NON_NEGATIVE else "strictly positive"
         raise ConfigError(f"{path} must be {bound}, got {value!r}")
+    if name in _AT_MOST and value > _AT_MOST[name]:
+        raise ConfigError(f"{path} must be at most {_AT_MOST[name]:,}, got {value!r}")
 
 
 def _object(value, path: str) -> dict:

@@ -1,9 +1,10 @@
 """Duty-cycle schedules, superframes, reservations, and what a node awaits.
 
 Schedules are pipelined (a node wakes one active window after its
-downstream hop) and orthogonalized (nodes within two hops never share a
-wake window unless they are the same pipeline stage out of interference
-range). Time is integer microseconds throughout.
+downstream hop) and orthogonal: a node takes no slot held in its closed
+neighbourhood (itself and its neighbours) or by a neighbour of one of those,
+which for a symmetric neighbour relation is no slot held within two hops.
+Nodes on one slot share one schedule. Time is integer microseconds throughout.
 
 The MAC picks who listens: ``MacState`` answers when its node listens, on
 its duty schedule or in a reservation (``is_awake`` at an instant,
@@ -65,24 +66,22 @@ class DutySchedule:
 def two_hop_sets(neighbours):
     """Node id -> set of ids within two hops (excluding self), given each
     node's one-hop ``neighbours`` (as ``channel.NeighbourIndex`` finds them)."""
-    two = {}
-    for i in sorted(neighbours):
-        reach = set(neighbours[i])
-        for j in neighbours[i]:
-            reach.update(neighbours[j])
-        reach.discard(i)
-        two[i] = reach
-    return two
+    return {i: set(neighbours[i]).union(*[neighbours[j] for j in neighbours[i]]) - {i}
+            for i in sorted(neighbours)}
 
 
 def build_schedules(neighbours, depths, frame_us, active_us):
     """Assign pipelined, orthogonal wake offsets.
 
     Base offset is (max_depth - depth) active windows, so a packet can
-    descend one hop per window. Nodes sharing a 2-hop neighbourhood are
-    pushed to later window slots until disjoint. Running out of window
-    slots in a neighbourhood, or an active window outside (0, frame], is a
-    ``ConfigError`` naming ``mac.active_ms``; a frame of 0 us names ``mac.frame_ms``.
+    descend one hop per window. Deepest first (ties by id), each node takes
+    the first slot from its base on that none within two hops holds: the
+    union of ``held[j]``, the slots of ``j`` and its neighbours, over its
+    closed neighbourhood, exact for a symmetric relation such as
+    ``channel.NeighbourIndex`` builds. One slot's nodes share one
+    ``DutySchedule``. Running out of window slots in a neighbourhood, or an
+    active window outside (0, frame], is a ``ConfigError`` naming
+    ``mac.active_ms``; a frame of 0 us names ``mac.frame_ms``.
     """
     if frame_us <= 0:
         raise ConfigError(f"mac.frame_ms gives a frame of {frame_us} us, not a positive one")
@@ -90,24 +89,25 @@ def build_schedules(neighbours, depths, frame_us, active_us):
         raise ConfigError(f"mac.active_ms gives an active window of {active_us} us, "
                           f"outside (0, {frame_us}] us")
     slots_avail = frame_us // active_us
-    two = two_hop_sets(neighbours)
     max_depth = max(depths.values()) if depths else 0
-    assigned = {}  # node -> slot index
-    order = sorted(depths, key=lambda n: (-depths[n], n))
-    for node in order:
+    held, assigned = {n: set() for n in neighbours}, {}  # held: node -> slots on it or a neighbour
+    for node in sorted(depths, key=lambda n: (-depths[n], n)):
+        closed = (node, *neighbours[node])
+        taken = set().union(*[held[j] for j in closed])
         base = (max_depth - depths[node]) % slots_avail
-        taken = {assigned[m] for m in two[node] if m in assigned}
         for bump in range(slots_avail):
             slot = (base + bump) % slots_avail
             if slot not in taken:
-                assigned[node] = slot
                 break
         else:
             raise ConfigError(
-                f"mac.active_ms: a frame of {slots_avail} windows cannot orthogonalize "
-                f"the 2-hop neighbourhood of node {node} ({len(two[node])} other nodes)")
-    return {n: DutySchedule(frame_us, active_us, assigned[n] * active_us)
-            for n in assigned}
+                f"mac.active_ms: a frame of {slots_avail} windows cannot orthogonalize the 2-hop "
+                f"neighbourhood of node {node} ({len(two_hop_sets(neighbours)[node])} other nodes)")
+        assigned[node] = slot
+        for j in closed:
+            held[j].add(slot)
+    shared = {s: DutySchedule(frame_us, active_us, s * active_us) for s in set(assigned.values())}
+    return {n: shared[s] for n, s in assigned.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmac.config import (ConfigError, GeneratorSpec, MacSpec, NodeSpec, SimSpec,
-                           TopologySpec, TrafficSpec, parse_config)
+from oscmac.config import (MAX_NODE_COUNT, MAX_PACKETS_PER_SOURCE, ConfigError, GeneratorSpec,
+                           MacSpec, NodeSpec, SimSpec, TopologySpec, TrafficSpec, parse_config)
 from oscmac.energy import RadioEnergyParams
 from oscmac.engine import Simulator
 from oscmac.trace import read_trace, write_trace
@@ -214,6 +214,26 @@ def test_value_validation():
         mutate(doc)
         with pytest.raises(ConfigError, match=msg):
             make_config(doc)
+
+
+@pytest.mark.parametrize("mutate, cap, msg", [
+    (lambda d, v: d["topology"]["generator"].update({"node_count": v}), MAX_NODE_COUNT,
+     r"^topology\.generator\.node_count must be at most 100,000, got "),
+    (lambda d, v: d["traffic"].update({"packets_per_source": v}), MAX_PACKETS_PER_SOURCE,
+     r"^traffic\.packets_per_source must be at most 100,000, got "),
+], ids=["node_count", "packets_per_source"])
+def test_count_above_its_cap_rejected(mutate, cap, msg):
+    """A Simulator allocates for each node and offered packet as it is built,
+    so both counts are capped. Only parse_config sees these values: without
+    the cap, a Simulator on them allocates until memory runs out."""
+    for value in (cap + 1, 10**400):
+        doc = generated_doc()
+        mutate(doc, value)
+        with pytest.raises(ConfigError, match=msg):
+            make_config(doc)
+    doc = generated_doc()
+    mutate(doc, cap)
+    make_config(doc)  # the cap itself is allowed
 
 
 @pytest.mark.parametrize("mode, slot_ms", [("ct", 1.0), ("ct", 2.0), ("ct", 5.0), ("auto", 5.0)])

@@ -1,12 +1,21 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oscmac.config import ConfigError
+from oscmac.config import ConfigError, parse_config
 from oscmac.channel import NeighbourIndex
 from oscmac.energy import RadioEnergyParams
+from oscmac.engine import Simulator
 from oscmac.mac import (_AWAITS, DutySchedule, MacState, Superframe,
                         build_schedules, compose_superframe, on_superframe, reserve, reserve_noct, step, two_hop_sets)
 from oscmac.selection import ElectedList
+
+from test_neighbour_index import layouts
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from sample import RUN_SEED, WORKLOADS, scenario_json  # noqa: E402  -- read only
 
 FRAME = 100_000
 ACTIVE = 10_000
@@ -123,6 +132,63 @@ def test_build_schedules_overcrowded_neighborhood_fails():
     depths = {i: 0 for i in range(5)}
     with pytest.raises(ConfigError, match=r"^mac\.active_ms"):
         build_schedules(neighbours(pos), depths, 4 * ACTIVE, ACTIVE)
+
+
+def reference_schedules(neighbours, depths, frame_us, active_us):
+    """The wake-slot rule in its direct form: build every node's two-hop set,
+    then scan it for the slots of the nodes already assigned."""
+    slots_avail = frame_us // active_us
+    two = two_hop_sets(neighbours)
+    max_depth = max(depths.values()) if depths else 0
+    assigned = {}  # node -> slot index
+    for node in sorted(depths, key=lambda n: (-depths[n], n)):
+        base = (max_depth - depths[node]) % slots_avail
+        taken = {assigned[m] for m in two[node] if m in assigned}
+        for bump in range(slots_avail):
+            slot = (base + bump) % slots_avail
+            if slot not in taken:
+                assigned[node] = slot
+                break
+        else:
+            raise ConfigError(
+                f"mac.active_ms: a frame of {slots_avail} windows cannot orthogonalize "
+                f"the 2-hop neighbourhood of node {node} ({len(two[node])} other nodes)")
+    return {n: DutySchedule(frame_us, active_us, assigned[n] * active_us) for n in assigned}
+
+
+def assert_schedules_match_reference(neighbours, depths, frame_us, active_us):
+    """``build_schedules`` gives the reference's schedules in its order, one
+    shared object per slot, or raises the reference's ConfigError."""
+    try:
+        expected = reference_schedules(neighbours, depths, frame_us, active_us)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as raised:
+            build_schedules(neighbours, depths, frame_us, active_us)
+        assert str(raised.value) == str(exc)
+        return
+    got = build_schedules(neighbours, depths, frame_us, active_us)
+    assert list(got.items()) == list(expected.items())
+    assert len({id(s) for s in got.values()}) == len(set(got.values()))
+
+
+@given(st.one_of(layouts(), layouts(span=12)), st.data())
+def test_build_schedules_matches_two_hop_scan(layout, data):
+    """On layouts with negative coordinates, coincident nodes and pairs exactly
+    one base range apart, any depths and 1-8 windows a frame."""
+    positions, r = layout
+    depths = {n: data.draw(st.integers(0, 6)) for n in sorted(positions)}
+    active_us = data.draw(st.sampled_from([1, 7, ACTIVE]))
+    frame_us = data.draw(st.integers(1, 8)) * active_us + data.draw(st.integers(0, active_us - 1))
+    nbrs = NeighbourIndex(positions, r, RadioEnergyParams().d0).neighbours
+    assert_schedules_match_reference(nbrs, depths, frame_us, active_us)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_schedules_match_two_hop_scan(workload):
+    """Each benchmark workload's field, depths and frame, as its Simulator set them up."""
+    sim = Simulator(parse_config(scenario_json(workload, 0)), RUN_SEED)
+    depths = {nid: node.depth for nid, node in sim.nodes.items()}
+    assert_schedules_match_reference(sim.index.neighbours, depths, sim.frame_us, sim.active_us)
 
 
 def test_compose_superframe_layout():
