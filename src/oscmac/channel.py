@@ -8,9 +8,18 @@ the farthest sender against the amplifier crossover distance.
 
 Node positions never change. They live in one map, node id -> (x, y), held
 by ``NeighbourIndex`` and read for senders (named by id) and receivers alike.
-The index buckets positions into square cells of side ``base_range`` (a cell
-list) and computes who can hear whom once, testing only the nodes in the
-cells that a base-range disk overlaps.
+The index buckets positions into square cells of side s = R*(1 + 1e-9), R the
+base range (a cell list), and computes who can hear whom once. It visits each
+unordered pair of cells once: a cell with itself, then with the four of its
+eight neighbours that follow it in (x, y) order. That finds every pair whose
+computed distance is at most R, because such a pair lies in adjacent cells
+whenever every coordinate lies within 10^6 base ranges of the origin, the
+bound ``config.MAX_COORD_RANGES`` that ``parse_config`` enforces. Per axis:
+``math.dist`` rounds to no less than the computed difference |a|, which is
+x_p - x_q to a relative 2^-53, so |x_p - x_q| <= R*(1 + 2^-52). Each quotient
+x/s is below 2^20 in magnitude, so it rounds by at most 2^-33. Counting the
+rounding of s too, the two computed quotients differ by at most
+(1 + 2^-51)/(1 + 1e-9) + 2^-32 < 1, so their floors differ by at most one.
 
 A group of k senders reaches, with no power sum, the union of its
 senders' ``neighbours`` rows: one sender within R closes the link. Of the
@@ -76,27 +85,30 @@ class NeighbourIndex:
 
     ``neighbours[i]`` is the ascending tuple of the other ids within
     ``base_range`` of node i, by exactly ``in_reach``'s predicate, which
-    is symmetric. ``audience`` names who a transmission reaches, and keeps
-    its answer for each cooperative sender group.
+    is symmetric, tested once per pair. ``audience`` names who a
+    transmission reaches, and keeps its answer for each cooperative sender
+    group.
     """
 
     def __init__(self, positions, base_range: float, d0: float):
         self.positions = positions
-        self.side = base_range
+        self.base_range = base_range
+        self.side = side = base_range * (1 + 1e-9)
         self.d0 = d0
-        cells = self._cells = defaultdict(list)
-        for nid, (x, y) in positions.items():
-            cells[math.floor(x / base_range), math.floor(y / base_range)].append(nid)
+        cells = self._cells = defaultdict(list)  # cell -> [(id, position)]
+        for nid, pos in positions.items():
+            cells[math.floor(pos[0] / side), math.floor(pos[1] / side)].append((nid, pos))
         near = {nid: [] for nid in positions}
-        for i, pos in positions.items():
-            ys = self._span(pos[1], base_range)
-            for cx in self._span(pos[0], base_range):
-                for cy in ys:
-                    for j in cells.get((cx, cy), ()):
-                        # each pair is tested once, from its smaller id
-                        if j > i and distance(pos, positions[j]) <= base_range:
-                            near[i].append(j)
-                            near[j].append(i)
+        for (cx, cy), here in cells.items():
+            # each unordered pair of cells once: this one with itself, then
+            # with the four neighbours after it in (x, y) order
+            beside = [node for cell in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
+                                        (cx + 1, cy + 1)) for node in cells.get(cell, ())]
+            for n, (i, pos) in enumerate(here):
+                hits = [j for j, q in here[n + 1:] + beside if distance(pos, q) <= base_range]
+                near[i] += hits
+                for j in hits:
+                    near[j].append(i)
         self.neighbours = {nid: tuple(sorted(ids)) for nid, ids in near.items()}
         self._group_reach = {}  # cooperative sender_ids -> audience's answer
 
@@ -124,11 +136,11 @@ class NeighbourIndex:
         if group not in self._group_reach:
             senders = [self.positions[nid] for nid in group]
             near = set(group).union(*(self.neighbours[nid] for nid in group))
-            radius = ct_prune_radius(self.side, len(group), self.d0)
+            radius = ct_prune_radius(self.base_range, len(group), self.d0)
             cells = {(cx, cy) for x, y in senders
                      for cx in self._span(x, radius) for cy in self._span(y, radius)}
-            far = {nid for cell in cells for nid in self._cells.get(cell, ()) if nid not in near
-                   and ct_reach(senders, self.positions[nid], self.side, self.d0)}
+            far = {nid for cell in cells for nid, pos in self._cells.get(cell, ())
+                   if nid not in near and ct_reach(senders, pos, self.base_range, self.d0)}
             self._group_reach[group] = tuple(sorted(near.difference(group).union(far)))
         return self._group_reach[group]
 

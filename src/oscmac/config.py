@@ -109,6 +109,9 @@ _NON_NEGATIVE = {"start_s", "jitter_ms", "packets_per_source", "retry_cap", "ct_
 MAX_NODE_COUNT = 100_000
 MAX_PACKETS_PER_SOURCE = 100_000
 _AT_MOST = {"node_count": MAX_NODE_COUNT, "packets_per_source": MAX_PACKETS_PER_SOURCE}
+# Every node coordinate lies within this many base ranges of the origin, the
+# bound under which channel.NeighbourIndex finds each pair in adjacent cells.
+MAX_COORD_RANGES = 1_000_000
 _UNBOUNDED = {"x", "y", "id", "seed"}
 _SECTIONS = {"radio": RadioEnergyParams, "traffic": TrafficSpec, "mac": MacSpec, "sim": SimSpec}
 
@@ -233,6 +236,21 @@ def _topology(raw, battery_j) -> tuple:
     return topo, sensors
 
 
+def _check_field_bound(topo: TopologySpec, bound: float) -> None:
+    """Every node coordinate, explicit or generated, lies within ``bound`` m of the origin."""
+    ranges = f"{MAX_COORD_RANGES:,} base ranges ({bound!r} m)"
+    if topo.generator is not None:
+        if topo.generator.area_m > bound:  # generated coordinates lie in [0, area_m]
+            raise ConfigError(f"topology.generator.area_m must be at most {ranges}, "
+                              f"got {topo.generator.area_m!r}")
+        return
+    for i, n in enumerate(topo.nodes):
+        for axis, v in (("x", n.x), ("y", n.y)):
+            if abs(v) > bound:
+                raise ConfigError(f"topology.nodes[{i}].{axis} must lie within {ranges} "
+                                  f"of the origin, got {v!r}")
+
+
 def _routes(topo: TopologySpec, given: dict, ids: set) -> None:
     """Set ``topo.routes`` from ``given``; every chain must reach the sink,
     which has no route of its own."""
@@ -257,7 +275,7 @@ def parse_config(document: str) -> ScenarioConfig:
     """Parse and validate a UTF-8 JSON scenario document."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -265,6 +283,7 @@ def parse_config(document: str) -> ScenarioConfig:
     radio, traffic, mac, sim = (_build(cls, raw.get(name), name)
                                 for name, cls in _SECTIONS.items())
     topo, sensors = _topology(raw.get("topology"), sim.battery_j)
+    _check_field_bound(topo, MAX_COORD_RANGES * sim.base_range_m)
 
     sources = traffic.sources
     if isinstance(sources, list):

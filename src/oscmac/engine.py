@@ -524,6 +524,9 @@ class Simulator:
         self.fates.update((p.seq, node.id) for p in packets)
         self._emit(node, "offered",
                    f'{{"count": {len(packets)}, "seqs": {[p.seq for p in packets]}}}')
+        if not node.battery.alive:  # its death is registered: nothing will fail them later
+            self._fail(node, "sender_dead", [p.seq for p in packets])
+            return
         node.mac.pending_packets.extend(packets)
         self._kick_hop(node)
 

@@ -70,18 +70,27 @@ def two_hop_sets(neighbours):
             for i in sorted(neighbours)}
 
 
+def _lowest_clear(mask, start):
+    """The lowest bit index at or after ``start`` that ``mask`` leaves clear."""
+    free = ~mask >> start
+    return start + (free & -free).bit_length() - 1
+
+
 def build_schedules(neighbours, depths, frame_us, active_us):
     """Assign pipelined, orthogonal wake offsets.
 
     Base offset is (max_depth - depth) active windows, so a packet can
     descend one hop per window. Deepest first (ties by id), each node takes
-    the first slot from its base on that none within two hops holds: the
-    union of ``held[j]``, the slots of ``j`` and its neighbours, over its
-    closed neighbourhood, exact for a symmetric relation such as
-    ``channel.NeighbourIndex`` builds. One slot's nodes share one
-    ``DutySchedule``. Running out of window slots in a neighbourhood, or an
-    active window outside (0, frame], is a ``ConfigError`` naming
-    ``mac.active_ms``; a frame of 0 us names ``mac.frame_ms``.
+    the first slot from its base on, wrapping round the frame, that none
+    within two hops holds. ``held[j]`` is a bitmask of the slots of ``j``
+    and its neighbours (bit s for slot s); their OR over the node's closed
+    neighbourhood is the taken set, exact for a symmetric relation such as
+    ``channel.NeighbourIndex`` builds, and the slot is its lowest clear bit
+    at or after the base, else its lowest clear bit below the base. One
+    slot's nodes share one ``DutySchedule``. Running out of window slots in
+    a neighbourhood, or an active window outside (0, frame], is a
+    ``ConfigError`` naming ``mac.active_ms``; a frame of 0 us names
+    ``mac.frame_ms``.
     """
     if frame_us <= 0:
         raise ConfigError(f"mac.frame_ms gives a frame of {frame_us} us, not a positive one")
@@ -90,22 +99,22 @@ def build_schedules(neighbours, depths, frame_us, active_us):
                           f"outside (0, {frame_us}] us")
     slots_avail = frame_us // active_us
     max_depth = max(depths.values()) if depths else 0
-    held, assigned = {n: set() for n in neighbours}, {}  # held: node -> slots on it or a neighbour
+    held, assigned = dict.fromkeys(neighbours, 0), {}  # held: node -> slots on it or a neighbour
     for node in sorted(depths, key=lambda n: (-depths[n], n)):
         closed = (node, *neighbours[node])
-        taken = set().union(*[held[j] for j in closed])
+        taken = 0
+        for j in closed:
+            taken |= held[j]
         base = (max_depth - depths[node]) % slots_avail
-        for bump in range(slots_avail):
-            slot = (base + bump) % slots_avail
-            if slot not in taken:
-                break
-        else:
+        slot = _lowest_clear(taken, base)
+        if slot >= slots_avail and (slot := _lowest_clear(taken, 0)) >= base:
             raise ConfigError(
                 f"mac.active_ms: a frame of {slots_avail} windows cannot orthogonalize the 2-hop "
                 f"neighbourhood of node {node} ({len(two_hop_sets(neighbours)[node])} other nodes)")
         assigned[node] = slot
+        bit = 1 << slot
         for j in closed:
-            held[j].add(slot)
+            held[j] |= bit
     shared = {s: DutySchedule(frame_us, active_us, s * active_us) for s in set(assigned.values())}
     return {n: shared[s] for n, s in assigned.items()}
 

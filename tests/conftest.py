@@ -2,7 +2,18 @@
 
 import json
 
+from hypothesis import settings
+
 from oscmac.config import parse_config
+
+# `pytest --hypothesis-profile=deep` searches every property ten times as wide;
+# a property that sets its own example count scales it through ``examples``
+settings.register_profile("deep", max_examples=1000, deadline=None)
+
+
+def examples(n: int) -> int:
+    """``n`` under the default profile, scaled as the loaded profile scales its 100."""
+    return max(1, n * settings.default.max_examples // 100)
 
 
 def make_config(doc: dict):

@@ -6,7 +6,7 @@ from oscmac import cli
 from oscmac.cli import main
 from oscmac.engine import run
 from oscmac.trace import read_trace, render_trace
-from conftest import generated_doc, make_config, range_extension_doc
+from conftest import generated_doc, make_config, range_extension_doc, two_node_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -200,6 +200,25 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     path.write_text('{"topology": {"generator": {}}, "mac": {"warp": 9}}')
     assert main(["run", "--config", str(path)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an integer
+    # literal longer than Python's digit limit (4,300 by default)
+    path = tmp_path / "long.json"
+    path.write_text('{"topology": {"generator": {"node_count": 1' + "0" * 5000 + "}}}")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_node_past_the_coordinate_bound_exits_1(tmp_path, capsys):
+    # with a 0.5 m base range, x / base_range overflowed to infinity in the cell index
+    doc = two_node_doc()
+    doc["topology"]["nodes"][1]["x"] = 1.7e308
+    doc["sim"]["base_range_m"] = 0.5
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: topology.nodes[1].x must lie within" in capsys.readouterr().err
 
 
 _SECTION = {"routes": "topology", "nodes": "topology", "sources": "traffic",

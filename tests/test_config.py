@@ -5,8 +5,9 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmac.config import (MAX_NODE_COUNT, MAX_PACKETS_PER_SOURCE, ConfigError, GeneratorSpec,
-                           MacSpec, NodeSpec, SimSpec, TopologySpec, TrafficSpec, parse_config)
+from oscmac.config import (MAX_COORD_RANGES, MAX_NODE_COUNT, MAX_PACKETS_PER_SOURCE, ConfigError,
+                           GeneratorSpec, MacSpec, NodeSpec, SimSpec, TopologySpec, TrafficSpec,
+                           parse_config)
 from oscmac.energy import RadioEnergyParams
 from oscmac.engine import Simulator
 from oscmac.trace import read_trace, write_trace
@@ -96,6 +97,35 @@ def test_node_coordinates_must_be_finite(value):
     doc = range_extension_doc()
     doc["topology"]["nodes"][2]["y"] = value
     with pytest.raises(ConfigError, match=r"topology\.nodes\[2\]\.y"):
+        make_config(doc)
+
+
+@pytest.mark.parametrize("x, y, msg", [
+    (3e14, 3e14,
+     r"^topology\.nodes\[1\]\.x must lie within 1,000,000 base ranges \(90000000\.0 m\) of"),
+    (0.0, -9.0000001e7, r"^topology\.nodes\[1\]\.y must lie within"),
+])
+def test_node_beyond_the_coordinate_bound_rejected(x, y, msg):
+    """Past 10^6 base ranges the cell list's adjacency proof no longer holds;
+    a node at (3e14, 3e14) used to take seconds to set up."""
+    doc = two_node_doc()
+    doc["topology"]["nodes"][1].update(x=x, y=y)
+    with pytest.raises(ConfigError, match=msg):
+        make_config(doc)
+
+
+def test_node_on_the_coordinate_bound_accepted():
+    doc = two_node_doc()
+    doc["topology"]["nodes"][1].update(x=-MAX_COORD_RANGES * 90.0, y=MAX_COORD_RANGES * 90)
+    make_config(doc)
+
+
+def test_generated_area_beyond_the_coordinate_bound_rejected():
+    doc = generated_doc(area_m=MAX_COORD_RANGES * 0.5)
+    doc["sim"] = {"base_range_m": 0.5}
+    make_config(doc)
+    doc["topology"]["generator"]["area_m"] = MAX_COORD_RANGES * 0.5 * 1.000001
+    with pytest.raises(ConfigError, match=r"^topology\.generator\.area_m must be at most "):
         make_config(doc)
 
 

@@ -15,7 +15,7 @@ from oscmac.engine import US, Simulator, run
 from oscmac.mac import DutySchedule, MacState, Packet, reserve
 from oscmac.trace import render_trace
 import trace_audit
-from conftest import (generated_doc, late_reply_doc, make_config, range_extension_doc,
+from conftest import (examples, generated_doc, late_reply_doc, make_config, range_extension_doc,
                       two_node_doc)
 from test_golden import SCENARIOS, record_awaits, unawaited_replies
 
@@ -239,11 +239,14 @@ def assert_packets_conserved(metrics, rows):
     assert len(delivered) + len(failed) + len(in_flight) == metrics.packets_offered
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(node_count=st.integers(6, 30), area_m=st.sampled_from([100.0, 200.0, 300.0]),
        mode=st.sampled_from(["ct", "noct", "auto"]), horizon_s=st.integers(1, 20),
        sources=st.integers(1, 4), packets=st.integers(1, 6), topo_seed=st.integers(0, 30),
        battery_j=st.sampled_from([2e-4, 1e-3, 3e-3, 2.0]), seed=st.integers(0, 3))
+# node 3 dies before its traffic is offered, its death already registered
+@example(node_count=6, area_m=100.0, mode="ct", horizon_s=1, sources=3, packets=1, topo_seed=5,
+         battery_j=2e-4, seed=1)
 def test_every_packet_ends_in_one_fate(node_count, area_m, mode, horizon_s, sources, packets,
                                        topo_seed, battery_j, seed):
     doc = generated_doc(node_count=node_count, area_m=area_m, active_ms=2.0, mode=mode,

@@ -174,13 +174,28 @@ def assert_schedules_match_reference(neighbours, depths, frame_us, active_us):
 @given(st.one_of(layouts(), layouts(span=12)), st.data())
 def test_build_schedules_matches_two_hop_scan(layout, data):
     """On layouts with negative coordinates, coincident nodes and pairs exactly
-    one base range apart, any depths and 1-8 windows a frame."""
+    one base range apart, depths up to 6 or 200 and 1-200 windows a frame, so
+    that slots past bit 64 and the wrap from the base round the frame are
+    compared too (noct-1000's frame holds 100 windows)."""
     positions, r = layout
-    depths = {n: data.draw(st.integers(0, 6)) for n in sorted(positions)}
+    deepest = data.draw(st.sampled_from([6, 200]))
+    depths = {n: data.draw(st.integers(0, deepest)) for n in sorted(positions)}
     active_us = data.draw(st.sampled_from([1, 7, ACTIVE]))
-    frame_us = data.draw(st.integers(1, 8)) * active_us + data.draw(st.integers(0, active_us - 1))
+    windows = data.draw(st.one_of(st.integers(1, 8), st.integers(1, 200)))
+    frame_us = windows * active_us + data.draw(st.integers(0, active_us - 1))
     nbrs = NeighbourIndex(positions, r, RadioEnergyParams().d0).neighbours
     assert_schedules_match_reference(nbrs, depths, frame_us, active_us)
+
+
+def test_build_schedules_wraps_past_bit_64():
+    """Three coincident nodes whose base is the last of 100 windows: the first
+    takes it, the next two wrap round the frame to windows 0 and 1."""
+    positions = {1: (0.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 0.0), 4: (1000.0, 0.0)}
+    depths = {1: 0, 2: 0, 3: 0, 4: 99}
+    nbrs = neighbours(positions)
+    got = build_schedules(nbrs, depths, 100 * ACTIVE, ACTIVE)
+    assert [got[n].wake_offset_us // ACTIVE for n in (1, 2, 3, 4)] == [99, 0, 1, 0]
+    assert_schedules_match_reference(nbrs, depths, 100 * ACTIVE, ACTIVE)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -7,9 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from oscmac import channel
 from oscmac.channel import (AirTransmission, NeighbourIndex, ct_prune_radius, ct_reach, distance,
                             in_reach)
+from oscmac.config import MAX_COORD_RANGES
 from oscmac.energy import RadioEnergyParams
+from oscmac.engine import Simulator
 from oscmac.mac import two_hop_sets
 
+from conftest import examples, make_config
 from test_channel import lost_at
 
 D0 = RadioEnergyParams().d0
@@ -42,6 +45,30 @@ def layouts(draw, span=4):
 def test_neighbour_table_matches_pairwise_scan(layout):
     positions, r = layout
     assert NeighbourIndex(positions, r, D0).neighbours == brute_neighbours(positions, r)
+
+
+@given(layouts(), st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
+def test_neighbour_table_matches_pairwise_scan_at_the_coordinate_bound(layout, sx, sy):
+    """The same layouts moved next to a corner of the bound, where each cell
+    index is near 10^6 and rounds the most."""
+    positions, r = layout
+    cx, cy = sx * (MAX_COORD_RANGES - 4) * r, sy * (MAX_COORD_RANGES - 4) * r
+    moved = {nid: (cx + x, cy + y) for nid, (x, y) in positions.items()}
+    assert NeighbourIndex(moved, r, D0).neighbours == brute_neighbours(moved, r)
+
+
+def test_field_at_the_coordinate_bound_spans_four_cells():
+    """A field set up with nodes on the bound: a base-range disk round any
+    node spans at most 4 cells per axis. The span grew with the coordinate,
+    to thousands of cells at 3e14 m, and set-up with it."""
+    bound = MAX_COORD_RANGES * R
+    corners = [(bound, bound), (bound - R, bound), (-bound, -bound), (0.0, 0.0)]
+    sim = Simulator(make_config({
+        "topology": {"nodes": [{"id": n, "x": x, "y": y, "role": "fr" if n == 3 else "relay"}
+                               for n, (x, y) in enumerate(corners)]}}), 0)
+    index = sim.index
+    assert index.neighbours == {0: (1,), 1: (0,), 2: (), 3: ()}
+    assert all(len(index._span(v, R)) <= 4 for pos in index.positions.values() for v in pos)
 
 
 def test_pair_in_reach_across_two_cells():
@@ -114,7 +141,7 @@ def test_audience_asks_ct_reach_only_beyond_the_base_range(layout, data):
     assert all(d > r for d in nearest)
 
 
-@settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
+@settings(max_examples=examples(300))  # a receiver only a cooperative group reaches is rare
 @given(layouts(span=3), st.data())
 def test_audience_matches_scan_of_all_nodes(layout, data):
     """``audience`` names the ids, other than the senders, that ``in_reach``
@@ -140,7 +167,7 @@ def test_audience_matches_scan_of_all_nodes(layout, data):
         assert list(index.audience(air)) == [i for i in scan if i not in air.sender_ids]
 
 
-@settings(max_examples=300)  # a receiver only a cooperative group reaches is rare
+@settings(max_examples=examples(300))  # a receiver only a cooperative group reaches is rare
 @given(layouts(span=2), st.data())
 def test_resolve_over_may_hear_matches_full_listening(layout, data):
     """Listening only where ``audience`` allows loses, at each listener, the
