@@ -14,9 +14,10 @@ from oscmac.channel import ct_reach, in_reach
 
 doc = {
     "topology": {
+        "fr": 0,
         "nodes": [
-            {"id": 0, "x": 120.0, "y": 0.0, "role": "fr"},
-            {"id": 1, "x": 0.0, "y": 0.0, "role": "trn"},
+            {"id": 0, "x": 120.0, "y": 0.0},
+            {"id": 1, "x": 0.0, "y": 0.0},
             {"id": 2, "x": 8.0, "y": 6.0},
             {"id": 3, "x": 8.0, "y": -6.0},
         ],

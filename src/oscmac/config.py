@@ -24,8 +24,7 @@ class NodeSpec:
     id: int
     x: float
     y: float
-    initial_j: float = 2.0
-    role: str = "relay"  # trn | relay | fr
+    initial_j: float  # default: sim.battery_j
 
 
 @dataclass(frozen=True)
@@ -165,21 +164,20 @@ def _fields(cls) -> dict:
 def _build(cls, given, path: str, **defaults):
     """``cls(**defaults, **given)``, given keys winning, once every given key is
     a field of ``cls`` holding a value of its type and bound, and every field
-    without a default is given."""
+    without a default of its own or in ``defaults`` is given."""
     given = _object(given, path)
     spec = _fields(cls)
     _reject_unknown(given, spec, path)
     for key, value in given.items():
         _check_value(value, spec[key].type, key, f"{path}.{key}")
     for name, f in spec.items():
-        if name not in given and f.default is MISSING:
+        if name not in given and name not in defaults and f.default is MISSING:
             raise ConfigError(f"{path}.{name} is required")
     return cls(**{**defaults, **given})
 
 
 def _topology(raw, battery_j) -> tuple:
-    """The topology section and the ids of its sensor nodes (all but the sink).
-    An explicit node without ``initial_j`` starts with ``battery_j``."""
+    """The topology section and the ids of its sensor nodes (all but the sink)."""
     raw = _object(raw, "topology")
     _reject_unknown(raw, _fields(TopologySpec), "topology")
     nodes, gen = raw.get("nodes"), raw.get("generator")
@@ -205,33 +203,19 @@ def _topology(raw, battery_j) -> tuple:
         for i, n in enumerate(topo.nodes):
             if n.id in seen:
                 raise ConfigError(f"topology.nodes[{i}].id duplicates id {n.id}")
-            if n.role not in ("fr", "trn", "relay"):
-                raise ConfigError(f"topology.nodes[{i}].role must be fr, trn or relay, "
-                                  f"got {n.role!r}")
             seen.add(n.id)
-        if raw.get("fr") is None:
-            fr_roles = [n.id for n in topo.nodes if n.role == "fr"]
-            if len(fr_roles) != 1:
-                raise ConfigError("topology.fr is required unless exactly one node has role 'fr'")
-            topo.fr = fr_roles[0]
-        else:
-            topo.fr = raw["fr"]
+        topo.fr = raw.get("fr")
+        if topo.fr is None:
+            raise ConfigError("topology.fr is required with topology.nodes")
         if type(topo.fr) is not int or topo.fr not in seen:
             raise ConfigError(f"topology.fr {topo.fr!r} is not a node id")
-        for i, n in enumerate(topo.nodes):
-            if n.role == "fr" and n.id != topo.fr:
-                raise ConfigError(f"topology.nodes[{i}].role is fr, but topology.fr is {topo.fr}")
         if raw.get("routes") is not None:
             _routes(topo, _object(raw["routes"], "topology.routes"), seen)
         sensors = seen - {topo.fr}
     w = raw.get("wilem")
     if w is not None:
-        if isinstance(w, dict):
-            _reject_unknown(w, ("x", "y"), "topology.wilem")
-            w = [w.get("x"), w.get("y")]
         if not (isinstance(w, list) and len(w) == 2 and all(map(_is_finite, w))):
-            raise ConfigError(f"topology.wilem must be [x, y] or {{x, y}} of finite numbers, "
-                              f"got {raw['wilem']!r}")
+            raise ConfigError(f"topology.wilem must be [x, y] of finite numbers, got {w!r}")
         topo.wilem = (float(w[0]), float(w[1]))
     return topo, sensors
 

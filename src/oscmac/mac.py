@@ -143,12 +143,16 @@ class Superframe:
     slot_us: int
     packet_count: int
     helpers: tuple = ()
-    leader: int = None               # type: ignore[assignment]
     continued: bool = False          # rendezvous slots spill past one frame
 
     def __post_init__(self):
         if self.packet_count < 1:
             raise ValueError("a superframe carries at least one packet")
+
+    @property
+    def leader(self):
+        """The first helper, the one that answers with a ct_ack."""
+        return self.helpers[0] if self.helpers else None
 
     def rdv_slots(self):
         """(start_us, end_us) of each rendezvous slot, in order."""
@@ -164,8 +168,7 @@ def compose_superframe(elected, packet_count, now_us, slot_us, frame_us):
     into the next ones and is flagged ``continued``.
     """
     return Superframe(origin_us=now_us, slot_us=slot_us, packet_count=packet_count,
-                      helpers=elected.helpers, leader=elected.leader,
-                      continued=(packet_count + 1) * slot_us > frame_us)
+                      helpers=elected.helpers, continued=(packet_count + 1) * slot_us > frame_us)
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,18 @@ class CtRequest:
 
 @dataclass(frozen=True)
 class ElectedList:
-    """Election result: helpers ordered by descending energy, plus the leader."""
+    """Election result: helpers ordered by descending energy."""
 
     helpers: tuple = ()
-    leader: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if len(set(self.helpers)) != len(self.helpers):
             raise ValueError("helpers must not contain duplicates")
-        if self.helpers and self.leader not in self.helpers:
-            raise ValueError("leader must be one of the helpers")
-        if not self.helpers and self.leader is not None:
-            raise ValueError("empty election carries no leader")
+
+    @property
+    def leader(self):
+        """The first helper, who acks for the rest; None when none is elected."""
+        return self.helpers[0] if self.helpers else None
 
 
 def elect_helpers(energies: dict, packet_count: int, per_packet: float) -> ElectedList:
@@ -58,7 +58,7 @@ def elect_helpers(energies: dict, packet_count: int, per_packet: float) -> Elect
     burst = packet_count * per_packet
     helpers = tuple(nid for _, nid in sorted((-e, nid) for nid, e in energies.items()
                                              if e / burst >= 1.0))
-    return ElectedList(helpers=helpers, leader=helpers[0] if helpers else None)
+    return ElectedList(helpers=helpers)
 
 
 @dataclass

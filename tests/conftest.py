@@ -28,9 +28,10 @@ def range_extension_doc(mode="ct", packets=3, horizon_s=30.0):
     """
     return {
         "topology": {
+            "fr": 0,
             "nodes": [
-                {"id": 0, "x": 120.0, "y": 0.0, "role": "fr"},
-                {"id": 1, "x": 0.0, "y": 0.0, "role": "trn"},
+                {"id": 0, "x": 120.0, "y": 0.0},
+                {"id": 1, "x": 0.0, "y": 0.0},
                 {"id": 2, "x": 8.0, "y": 6.0},
                 {"id": 3, "x": 8.0, "y": -6.0},
             ],
@@ -46,8 +47,9 @@ def two_node_doc(d=50.0, packets=1, mode="noct", horizon_s=30.0):
     """Minimal in-range pair for hand-checkable energy arithmetic."""
     return {
         "topology": {
+            "fr": 0,
             "nodes": [
-                {"id": 0, "x": 0.0, "y": 0.0, "role": "fr"},
+                {"id": 0, "x": 0.0, "y": 0.0},
                 {"id": 1, "x": d, "y": 0.0},
             ],
         },

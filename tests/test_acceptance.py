@@ -212,8 +212,8 @@ def test_c08_conservation_and_no_ghost_activity():
 
 def test_c09_collision_semantics():
     doc = {
-        "topology": {"nodes": [
-            {"id": 0, "x": 60.0, "y": 0.0, "role": "fr"},
+        "topology": {"fr": 0, "nodes": [
+            {"id": 0, "x": 60.0, "y": 0.0},
             {"id": 1, "x": 0.0, "y": 0.0},
             {"id": 2, "x": 120.0, "y": 0.0},
             {"id": 3, "x": 60.0, "y": 50.0},

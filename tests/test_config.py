@@ -56,10 +56,12 @@ def test_unknown_node_key_rejected():
 
 
 def test_unknown_role_rejected():
-    doc = range_extension_doc()
-    doc["topology"]["nodes"][2]["role"] = "banana"
-    with pytest.raises(ConfigError, match=r"topology\.nodes\[2\]\.role must be fr, trn or relay"):
-        make_config(doc)
+    """``topology.fr`` alone names the sink; a node has no role to give."""
+    for role in ("fr", "trn", "relay"):
+        doc = range_extension_doc()
+        doc["topology"]["nodes"][2]["role"] = role
+        with pytest.raises(ConfigError, match=r"^unknown key topology\.nodes\[2\]\.role$"):
+            make_config(doc)
 
 
 def test_nodes_and_generator_mutually_exclusive():
@@ -71,18 +73,12 @@ def test_nodes_and_generator_mutually_exclusive():
         make_config({"topology": {}})
 
 
-def test_fr_inferred_from_role():
-    cfg = make_config(range_extension_doc())
-    assert cfg.topology.fr == 0
-
-
-def test_fr_required_when_ambiguous():
+def test_fr_required_with_nodes():
     doc = range_extension_doc()
-    doc["topology"]["nodes"][0]["role"] = "relay"
-    with pytest.raises(ConfigError, match="fr"):
-        make_config(doc)
-    doc["topology"]["fr"] = 0
     assert make_config(doc).topology.fr == 0
+    del doc["topology"]["fr"]
+    with pytest.raises(ConfigError, match=r"^topology\.fr is required with topology\.nodes$"):
+        make_config(doc)
 
 
 def test_duplicate_node_id_rejected():
@@ -225,16 +221,14 @@ def test_value_validation():
         (lambda d: d.update({"sim": [1]}), r"^sim must be a JSON object"),
         (lambda d: d.update({"topology": {"nodes": 5}}), r"^topology\.nodes must be a list"),
         (lambda d: _explicit(d).update({"routes": {"a": 0}}), r"^topology\.routes entry a->0"),
-        (lambda d: _explicit(d).update({"wilem": {"x": 1}}), r"^topology\.wilem must be"),
+        (lambda d: _explicit(d).update({"wilem": {"x": 1.0, "y": 2.0}}),
+         r"^topology\.wilem must be \[x, y\] of finite numbers, got \{'x'"),
         (lambda d: _explicit(d)["nodes"][1].update({"id": "b"}),
          r"^topology\.nodes\[1\]\.id must be an integer"),
         (lambda d: _explicit(d)["nodes"][1].update({"initial_j": inf}),
          r"^topology\.nodes\[1\]\.initial_j must be a finite"),
         (lambda d: _explicit(d)["nodes"][1].pop("x"), r"^topology\.nodes\[1\]\.x is required"),
         (lambda d: _explicit(d).update({"fr": [0]}), r"^topology\.fr \[0\] is not a node id"),
-        # node 0's role names it the sink, so another fr contradicts it
-        (lambda d: _explicit(d).update({"fr": 2}),
-         r"^topology\.nodes\[0\]\.role is fr, but topology\.fr is 2"),
         # a generated network's sink and routes are its own
         (lambda d: d["topology"].update({"fr": 5}), r"^topology\.fr is only for topology\.nodes"),
         (lambda d: d["topology"].update({"routes": {"3": 1}}),
@@ -350,12 +344,10 @@ def test_hash_stable_across_key_order():
     assert make_config(doc).config_hash() == make_config(reordered).config_hash()
 
 
-def test_wilem_accepts_pair_or_object():
+def test_wilem_accepts_a_pair():
     doc = range_extension_doc()
     doc["topology"]["wilem"] = [10.0, 20.0]
     assert make_config(doc).topology.wilem == (10.0, 20.0)
-    doc["topology"]["wilem"] = {"x": 3.0, "y": 4.0}
-    assert make_config(doc).topology.wilem == (3.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ _SECTIONS = {"radio": RadioEnergyParams, "traffic": TrafficSpec, "mac": MacSpec,
 
 def _fuzz_bases():
     explicit = range_extension_doc(mode="auto", packets=2, horizon_s=2.0)
-    explicit["topology"].update({"fr": 0, "wilem": [60.0, 0.0]})
+    explicit["topology"]["wilem"] = [60.0, 0.0]
     generated = generated_doc(node_count=6, area_m=120.0, horizon_s=2.0, packets=2, sources=2)
     return {"generated": dict(generated, radio={}), "explicit": dict(explicit, radio={})}
 

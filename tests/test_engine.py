@@ -349,8 +349,7 @@ def _send_data(nodes, plan):
     ``(offset_us, sender, addressee)`` of ``plan``, in order, the offsets
     counted from node 0's next wake-up; packet seqs count from 1."""
     field = [{"id": nid, "x": x, "y": y} for nid, (x, y) in nodes.items()]
-    field[0]["role"] = "fr"
-    doc = {"topology": {"nodes": field}, "traffic": {"packets_per_source": 0},
+    doc = {"topology": {"fr": 0, "nodes": field}, "traffic": {"packets_per_source": 0},
            "sim": {"horizon_s": 2.0}}
     sim = Simulator(make_config(doc), 0)
     t0 = sim.nodes[0].mac.schedule.next_wake(0)
@@ -550,8 +549,8 @@ def _middle_dies_doc():
     """Five nodes on a line; node 2's battery lasts under three frames, so it
     dies between the third sweep's shared neighbours 0, 1 and 3, 4."""
     nodes = [{"id": i, "x": 40.0 * i, "y": 0.0} for i in range(5)]
-    nodes[0]["role"], nodes[2]["initial_j"] = "fr", 2.5e-5
-    return {"topology": {"nodes": nodes},
+    nodes[2]["initial_j"] = 2.5e-5
+    return {"topology": {"fr": 0, "nodes": nodes},
             "traffic": {"sources": [4], "packets_per_source": 0},
             "sim": {"horizon_s": 1.0, "housekeeping_frames": 1}}
 

@@ -77,8 +77,8 @@ SCENARIOS = {
     # cooperative superframe relay, and 20 slots continue the superframe
     "explicit": (range_extension_doc(mode="ct", packets=20),
                  0,
-                 "282ee134c1e4da9515cdbb4567e4cb20dd8d61d6554453556976849bcfc5ed48",
-                 "2ccd97545f91b70f857bcc9a2c5f1a41fb0bfa757915e11d351f2ec6cc51603c"),
+                 "fef470aea5ef01caeae29b06a4982fb357ea108bbf9536ba756490b4f5b2b7a8",
+                 "70c5f68739eb2aa2d253d97c4d1c675cdb622dcf5447e78b6f86e64fb50bf344"),
     # the one scenario whose replies arrive late: every ct_ack times out, and
     # late noct_replies and data_acks reach nodes that await something else
     "late_reply": (late_reply_doc(),

@@ -207,7 +207,7 @@ def test_workload_schedules_match_two_hop_scan(workload):
 
 
 def test_compose_superframe_layout():
-    elected = ElectedList(helpers=(2, 3), leader=2)
+    elected = ElectedList(helpers=(2, 3))
     sf = compose_superframe(elected, packet_count=3, now_us=1_000, slot_us=20_000, frame_us=FRAME)
     # the control slot is [1_000, 21_000); the rendezvous slots follow it
     assert sf.rdv_slots() == [(21_000, 41_000), (41_000, 61_000), (61_000, 81_000)]
@@ -216,7 +216,7 @@ def test_compose_superframe_layout():
 
 
 def test_compose_superframe_continued_flag():
-    elected = ElectedList(helpers=(2,), leader=2)
+    elected = ElectedList(helpers=(2,))
     sf = compose_superframe(elected, packet_count=10, now_us=0, slot_us=20_000, frame_us=FRAME)
     assert sf.continued
     assert sf.rdv_slots() == [(20_000 * (i + 1), 20_000 * (i + 2)) for i in range(10)]
@@ -246,7 +246,7 @@ def test_reserve_noct():
 
 
 def test_on_superframe_participant_reserves_and_leader_acks():
-    elected = ElectedList(helpers=(2, 3), leader=2)
+    elected = ElectedList(helpers=(2, 3))
     sf = compose_superframe(elected, packet_count=2, now_us=0, slot_us=20_000, frame_us=FRAME)
     leader = MacState(node=2)
     accepted, is_leader = on_superframe(leader, sf)

@@ -64,8 +64,8 @@ def test_field_at_the_coordinate_bound_spans_four_cells():
     bound = MAX_COORD_RANGES * R
     corners = [(bound, bound), (bound - R, bound), (-bound, -bound), (0.0, 0.0)]
     sim = Simulator(make_config({
-        "topology": {"nodes": [{"id": n, "x": x, "y": y, "role": "fr" if n == 3 else "relay"}
-                               for n, (x, y) in enumerate(corners)]}}), 0)
+        "topology": {"fr": 3, "nodes": [{"id": n, "x": x, "y": y}
+                                         for n, (x, y) in enumerate(corners)]}}), 0)
     index = sim.index
     assert index.neighbours == {0: (1,), 1: (0,), 2: (), 3: ()}
     assert all(len(index._span(v, R)) <= 4 for pos in index.positions.values() for v in pos)

@@ -70,11 +70,9 @@ def test_elect_rejects_bad_burst():
 
 def test_elected_list_invariants():
     with pytest.raises(ValueError):
-        ElectedList(helpers=(1, 1), leader=1)
-    with pytest.raises(ValueError):
-        ElectedList(helpers=(1, 2), leader=3)
-    with pytest.raises(ValueError):
-        ElectedList(helpers=(), leader=1)
+        ElectedList(helpers=(1, 1))
+    assert ElectedList(helpers=(3, 1)).leader == 3
+    assert ElectedList().leader is None
 
 
 def test_request_validation():
