@@ -47,7 +47,7 @@ class TopologySpec:
 class TrafficSpec:
     packet_size_bytes: int = 100
     packets_per_source: int = 5
-    sources: object = 1  # list of ids, or int = the k nodes farthest from FR
+    sources: object = 1  # list of ids, or int k: the k deepest by hops, then farthest from FR
     start_s: float = 0.0
     jitter_ms: float = 0.0
 
@@ -239,9 +239,10 @@ def _routes(topo: TopologySpec, given: dict, ids: set) -> None:
     """Set ``topo.routes`` from ``given``; every chain must reach the sink,
     which has no route of its own."""
     topo.routes = {}
+    keys = {str(nid): nid for nid in ids}  # only an id's canonical decimal names it
     for k, v in given.items():
-        nid = int(k) if k.removeprefix("-").isdecimal() else None
-        if nid not in ids or type(v) is not int or v not in ids:
+        nid = keys.get(k)
+        if nid is None or type(v) is not int or v not in ids:
             raise ConfigError(f"topology.routes entry {k}->{v!r} names unknown node")
         if nid == topo.fr:
             raise ConfigError(f"topology.routes entry {k}->{v} routes the sink fr")
@@ -255,11 +256,21 @@ def _routes(topo: TopologySpec, given: dict, ids: set) -> None:
             cur = topo.routes[cur]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``' object hook: a key stated twice raises, not keeps its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {json.dumps(key)} is stated twice in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_config(document: str) -> ScenarioConfig:
     """Parse and validate a UTF-8 JSON scenario document."""
     try:
-        raw = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raw = json.loads(document, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, an integer past the digit limit, a repeated key
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -221,6 +221,28 @@ def test_node_past_the_coordinate_bound_exits_1(tmp_path, capsys):
     assert "config error: topology.nodes[1].x must lie within" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t: t["nodes"][1].update(role="trn"), "unknown key topology.nodes[1].role"),
+    (lambda t: t.pop("fr"), "topology.fr is required"),
+    (lambda t: t.update(wilem={"x": 60.0, "y": 0.0}), "topology.wilem must be [x, y]"),
+    (lambda t: t.update(routes={"1": 0, "01": 0}), "topology.routes entry 01->0"),
+], ids=["role", "no_fr", "wilem_object", "route_key_twice"])
+def test_topology_field_stated_another_way_exits_1(tmp_path, capsys, mutate, message):
+    doc = range_extension_doc()
+    mutate(doc["topology"])
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_repeated_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"topology": {"generator": {}}, "mac": {"mode": "ct", "mode": "noct"}}')
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert 'config error: config is not valid JSON: key "mode" is stated twice' in err
+
+
 _SECTION = {"routes": "topology", "nodes": "topology", "sources": "traffic",
             "active_ms": "mac", "retry_cap": "mac", "housekeeping_frames": "sim"}
 

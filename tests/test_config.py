@@ -35,6 +35,18 @@ def test_invalid_json_rejected():
         parse_config("[1, 2]")
 
 
+@pytest.mark.parametrize("document, key", [
+    ('{"topology": {"generator": {}}, "mac": {"mode": "ct", "mode": "noct"}}', "mode"),
+    ('{"topology": {"generator": {}}, "sim": {}, "sim": {}}', "sim"),
+    ('{"topology": {"fr": 0, "nodes": [{"id": 0, "x": 0, "y": 0, "x": 1}]}}', "x"),
+], ids=["field", "section", "node_field"])
+def test_repeated_key_rejected(document, key):
+    """``json.loads`` keeps the last of two equal keys; the scenario runs neither silently."""
+    msg = rf'^config is not valid JSON: key "{key}" is stated twice in one object$'
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(document)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update({"bogus_section": {}}),
     lambda d: d["mac"].update({"frame_length": 5}),
@@ -148,6 +160,22 @@ def test_route_chains_to_the_sink_accepted():
     doc = range_extension_doc()
     doc["topology"]["routes"] = {"1": 2, "2": 3, "3": 0}
     assert make_config(doc).topology.routes == {1: 2, 2: 3, 3: 0}
+
+
+@pytest.mark.parametrize("routes, key", [
+    ({"1": 0, "01": 2, "2": 0}, "01"),   # parsed to {1: 2, 2: 0}: the later key won
+    ({"01": 2, "1": 0, "2": 0}, "01"),   # parsed to {1: 0, 2: 0}
+    ({"\u0661": 0}, "\u0661"),           # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    ({"-0": 2}, "-0"),
+    ({"1" * 5000: 0}, "1" * 5000),       # int() of it raised a plain ValueError
+], ids=["padded_after", "padded_before", "arabic_indic", "minus_zero", "past_digit_limit"])
+def test_route_key_is_a_canonical_node_id(routes, key):
+    """A routes key names node ``n`` only as ``str(n)``, so no node is routed
+    by two keys of which the later one silently wins."""
+    doc = range_extension_doc()
+    doc["topology"]["routes"] = routes
+    with pytest.raises(ConfigError, match=rf"^topology\.routes entry {key}->\d names unknown node"):
+        make_config(doc)
 
 
 @pytest.mark.parametrize("routes", [{"1": 0, "0": 2}, {"0": 0}])
